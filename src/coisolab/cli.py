@@ -2,8 +2,9 @@
 
 Structured results are JSON (sorted keys, so identical seed and config give
 byte-identical reports); trajectories are CSV.  Exit codes: 0 success or
-converged, 1 solver gave up without a verdict, 2 input error, 3 obstructed
-verdict, 4 verification failure.
+converged, 1 solver gave up without a verdict, 2 input error (including a
+flow step the error monitor rejects and a degenerate contact pairing),
+3 obstructed verdict, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import contact as ct
-from . import foliation, verify
+from . import foliation, integrate, verify
 from .coisotropy import (PreconditionError, ProlongOptions, Section,
                          family_section, kuranishi, prolong, residual)
 from .fields import Field
@@ -230,9 +231,12 @@ def cmd_flow(args) -> int:
     cd = ct.standard_contact(trunc_order=cfg.trunc_order, verify=False)
     p = _parse_point(args.point, cd.space.dim)
     path = ct.flow_contact(cd, lam, p, args.duration, h=args.step)
+    n_full, _ = integrate.split_duration(args.duration, args.step)
+    sign = 1 if args.duration >= 0 else -1
     lines = ["step,t,x1,x2,x3,x4,x5,y4,y5"]
     for i, q in enumerate(path):
-        t = i * args.step * (1 if args.duration >= 0 else -1)
+        # a row past the full steps ends the tail step, at the duration
+        t = i * args.step * sign if i <= n_full else args.duration
         lines.append(",".join([str(i), repr(float(t))]
                               + [repr(float(v)) for v in q]))
     _emit("\n".join(lines) + "\n", cfg.out)
@@ -259,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         (("--trunc",), {"type": int, "help": "frequency truncation order"}),
         (("--tol",), {"type": float, "help": "override all tolerances"}),
         (("--out",), {"help": "write the main report here instead of stdout"}),
-        (("--format",), {"choices": ("json", "csv"),
-                         "help": "preferred output format where both make sense"}),
     ):
         common.add_argument(*args, default=argparse.SUPPRESS, **kw)
 
@@ -324,7 +326,8 @@ def main(argv=None) -> int:
     except _InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, integrate.StepSizeError,
+            ct.NondegeneracyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

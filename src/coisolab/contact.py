@@ -12,9 +12,11 @@ components (7 tangent + 1 scalar), and varpi-flat is the 8x8 matrix sending
 
 Hamiltonian derivations invert varpi-flat on first jets.  For this structure
 the inverse has trigonometric-polynomial entries, so Hamiltonian derivations
-of spectral sections are again exact spectral data (``hamiltonian_field``);
-the pointwise linear-solve route (``hamiltonian_derivation``) is kept as the
-independent cross-check and drives the flows.
+of spectral sections are again exact spectral data (``hamiltonian_field``).
+The flows are driven by that spectral data, built without truncation
+(``contact_vector_field``) and compiled once per flow into a stacked
+evaluator.  The pointwise linear-solve route (``hamiltonian_derivation``,
+``jacobi_bracket``, ``flat_matrix``) is kept as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 
 from . import integrate
 from .dercalc import AtiyahForm, Derivation, Form, is_basic, pullback_reduction
-from .fields import Field, ShapeError, Space, VectorField, wrap_torus
+from .fields import (Field, ShapeError, Space, VectorField, stacked_evaluator,
+                     wrap_torus)
 
 M_TORUS_DIM = 5
 M_FIBER_DIM = 2
@@ -138,10 +141,16 @@ def hamiltonian_field(cd: ContactData, lam: Field) -> Derivation:
 
     The component fields below are the unique solution of
     iota_xi d theta + a theta = d lam, -theta(xi) = lam; the pointwise
-    linear-solve route must agree with them at every point (tested)."""
-    sp = cd.space
-    if lam.space != sp:
+    linear-solve route must agree with them at every point (tested).
+    Products that leave cd's box are dropped into the components'
+    ``trunc_loss``; ``contact_vector_field`` avoids that."""
+    if lam.space != cd.space:
         raise ShapeError("section space mismatch")
+    return _hamiltonian(lam)
+
+
+def _hamiltonian(lam: Field) -> Derivation:
+    sp = lam.space
     c, s = Field.cos(sp, 0), Field.sin(sp, 0)
     y4, y5 = Field.fiber_coordinate(sp, 0), Field.fiber_coordinate(sp, 1)
     l = [lam.partial(i) for i in range(sp.dim)]
@@ -160,8 +169,19 @@ def hamiltonian_field(cd: ContactData, lam: Field) -> Derivation:
 
 
 def contact_vector_field(cd: ContactData, lam: Field) -> VectorField:
-    """Symbol of the Hamiltonian derivation: the contact vector field of lam."""
-    return hamiltonian_field(cd, lam).symbol
+    """The contact vector field of lam (symbol of its Hamiltonian
+    derivation), exact: built over a box one frequency and one fiber degree
+    larger than lam's, which holds every product with cos x1, sin x1, y4
+    and y5.  Raises ShapeError rather than return truncated components."""
+    sp = lam.space
+    if (sp.torus_dim, sp.fiber_dim) != (cd.space.torus_dim, cd.space.fiber_dim):
+        raise ShapeError("section space mismatch")
+    roomy = Space(sp.torus_dim, sp.fiber_dim, sp.trunc_order + 1, sp.poly_deg + 1)
+    vf = _hamiltonian(lam.promote(roomy)).symbol
+    loss = max(c.trunc_loss for c in vf.components)
+    if loss:
+        raise ShapeError(f"contact vector field lost mass {loss:.3e} to truncation")
+    return vf
 
 
 def jacobi_bracket(cd: ContactData, lam: Field, mu: Field, p) -> float:
@@ -185,20 +205,9 @@ def flow_contact(cd: ContactData, lam: Field, p, duration: float,
                  h: float = 1e-3, err_tol: float = 1e-6) -> np.ndarray:
     """RK4 trajectory of the contact vector field of lam from p.
 
-    The field is recomputed pointwise at every stage through the 8x8 solve.
+    The exact spectral field is compiled once into a stacked evaluator.
     Returns the sampled path with torus coordinates wrapped to [0, 2*pi)."""
-    grads = [lam.partial(i) for i in range(cd.space.dim)]
-    dim = cd.space.dim
-
-    def rhs(y):
-        rhsv = np.empty(dim + 1)
-        for i in range(dim):
-            rhsv[i] = grads[i].evaluate(y)
-        rhsv[dim] = lam.evaluate(y)
-        M = flat_matrix(cd.theta, cd.varpi.alpha, y)
-        sol = np.linalg.solve(M, rhsv)
-        return sol[:dim]
-
+    rhs = stacked_evaluator(contact_vector_field(cd, lam).components)
     path = integrate.rk4_flow(rhs, np.asarray(p, dtype=float), duration, h, err_tol)
     return np.array([wrap_torus(q, cd.space.torus_dim) for q in path])
 
@@ -209,19 +218,22 @@ def flow_with_frame(cd: ContactData, lam: Field, p, frame, duration: float,
 
     Integrates the variational equation dot(v) = DXi(x) v next to the base
     trajectory, with the Jacobian DXi of the contact vector field assembled
-    exactly from its spectral components.  Returns (end point wrapped,
+    exactly from its spectral components; the field and its Jacobian are
+    compiled into one stacked evaluator.  Returns (end point wrapped,
     transported frame columns)."""
     vf = contact_vector_field(cd, lam)
     dim = cd.space.dim
-    jac = [[vf.components[i].partial(j) for j in range(dim)] for i in range(dim)]
+    field_and_jacobian = stacked_evaluator(
+        list(vf.components) + [comp.partial(j) for comp in vf.components
+                               for j in range(dim)])
     frame = np.asarray(frame, dtype=float)
     n_vec = frame.shape[1]
 
     def rhs(state):
-        x = state[:dim]
+        vals = field_and_jacobian(state[:dim])
+        J = vals[dim:].reshape(dim, dim)
         V = state[dim:].reshape(dim, n_vec)
-        J = np.array([[jac[i][j].evaluate(x) for j in range(dim)] for i in range(dim)])
-        return np.concatenate([vf.evaluate_at(x), (J @ V).ravel()])
+        return np.concatenate([vals[:dim], (J @ V).ravel()])
 
     y0 = np.concatenate([np.asarray(p, dtype=float), frame.ravel()])
     path = integrate.rk4_flow(rhs, y0, duration, h, err_tol)

@@ -18,7 +18,8 @@ their absolute mass is accumulated in the result's ``trunc_loss`` so callers
 can decide whether a computation remained exact.
 
 Fields are immutable values: operations return new instances and never
-mutate their inputs.
+mutate their inputs.  ``stacked_evaluator`` compiles a list of fields into
+dense arrays once, for loops that evaluate them at many points.
 """
 
 from __future__ import annotations
@@ -309,12 +310,12 @@ class Field:
         return Field(small, out, self.trunc_loss)
 
     def promote(self, space: Space) -> "Field":
-        """Reinterpret over a larger torus: existing axes become the leading
-        axes of the target, new trailing frequencies are zero."""
+        """Reinterpret over a larger torus or box: existing axes become the
+        leading axes of the target, new trailing frequencies are zero."""
         sp = self.space
         if space.torus_dim < sp.torus_dim or space.fiber_dim != sp.fiber_dim:
             raise ShapeError("target space must extend the torus factor only")
-        if space.trunc_order < sp.trunc_order:
+        if space.trunc_order < sp.trunc_order or space.poly_deg < sp.poly_deg:
             raise ShapeError("target truncation box too small")
         pad = (0,) * (space.torus_dim - sp.torus_dim)
         out = {(k + pad, m): c for (k, m), c in self.coeffs.items()}
@@ -500,6 +501,51 @@ class VectorField:
 
     def __repr__(self):
         return f"VectorField({self.space.torus_dim}+{self.space.fiber_dim}d)"
+
+
+def stacked_evaluator(fields):
+    """Compile fields over one space into a function point -> values.
+
+    The union of their modes becomes a frequency matrix K (n_modes, torus
+    dim), a fiber exponent matrix (n_modes, fiber dim) and a coefficient
+    matrix C (n_fields, n_modes), built once; a call returns the real parts
+    of C @ (exp(i K x) * prod(y ** m)).  It agrees with ``Field.evaluate``
+    field by field up to summation order, with the same point-length check
+    and the same non-real guard applied to every row."""
+    fields = list(fields)
+    if not fields:
+        raise ShapeError("nothing to evaluate")
+    sp = fields[0].space
+    if any(f.space != sp for f in fields):
+        raise ShapeError("fields over different spaces")
+    keys = sorted(set().union(*(f.coeffs for f in fields)))
+    column = {key: j for j, key in enumerate(keys)}
+    freqs = np.array([k for k, _ in keys], dtype=float).reshape(len(keys), sp.torus_dim)
+    powers = np.array([m for _, m in keys], dtype=float).reshape(len(keys), sp.fiber_dim)
+    coeffs = np.zeros((len(fields), len(keys)), dtype=complex)
+    for row, f in enumerate(fields):
+        for key, c in f.coeffs.items():
+            coeffs[row, column[key]] = c
+    torus_dim, dim = sp.torus_dim, sp.dim
+    polynomial = bool(powers.any())
+
+    def evaluate(point) -> np.ndarray:
+        p = np.asarray(point, dtype=float)
+        if p.shape != (dim,):
+            raise ShapeError(f"point of length {p.shape} for dim {dim}")
+        basis = np.exp(1j * (freqs @ p[:torus_dim]))
+        if polynomial:
+            basis *= (p[torus_dim:] ** powers).prod(axis=1)
+        val = coeffs @ basis
+        re, im = val.real, abs(val.imag)
+        # the first test is the cheap exit: no row can fail below EVAL_IMAG_TOL
+        if (im.max() > EVAL_IMAG_TOL
+                and (im > np.maximum(EVAL_IMAG_TOL, 1e-14 * abs(re))).any()):
+            raise ShapeError(f"non-real evaluation (imag={im.max():.3e}); "
+                             "field violates Hermitian symmetry")
+        return re
+
+    return evaluate
 
 
 def wrap_torus(point, torus_dim: int):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import integrate
 from .coisotropy import Section, xy_frame
-from .fields import VectorField, wrap_torus
+from .fields import VectorField, stacked_evaluator, wrap_torus
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,7 @@ def trace_leaf(frame: CharFrame, start, duration: float, h: float = 1e-3,
     windings)."""
     c1, c2 = direction
     w = frame.v1 * float(c1) + frame.v2 * float(c2)
-
-    def rhs(y):
-        return w.evaluate_at(y)
-
+    rhs = stacked_evaluator(w.components)
     lifted = integrate.rk4_flow(rhs, np.asarray(start, dtype=float), duration, h, err_tol)
     wrapped = np.array([wrap_torus(q, 5) for q in lifted])
     return LeafTrace(points=wrapped, lifted=lifted,

@@ -180,6 +180,29 @@ def test_flow_unit_hamiltonian(capsys, tmp_path):
     assert last[3] == pytest.approx(1 - 0.2 * math.sin(0.5), abs=1e-8)
 
 
+def test_flow_tail_row_ends_at_duration(capsys, tmp_path):
+    lam_path = tmp_path / "unit.json"
+    lam_path.write_text(json.dumps(
+        Field.constant(contact_space(), 1.0).to_json_dict()))
+    for duration, tail_t in (("1", 1.0), ("-1", -1.0)):
+        code, out, _ = run(capsys, "flow", str(lam_path), "--point", "0,0,0,0,0,0,0",
+                           "--duration", duration, "--step", "0.3")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        sign = math.copysign(1, tail_t)
+        assert [r[1] for r in rows] == [repr(i * 0.3 * sign) for i in range(4)] + [repr(tail_t)]
+
+
+def test_flow_rejected_step_exit_two(capsys, tmp_path):
+    lam_path = tmp_path / "curved.json"
+    lam_path.write_text(json.dumps(
+        (Field.sin(contact_space(), 1) * 50.0).to_json_dict()))
+    code, out, err = run(capsys, "flow", str(lam_path), "--point", "0.3,0.7,0.1,0,0,0,0",
+                         "--duration", "1", "--step", "0.5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: local error") and err.count("\n") == 1
+
+
 # -- input handling -----------------------------------------------------------------
 
 def test_missing_file_exit_two(capsys):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import coisolab.contact as ct
+from coisolab import integrate
 from coisolab.coisotropy import family_section, residual_from_jet
 from coisolab.dercalc import AtiyahForm, Derivation
-from coisolab.fields import Field, VectorField
+from coisolab.fields import Field, ShapeError, VectorField, stacked_evaluator
 from coisolab.verify import rand_field
 
 TWO_PI = 2 * math.pi
@@ -233,6 +234,40 @@ def test_flow_step_rejection():
     start = np.array([0.3, 0.7, 0.1, 0.0, 0.0, 0.0, 0.0])
     with pytest.raises(StepSizeError):
         ct.flow_contact(cd_small, lam, start, 1.0, h=0.5, err_tol=1e-12)
+
+
+def test_flow_matches_pointwise_solve_path(cd):
+    rng = np.random.default_rng(17)
+    lam = rand_field(rng, cd.space, n_modes=3)
+    p = rand_m_points(rng, cd.space, 1)[0]
+    T, h = 0.05, 1e-2
+    got = ct.flow_contact(cd, lam, p, T, h=h)
+    ref = integrate.rk4_flow(lambda y: ct.hamiltonian_derivation(cd, lam, y).xi, p, T, h)
+    ref[:, :5] %= TWO_PI
+    assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_flow_field_exact_at_box_edge(cd):
+    """Hamiltonians whose contact field leaves cd's box (a |k1| = N mode, a
+    y4^2 term): the flow's right-hand side still matches the pointwise
+    solve, where the field built inside cd's box loses mass."""
+    sp = cd.space
+    edge = Field.from_modes(sp, {((sp.trunc_order, 1, 0, -2, 0), (0, 0)): 0.4 + 0.3j},
+                            add_conjugates=True)
+    y4_squared = Field.from_modes(sp, {((0, 1, 0, 0, 0), (2, 0)): 0.5}, add_conjugates=True)
+    rng = np.random.default_rng(18)
+    for lam in (edge, y4_squared):
+        assert max(c.trunc_loss for c in ct.hamiltonian_field(cd, lam).symbol.components) > 0
+        rhs = stacked_evaluator(ct.contact_vector_field(cd, lam).components)
+        for p in rand_m_points(rng, sp, 5):
+            want = ct.hamiltonian_derivation(cd, lam, p).xi
+            assert np.max(np.abs(rhs(p) - want)) < 1e-10
+
+
+def test_flow_refuses_truncated_hamiltonian(cd):
+    lossy = Field(cd.space, Field.sin(cd.space, 1).coeffs, trunc_loss=0.25)
+    with pytest.raises(ShapeError):
+        ct.flow_contact(cd, lossy, np.zeros(7), 0.1)
 
 
 def test_flow_preserves_coisotropicity_at_samples(cd):

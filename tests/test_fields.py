@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coisolab import fields
 from coisolab.fields import (Field, ShapeError, Space, UnsupportedAxisError,
-                             VectorField)
+                             VectorField, stacked_evaluator)
+from coisolab.verify import rand_field
 
 T2 = Space(2, 0, 6, 0)
 T5 = Space(5, 0, 8, 0)
@@ -69,6 +71,37 @@ def test_evaluate_fiber_monomials():
     f = y4 * y4 * Field.cos(M, 2)
     p = np.array([0.3, 0.1, 1.2, 0.0, 0.0, -0.7, 0.4])
     assert f.evaluate(p) == pytest.approx(0.49 * math.cos(1.2), abs=1e-13)
+
+
+# -- stacked evaluator -----------------------------------------------------------
+
+@pytest.mark.parametrize("space", [M, T5])
+def test_stacked_evaluator_matches_evaluate(space):
+    rng = np.random.default_rng(21)
+    edge_k = (8, -8, 0, 3, 1)
+    edge_m = (1, 1) if space.fiber_dim else ()
+    stack = [rand_field(rng, space, n_modes=4, max_freq=3, fiber_deg=2) for _ in range(6)]
+    stack += [Field.from_modes(space, {(edge_k, edge_m): 0.3 - 0.2j}, add_conjugates=True),
+              Field.zero(space), Field.constant(space, -1.5)]
+    ev = stacked_evaluator(stack)
+    for p in rand_points(rng, space, 10):
+        want = np.array([f.evaluate(p) for f in stack])
+        assert np.max(np.abs(ev(p) - want)) < 1e-13
+    assert stacked_evaluator([Field.zero(space)])(np.ones(space.dim)).tolist() == [0.0]
+
+
+def test_stacked_evaluator_rejects_bad_input(monkeypatch):
+    p = np.array([0.3, 0.1, 1.2, 0.0, 0.0, -0.7, 0.4])
+    with pytest.raises(ShapeError):
+        stacked_evaluator([Field.sin(M, 0)])(p[:5])
+    with pytest.raises(ShapeError):
+        stacked_evaluator([Field.sin(M, 0), Field.sin(T5, 0)])
+    monkeypatch.setattr(fields, "STRICT", False)
+    lopsided = Field(M, {((1, 0, 0, 0, 0), (0, 0)): 1.0 + 0.0j})   # no conjugate mate
+    with pytest.raises(ShapeError):
+        lopsided.evaluate(p)
+    with pytest.raises(ShapeError):
+        stacked_evaluator([Field.sin(M, 0), lopsided])(p)
 
 
 # -- partial -------------------------------------------------------------------
