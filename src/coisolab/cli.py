@@ -3,8 +3,9 @@
 Structured results are JSON (sorted keys, so identical seed and config give
 byte-identical reports); trajectories are CSV.  Exit codes: 0 success or
 converged, 1 solver gave up without a verdict, 2 input error (including a
-flow step the error monitor rejects and a degenerate contact pairing),
-3 obstructed verdict, 4 verification failure.
+flow step the error monitor rejects, a degenerate contact pairing, a
+Hamiltonian field truncated by the box, and a prolongation system above
+the solver size guard), 3 obstructed verdict, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -36,12 +37,10 @@ CONFIG_ENV = "COISOLAB_CONFIG"
 @dataclass
 class RunConfig:
     trunc_order: int = 8
-    poly_deg: int = 2
     identity_tol: float = 1e-9
     solver_tol: float = 1e-9
     leaf_tol: float = 1e-9
     seed: int = 0
-    sample_count: int = 50
     out: str | None = None
 
     def validate(self):
@@ -235,8 +234,9 @@ def cmd_flow(args) -> int:
     sign = 1 if args.duration >= 0 else -1
     lines = ["step,t,x1,x2,x3,x4,x5,y4,y5"]
     for i, q in enumerate(path):
-        # a row past the full steps ends the tail step, at the duration
-        t = i * args.step * sign if i <= n_full else args.duration
+        # a row past the full steps ends the tail step, at the duration;
+        # adding 0.0 prints the start of a backward flow as 0.0, not -0.0
+        t = (i * args.step * sign if i <= n_full else args.duration) + 0.0
         lines.append(",".join([str(i), repr(float(t))]
                               + [repr(float(v)) for v in q]))
     _emit("\n".join(lines) + "\n", cfg.out)

@@ -18,12 +18,14 @@ to a genuine one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import Field, ShapeError, Space, VectorField, canonical_rep
+from .fields import (PRUNE_TOL, Field, ShapeError, Space, VectorField,
+                     canonical_rep)
 
 BASE_TORUS_DIM = 5
 FIBER_AXES = (3, 4)  # x4, x5
@@ -89,15 +91,6 @@ def _quadratic_part(u: Section, X: VectorField, Y: VectorField) -> Field:
             - g * Y(f) + f * Y(g))
 
 
-def _bilinear_part(u: Section, v: Section, X: VectorField, Y: VectorField) -> Field:
-    """Symmetric polarization of the quadratic part."""
-    out = (u.f.partial(0) * X(v.g) + v.f.partial(0) * X(u.g)
-           - u.g.partial(0) * X(v.f) - v.g.partial(0) * X(u.f)
-           - u.g * Y(v.f) - v.g * Y(u.f)
-           + u.f * Y(v.g) + v.f * Y(u.g))
-    return out * 0.5
-
-
 def residual(s: Section) -> Field:
     """Coisotropicity defect of the graph of s; zero iff coisotropic at the
     working truncation.  Truncation loss is carried on the result."""
@@ -137,14 +130,20 @@ def residual_from_jet(x1: float, f_val: float, g_val: float,
 # Prolongation solver
 # ---------------------------------------------------------------------------
 
+DAMPING = 0.0          # initial Levenberg parameter
+STALL_WINDOW = 5       # iterations over which a stall is judged
+STALL_REL = 1e-3       # relative decrease below which the norm has stalled
+MAX_DENSE = 3e8        # entries of the largest dense Jacobian the solver assembles
+# Jacobian columns drop quadratic-part coefficients below this; the solver's
+# iterates depend on it to the last bit
+COLUMN_PRUNE = 2.0 * PRUNE_TOL
+
+
 @dataclass
 class ProlongOptions:
     tol: float = 1e-9
     max_iters: int = 200
-    damping: float = 0.0           # initial Levenberg parameter
     solver_radius: int | tuple = 1  # frequency radius of the unknowns (int or per-axis)
-    stall_window: int = 5
-    stall_rel: float = 1e-3
     trunc_order: int = 8
 
 
@@ -167,93 +166,44 @@ class SolverReport:
                 "diagnostic": self.diagnostic}
 
 
-class _CoeffVec:
-    """Real coordinates on a box of section coefficients.
+class _RealCoords:
+    """Real coordinates of a real field's coefficients.
 
-    Hermitian pairs {k, -k} are stored once (canonical representative) as
-    (re, im); the zero mode contributes its real part only.  Weights carry
-    the Parseval multiplicity so the weighted Euclidean norm matches the
-    field coefficient norm."""
+    Each canonical representative k of a pair {k, -k} owns a slot: (re, im)
+    for k != 0, the real part alone for k = 0.  Weights carry the Parseval
+    multiplicity, so the weighted Euclidean norm is the coefficient norm.
+    Modes get slots in the order they are first seen."""
 
-    def __init__(self, space: Space, radii):
-        self.space = space
-        self.modes = []            # (field_index, k) canonical reps
-        self.slots = {}            # (field_index, k) -> dof offset
-        self.weights = []
-        rng = [range(-r, r + 1) for r in radii]
-        all_k = sorted(self._box(rng))
-        offset = 0
-        for fi in (0, 1):
-            for k in all_k:
-                self.modes.append((fi, k))
-                self.slots[(fi, k)] = offset
-                if any(k):
-                    self.weights.extend([2.0, 2.0])
-                    offset += 2
-                else:
-                    self.weights.append(1.0)
-                    offset += 1
-        self.size = offset
-        self.weights = np.array(self.weights)
-
-    @staticmethod
-    def _box(ranges):
-        out = [()]
-        for r in ranges:
-            out = [k + (a,) for k in out for a in r]
-        return [k for k in out if canonical_rep(k)]
-
-    def to_vec(self, s: Section) -> np.ndarray:
-        v = np.zeros(self.size)
-        for fi, h in enumerate((s.f, s.g)):
-            for (k, _m), c in h.coeffs.items():
-                if not canonical_rep(k):
-                    continue
-                slot = self.slots.get((fi, k))
-                if slot is None:
-                    raise PreconditionError(
-                        f"mode {k} outside the solver box; enlarge solver_radius")
-                v[slot] = c.real
-                if any(k):
-                    v[slot + 1] = c.imag
-        return v
-
-    def from_vec(self, v: np.ndarray) -> Section:
-        fmodes, gmodes = {}, {}
-        for (fi, k), slot in self.slots.items():
-            re = v[slot]
-            im = v[slot + 1] if any(k) else 0.0
-            if re == 0.0 and im == 0.0:
-                continue
-            (fmodes if fi == 0 else gmodes)[k] = complex(re, im)
-        sp = self.space
-        return Section(Field.from_modes(sp, fmodes, add_conjugates=True),
-                       Field.from_modes(sp, gmodes, add_conjugates=True))
-
-
-class _ResidualRows:
-    """Real coordinates on the residual's mode set (grown lazily)."""
-
-    def __init__(self):
+    def __init__(self, modes=()):
         self.slots = {}
         self.weights = []
+        for k in modes:
+            self.slot(k)
 
     def slot(self, k) -> int:
         s = self.slots.get(k)
         if s is None:
-            s = len(self.weights)
-            self.slots[k] = s
-            self.weights.extend([2.0, 2.0] if any(k) else [1.0])
+            s = self.slots[k] = len(self.weights)
+            self.weights.extend((2.0, 2.0) if any(k) else (1.0,))
         return s
 
-    def insert(self, matrix_col, h: Field):
+    def add(self, out, h: Field):
+        """Add the coordinates of h into the vector out."""
         for (k, _m), c in h.coeffs.items():
-            if not canonical_rep(k):
-                continue
-            s = self.slot(k)
-            matrix_col[s] = matrix_col.get(s, 0.0) + c.real
-            if any(k):
-                matrix_col[s + 1] = matrix_col.get(s + 1, 0.0) + c.imag
+            if canonical_rep(k):
+                s = self.slot(k)
+                out[s] += c.real
+                if any(k):
+                    out[s + 1] += c.imag
+
+    def modes(self, v) -> dict:
+        """The nonzero coefficients {k: c} held in the vector v."""
+        out = {}
+        for k, s in self.slots.items():
+            c = complex(v[s], v[s + 1] if any(k) else 0.0)
+            if c:
+                out[k] = c
+        return out
 
 
 def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) -> SolverReport:
@@ -266,8 +216,9 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     coefficient vector equals eps; the constraint is eliminated by working
     in the orthogonal complement.  Verdicts: ``converged`` when the residual
     norm drops below tol; ``obstructed`` when the norm stalls (relative
-    decrease below stall_rel over stall_window iterations) while still above
-    100*tol; ``max_iters`` otherwise."""
+    decrease below STALL_REL over STALL_WINDOW iterations) while still above
+    100*tol; ``max_iters`` otherwise.  A system larger than MAX_DENSE
+    entries is refused before any assembly."""
     opts = opts or ProlongOptions()
     if not 0.0 < eps <= 0.5:
         raise PreconditionError(f"eps={eps} outside (0, 0.5]")
@@ -278,14 +229,33 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
             f"(linearized residual norm {lin.l2_norm():.3e} > 1e-10)")
 
     sp = Space(BASE_TORUS_DIM, 0, opts.trunc_order, 0)
-    direction = Section(direction.f.promote(sp) if direction.space != sp else direction.f,
-                        direction.g.promote(sp) if direction.space != sp else direction.g)
-    radii = _solver_radii(direction, opts.solver_radius)
-    vec = _CoeffVec(sp, radii)
+    if direction.space != sp:
+        direction = Section(direction.f.promote(sp), direction.g.promote(sp))
+    radii = _solver_radii(direction, opts.solver_radius, sp.trunc_order)
+    # a real field on a symmetric box of T modes has T real coordinates; the
+    # residual and every Jacobian column stay in the box of radius 2 r (and
+    # 2 r1 + 1 on x1, from the frame's cos x1 and sin x1), cut at the
+    # truncation order
+    n = 2 * math.prod(2 * r + 1 for r in radii)
+    row_cap = math.prod(2 * min(2 * r + (a == 0), sp.trunc_order) + 1
+                        for a, r in enumerate(radii))
+    if row_cap * n > MAX_DENSE:
+        raise PreconditionError(
+            f"solver system of up to {row_cap}x{n} too large for dense assembly; "
+            "reduce solver_radius (per-axis radii are accepted)")
+    box = _RealCoords(k for k in itertools.product(*(range(-r, r + 1) for r in radii))
+                      if canonical_rep(k))
+    nb = len(box.weights)
     X, Y = xy_frame(sp)
 
-    u = vec.to_vec(direction)
-    w = vec.weights
+    def section_of(v):
+        return Section(Field.from_modes(sp, box.modes(v[:nb]), add_conjugates=True),
+                       Field.from_modes(sp, box.modes(v[nb:]), add_conjugates=True))
+
+    u = np.zeros(n)
+    box.add(u[:nb], direction.f)
+    box.add(u[nb:], direction.g)
+    w = np.array(box.weights * 2)
     uu = float(np.dot(w * u, u))
     if uu == 0.0:
         raise PreconditionError("zero direction")
@@ -293,64 +263,49 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     def project_complement(z):
         return z - (np.dot(w * z, u) / uu) * u
 
-    proj = np.eye(vec.size) - np.outer(u, w * u) / uu
+    proj = np.eye(n) - np.outer(u, w * u) / uu
     x = eps * u
-    lam = opts.damping
-    history = []
+    s = section_of(x)
+    r_field = residual(s)
+    norm = r_field.l2_norm()
+    history = [norm]
+    lam = DAMPING
     status, diagnostic = "max_iters", ""
     iters_done = 0
-
-    def full_residual(vec_x):
-        return residual(vec.from_vec(vec_x))
-
-    r_field = full_residual(x)
-    norm = r_field.l2_norm()
-    history.append(norm)
 
     for it in range(opts.max_iters):
         if norm < opts.tol:
             status = "converged"
             break
-        if (len(history) > opts.stall_window and norm > 100.0 * opts.tol):
-            prev = history[-1 - opts.stall_window]
-            if prev > 0 and (prev - norm) / prev < opts.stall_rel:
+        if len(history) > STALL_WINDOW and norm > 100.0 * opts.tol:
+            prev = history[-1 - STALL_WINDOW]
+            if prev > 0 and (prev - norm) / prev < STALL_REL:
                 status = "obstructed"
                 break
 
-        A_cols, rows = _assemble_jacobian(vec, vec.from_vec(x), X, Y)
+        A, rows = _jacobian(box, s, X, Y, row_cap)
+        rvec = np.zeros(row_cap)
+        rows.add(rvec, r_field)
         m = len(rows.weights)
-        if m * vec.size > 3e8:
-            raise PreconditionError(
-                f"solver system {m}x{vec.size} too large for dense assembly; "
-                "reduce solver_radius (per-axis radii are accepted)")
-        A = np.zeros((m, vec.size))
-        for j, col in enumerate(A_cols):
-            for slot, val in col.items():
-                A[slot, j] = val
-        rvec = np.zeros(m)
-        rows_insert = {}
-        rows.insert(rows_insert, r_field)
-        for slot, val in rows_insert.items():
-            rvec[slot] = val
-        sw = np.sqrt(np.array(rows.weights))
-        A = A * sw[:, None]
-        rvec = rvec * sw
-        AP = A @ proj
+        sw = np.sqrt(rows.weights)
+        AP = (A[:m] * sw[:, None]) @ proj
+        rvec = rvec[:m] * sw
 
         improved = False
         for _attempt in range(12):
             if lam > 0:
-                stacked = np.vstack([AP, math.sqrt(lam) * np.eye(vec.size)])
-                target = np.concatenate([-rvec, np.zeros(vec.size)])
+                stacked = np.vstack([AP, math.sqrt(lam) * np.eye(n)])
+                target = np.concatenate([-rvec, np.zeros(n)])
             else:
                 stacked, target = AP, -rvec
             delta, *_ = np.linalg.lstsq(stacked, target, rcond=None)
             delta = project_complement(delta)
             x_new = eps * u + project_complement(x + delta - eps * u)
-            r_new = full_residual(x_new)
+            s_new = section_of(x_new)
+            r_new = residual(s_new)
             norm_new = r_new.l2_norm()
             if norm_new < norm or norm_new < opts.tol:
-                x, r_field, norm = x_new, r_new, norm_new
+                x, s, r_field, norm = x_new, s_new, r_new, norm_new
                 lam = lam / 10.0 if lam > 1e-12 else 0.0
                 improved = True
                 break
@@ -371,49 +326,56 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     if status == "max_iters" and norm < opts.tol:
         status = "converged"
 
-    final = vec.from_vec(x)
     # soundness: recompute the final residual from scratch
-    r_check = residual(final)
+    r_check = residual(s)
     if status == "converged" and r_check.l2_norm() >= opts.tol:
         status = "max_iters"
         diagnostic = "converged verdict failed the from-scratch residual recheck"
     return SolverReport(status=status, iterations=iters_done,
                         residual_norm_history=history,
                         truncation_loss=r_check.trunc_loss,
-                        final_section=final, diagnostic=diagnostic)
+                        final_section=s, diagnostic=diagnostic)
 
 
-def _solver_radii(direction: Section, radius):
-    if isinstance(radius, int):
-        radii = [radius] * BASE_TORUS_DIM
-    else:
-        radii = list(radius)
-        if len(radii) != BASE_TORUS_DIM:
-            raise PreconditionError("solver_radius needs one entry per torus axis")
+def _solver_radii(direction: Section, radius, trunc_order: int):
+    radii = [radius] * BASE_TORUS_DIM if isinstance(radius, int) else list(radius)
+    if len(radii) != BASE_TORUS_DIM:
+        raise PreconditionError("solver_radius needs one entry per torus axis")
     for h in (direction.f, direction.g):
         for (k, _m) in h.coeffs:
             for a, ka in enumerate(k):
                 radii[a] = max(radii[a], abs(ka))
+    if max(radii) > trunc_order:
+        raise PreconditionError(
+            f"solver radii {radii} exceed the truncation order {trunc_order}")
     return radii
 
 
-def _assemble_jacobian(vec: _CoeffVec, s: Section, X, Y):
-    """Columns of the Gauss-Newton Jacobian: the residual's directional
-    derivative L(delta) + 2*B(s, delta) per real degree of freedom."""
-    sp = vec.space
-    zero = Field.zero(sp)
-    rows = _ResidualRows()
-    cols = []
-    for (fi, k), _slot in sorted(vec.slots.items(), key=lambda kv: kv[1]):
-        # one basis field per real dof: c_k = 1 for the real part, c_k = i
-        # for the imaginary part of the canonical representative
-        reps = (1.0,) if not any(k) else (1.0, 1j)
-        for coeff in reps:
-            basis = Field.from_modes(sp, {k: coeff}, add_conjugates=True)
-            delta = Section(basis, zero) if fi == 0 else Section(zero, basis)
-            col_field = (_bilinear_part(s, delta, X, Y) * 2.0
-                         - delta.g.partial(FIBER_AXES[0]) + delta.f.partial(FIBER_AXES[1]))
-            col = {}
-            rows.insert(col, col_field)
-            cols.append(col)
-    return cols, rows
+def _jacobian(box: _RealCoords, s: Section, X: VectorField, Y: VectorField, row_cap: int):
+    """Gauss-Newton Jacobian of the residual at s: a dense (row_cap, n)
+    matrix with one column per real unknown (f block, then g block, each in
+    box order) and the coordinates of its rows.
+
+    The column of delta = (phi, 0) is the residual's derivative
+    dQ(s)[delta] + dphi/dx5, where Q is the quadratic part; with half of
+    delta zero, four of the eight terms of dQ remain.  Likewise for
+    (0, psi), with -dpsi/dx4."""
+    sp = s.space
+    f, g = s.f, s.g
+    df, dg, Xf, Xg, Yf, Yg = f.partial(0), g.partial(0), X(f), X(g), Y(f), Y(g)
+    rows = _RealCoords()
+    A = np.zeros((row_cap, 2 * len(box.weights)))
+    dofs = [(block, k, c) for block in (0, 1) for k in box.slots
+            for c in ((1.0, 1j) if any(k) else (1.0,))]
+    for j, (block, k, c) in enumerate(dofs):
+        h = Field.from_modes(sp, {k: c}, add_conjugates=True)
+        if block == 0:
+            quad = h.partial(0) * Xg - dg * X(h) - g * Y(h) + h * Yg
+            lin = h.partial(FIBER_AXES[1])
+        else:
+            quad = df * X(h) - h.partial(0) * Xf - h * Yf + f * Y(h)
+            lin = -h.partial(FIBER_AXES[0])
+        quad = Field(sp, {key: v for key, v in quad.coeffs.items()
+                          if abs(v) >= COLUMN_PRUNE})
+        rows.add(A[:, j], quad + lin)
+    return A, rows

@@ -142,14 +142,16 @@ def hamiltonian_field(cd: ContactData, lam: Field) -> Derivation:
     The component fields below are the unique solution of
     iota_xi d theta + a theta = d lam, -theta(xi) = lam; the pointwise
     linear-solve route must agree with them at every point (tested).
-    Products that leave cd's box are dropped into the components'
-    ``trunc_loss``; ``contact_vector_field`` avoids that."""
+    Raises ShapeError if a product leaves cd's box (any component or the
+    scalar carries truncation loss); ``contact_vector_field`` builds in a
+    box large enough to avoid that."""
     if lam.space != cd.space:
         raise ShapeError("section space mismatch")
     return _hamiltonian(lam)
 
 
 def _hamiltonian(lam: Field) -> Derivation:
+    """The Hamiltonian derivation of lam in lam's box, refused if truncated."""
     sp = lam.space
     c, s = Field.cos(sp, 0), Field.sin(sp, 0)
     y4, y5 = Field.fiber_coordinate(sp, 0), Field.fiber_coordinate(sp, 1)
@@ -165,6 +167,9 @@ def _hamiltonian(lam: Field) -> Derivation:
         l[3] - a * y4,
         l[4] - a * y5,
     ]
+    loss = max(h.trunc_loss for h in xi + [a])
+    if loss:
+        raise ShapeError(f"Hamiltonian derivation lost mass {loss:.3e} to truncation")
     return Derivation(VectorField(xi), a)
 
 
@@ -177,11 +182,7 @@ def contact_vector_field(cd: ContactData, lam: Field) -> VectorField:
     if (sp.torus_dim, sp.fiber_dim) != (cd.space.torus_dim, cd.space.fiber_dim):
         raise ShapeError("section space mismatch")
     roomy = Space(sp.torus_dim, sp.fiber_dim, sp.trunc_order + 1, sp.poly_deg + 1)
-    vf = _hamiltonian(lam.promote(roomy)).symbol
-    loss = max(c.trunc_loss for c in vf.components)
-    if loss:
-        raise ShapeError(f"contact vector field lost mass {loss:.3e} to truncation")
-    return vf
+    return _hamiltonian(lam.promote(roomy)).symbol
 
 
 def jacobi_bracket(cd: ContactData, lam: Field, mu: Field, p) -> float:

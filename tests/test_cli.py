@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -97,6 +98,14 @@ def test_prolong_invalid_direction_exit_two(capsys, tmp_path):
     assert "infinitesimal" in err
 
 
+def test_prolong_oversized_system_exit_two_before_assembly(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "prolong", sect("obstructed.json"), "--radius", "2")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: solver system") and err.count("\n") == 1
+
+
 # -- leaves / scan ------------------------------------------------------------------
 
 def test_leaves_rational(capsys):
@@ -157,6 +166,13 @@ def test_verify_vacuous_warns(capsys):
     assert json.loads(out)["suites"][0]["warning"]
 
 
+def test_verify_truncated_hamiltonian_exit_two(capsys):
+    # at --trunc 2 the contact suite's Hamiltonian fields leave the box
+    code, out, err = run(capsys, "verify", "contact", "--n", "2", "--trunc", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: Hamiltonian derivation lost mass") and err.count("\n") == 1
+
+
 def test_verify_deterministic_bytes(capsys):
     _, out1, _ = run(capsys, "verify", "reduction", "--n", "5", "--seed", "11")
     _, out2, _ = run(capsys, "verify", "reduction", "--n", "5", "--seed", "11")
@@ -190,7 +206,8 @@ def test_flow_tail_row_ends_at_duration(capsys, tmp_path):
         assert code == 0
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         sign = math.copysign(1, tail_t)
-        assert [r[1] for r in rows] == [repr(i * 0.3 * sign) for i in range(4)] + [repr(tail_t)]
+        assert [r[1] for r in rows] == (["0.0"] + [repr(i * 0.3 * sign) for i in range(1, 4)]
+                                        + [repr(tail_t)])
 
 
 def test_flow_rejected_step_exit_two(capsys, tmp_path):
@@ -244,7 +261,8 @@ def test_config_file_and_env(capsys, tmp_path, monkeypatch):
 
 def test_unknown_config_key_rejected(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    code, _, err = run(capsys, "--config", str(cfg),
-                       "residual", sect("zero.json"))
-    assert code == 2 and "unknown config key" in err
+    for key in ("bogus", "poly_deg", "sample_count"):
+        cfg.write_text(json.dumps({key: 1}))
+        code, _, err = run(capsys, "--config", str(cfg),
+                           "residual", sect("zero.json"))
+        assert code == 2 and f"unknown config key '{key}'" in err

@@ -1,16 +1,19 @@
 """Coisotropicity PDE, linearization, obstruction functional, and the
 prolongation solver."""
 
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 from coisolab.coisotropy import (PreconditionError, ProlongOptions, Section,
-                                 base_space, family_section, kuranishi,
+                                 _jacobian, _RealCoords, base_space,
+                                 family_section, kuranishi,
                                  linearized_residual, prolong, residual,
                                  residual_from_jet, xy_frame)
-from coisolab.fields import Field
+from coisolab.fields import Field, canonical_rep
 
 SP = base_space(8)
 TWO_PI = 2 * math.pi
@@ -219,6 +222,48 @@ def test_prolong_rejects_bad_eps():
     for eps in (0.0, -0.1, 0.7):
         with pytest.raises(PreconditionError):
             prolong(good, eps)
+
+
+def test_prolong_refuses_oversized_system_before_assembly():
+    t0 = time.perf_counter()
+    with pytest.raises(PreconditionError, match="too large for dense assembly"):
+        prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=2))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_prolong_refuses_radius_beyond_truncation():
+    with pytest.raises(PreconditionError, match="exceed the truncation order"):
+        prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=(9, 0, 0, 0, 0)))
+
+
+def test_jacobian_columns_are_central_differences():
+    # the residual is quadratic, so (R(s + t d) - R(s - t d)) / 2t is its
+    # derivative along d up to roundoff
+    s = section_of({((0, 1, 0, 0, 0), ()): 0.3 - 0.2j, ((1, 0, 1, 0, 0), ()): 0.1j,
+                    ((0, 0, 0, 1, -1), ()): 0.25},
+                   {((1, 1, 0, 0, 0), ()): -0.4 + 0.1j, ((0, 0, 0, 0, 0), ()): 0.2,
+                    ((0, 0, 1, 0, 1), ()): 0.15})
+    box = _RealCoords(k for k in itertools.product(range(-1, 2), repeat=5)
+                      if canonical_rep(k))
+    row_cap = 7 * 5 ** 4
+    X, Y = xy_frame(SP)
+    A, rows = _jacobian(box, s, X, Y, row_cap)
+    nb = len(box.weights)
+    assert A.shape == (row_cap, 2 * nb)
+    t = 1e-3
+    zero = Field.zero(SP)
+    for block, k, part in ((0, (0, 1, 0, 0, 0), 1.0), (0, (1, -1, 0, 1, 0), 1j),
+                           (1, (0, 0, 0, 0, 0), 1.0), (1, (1, 0, 0, 0, -1), 1j),
+                           (1, (0, 1, 0, 1, 0), 1.0), (0, (0, 0, 1, 1, 1), 1j)):
+        h = Field.from_modes(SP, {k: part * t}, add_conjugates=True)
+        d = Section(h, zero) if block == 0 else Section(zero, h)
+        plus = residual(Section(s.f + d.f, s.g + d.g))
+        minus = residual(Section(s.f - d.f, s.g - d.g))
+        want = np.zeros(row_cap)
+        rows.add(want, (plus - minus) * (0.5 / t))
+        col = A[:, block * nb + box.slots[k] + (part == 1j)]
+        assert np.max(np.abs(col)) > 0.1
+        assert np.max(np.abs(col - want)) < 1e-10
 
 
 def test_prolong_constraint_respected():

@@ -1,0 +1,38 @@
+"""The benchmark's traced run patches coisolab functions by name, and its
+worker reads ``fields.STRICT``; a rename that breaks either must fail here
+rather than only when the benchmark runs."""
+
+import os
+import subprocess
+import sys
+
+from coisolab import fields
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+def test_tracer_finds_every_patched_name():
+    # import without leaving bytecode in the benchmark's directory
+    sys.path.insert(0, PERFBENCH)
+    sys.dont_write_bytecode, saved = True, sys.dont_write_bytecode
+    try:
+        import tracing
+    finally:
+        sys.path.remove(PERFBENCH)
+        sys.dont_write_bytecode = saved
+    init = vars(fields.Field)["__init__"]
+    tracer = tracing.Tracer("contract")
+    try:
+        tracer.install()   # KeyError/AttributeError on a missing name
+        assert vars(fields.Field)["__init__"] is not init
+    finally:
+        tracer.uninstall()
+    assert vars(fields.Field)["__init__"] is init
+
+
+def test_strict_flag_ships_off():
+    # a fresh process: the test suite itself switches STRICT on
+    package_root = os.path.dirname(os.path.dirname(fields.__file__))
+    code = "import coisolab.fields as f; assert f.STRICT is False"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=package_root))
