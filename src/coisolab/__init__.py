@@ -16,7 +16,7 @@ from .dercalc import (AtiyahForm, DegreeError, Derivation, Form, is_basic,
 from .contact import (ContactData, NondegeneracyError, PointDerivation,
                       contact_vector_field, flow_contact, hamiltonian_derivation,
                       hamiltonian_field, jacobi_bracket, jacobi_bracket_field,
-                      omega_flat_matrix, standard_contact, verify_reduction)
+                      omega_flat_matrix, standard_contact)
 from .coisotropy import (PreconditionError, ProlongOptions, Section,
                          SolverReport, base_space, family_section, kuranishi,
                          linearized_residual, prolong, residual, xy_frame)
@@ -39,5 +39,5 @@ __all__ = [
     "is_basic", "jacobi_bracket", "jacobi_bracket_field", "kuranishi",
     "linearized_residual", "omega_flat_matrix", "prolong",
     "pullback_reduction", "residual", "standard_contact", "trace_leaf",
-    "verify_reduction", "xy_frame",
+    "xy_frame",
 ]

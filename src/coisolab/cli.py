@@ -4,8 +4,9 @@ Structured results are JSON (sorted keys, so identical seed and config give
 byte-identical reports); trajectories are CSV.  Exit codes: 0 success or
 converged, 1 solver gave up without a verdict, 2 input error (including a
 flow step the error monitor rejects, a degenerate contact pairing, a
-Hamiltonian field truncated by the box, and a prolongation system above
-the solver size guard), 3 obstructed verdict, 4 verification failure.
+Hamiltonian field or identity-check evidence truncated by the box, and a
+prolongation system above the solver size guard), 3 obstructed verdict,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from . import contact as ct
 from . import foliation, integrate, verify
-from .coisotropy import (PreconditionError, ProlongOptions, Section,
-                         family_section, kuranishi, prolong, residual)
+from .coisotropy import (ProlongOptions, Section, family_section, kuranishi,
+                         prolong, residual)
 from .fields import Field
 
 EXIT_OK = 0
@@ -37,25 +38,14 @@ CONFIG_ENV = "COISOLAB_CONFIG"
 @dataclass
 class RunConfig:
     trunc_order: int = 8
-    identity_tol: float = 1e-9
-    solver_tol: float = 1e-9
-    leaf_tol: float = 1e-9
+    tol: float = 1e-9
     seed: int = 0
     out: str | None = None
 
-    def validate(self):
-        for name in ("identity_tol", "solver_tol", "leaf_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
 
 def _cfg(args) -> RunConfig:
-    return load_config(getattr(args, "config", None), args)
-
-
-def load_config(path: str | None, args) -> RunConfig:
     cfg = RunConfig()
-    path = path or os.environ.get(CONFIG_ENV)
+    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     if path:
         with open(path) as fh:
             data = json.load(fh)
@@ -64,17 +54,12 @@ def load_config(path: str | None, args) -> RunConfig:
                 raise ValueError(f"unknown config key '{key}'")
             setattr(cfg, key, type(getattr(cfg, key))(value)
                     if getattr(cfg, key) is not None else value)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "trunc", None) is not None:
-        cfg.trunc_order = args.trunc
-    if getattr(args, "tol", None) is not None:
-        cfg.solver_tol = args.tol
-        cfg.identity_tol = args.tol
-        cfg.leaf_tol = args.tol
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
-    cfg.validate()
+    for key, flag in (("seed", "seed"), ("trunc_order", "trunc"),
+                      ("tol", "tol"), ("out", "out")):
+        if getattr(args, flag, None) is not None:
+            setattr(cfg, key, getattr(args, flag))
+    if cfg.tol <= 0:
+        raise ValueError("tol must be positive")
     return cfg
 
 
@@ -92,42 +77,26 @@ def _emit_json(payload, out_path: str | None):
     _emit(json.dumps(payload, sort_keys=True, indent=2), out_path)
 
 
-def _load_section(path: str) -> Section:
+def _load_json(path: str, cls):
+    """A Section or Field read from a JSON file, or one input error line."""
+    kind = cls.__name__.lower()
     try:
         with open(path) as fh:
             data = json.load(fh)
     except FileNotFoundError:
-        raise _InputError(f"section file not found: {path}")
+        raise ValueError(f"{kind} file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise _InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
     try:
-        return Section.from_json_dict(data)
+        return cls.from_json_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"{path}: bad section payload: {exc}")
-
-
-def _load_field(path: str) -> Field:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise _InputError(f"field file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
-    try:
-        return Field.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"{path}: bad field payload: {exc}")
-
-
-class _InputError(Exception):
-    pass
+        raise ValueError(f"{path}: bad {kind} payload: {exc}")
 
 
 def _parse_point(text: str, dim: int) -> np.ndarray:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != dim:
-        raise _InputError(f"point needs {dim} coordinates, got {len(parts)}")
+        raise ValueError(f"point needs {dim} coordinates, got {len(parts)}")
     return np.array([float(p) for p in parts])
 
 
@@ -145,7 +114,7 @@ def _trace_csv(trace: foliation.LeafTrace) -> str:
 
 def cmd_residual(args) -> int:
     cfg = _cfg(args)
-    s = _load_section(args.section)
+    s = _load_json(args.section, Section)
     r = residual(s)
     _emit_json({"check": "residual",
                 "residual_norm": r.l2_norm(),
@@ -156,9 +125,9 @@ def cmd_residual(args) -> int:
 
 def cmd_kuranishi(args) -> int:
     cfg = _cfg(args)
-    s = _load_section(args.section)
+    s = _load_json(args.section, Section)
     obstruction = kuranishi(s)
-    nonzero = obstruction.max_abs() > cfg.identity_tol
+    nonzero = obstruction.max_abs() > cfg.tol
     _emit_json({"check": "kuranishi",
                 "norm": obstruction.l2_norm(),
                 "max_abs": obstruction.max_abs(),
@@ -169,14 +138,10 @@ def cmd_kuranishi(args) -> int:
 
 def cmd_prolong(args) -> int:
     cfg = _cfg(args)
-    direction = _load_section(args.section)
-    opts = ProlongOptions(tol=cfg.solver_tol, max_iters=args.max_iters,
+    direction = _load_json(args.section, Section)
+    opts = ProlongOptions(tol=cfg.tol, max_iters=args.max_iters,
                           solver_radius=args.radius, trunc_order=cfg.trunc_order)
-    try:
-        report = prolong(direction, args.eps, opts)
-    except PreconditionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+    report = prolong(direction, args.eps, opts)
     _emit_json(report.to_json_dict(), cfg.out)
     if report.status == "converged":
         return EXIT_OK
@@ -188,9 +153,9 @@ def cmd_prolong(args) -> int:
 def cmd_leaves(args) -> int:
     cfg = _cfg(args)
     if (args.t is None) == (args.section is None):
-        raise _InputError("choose exactly one of --t or --section")
+        raise ValueError("choose exactly one of --t or --section")
     if args.t is not None:
-        verdict = foliation.classify_leaf_linear(args.t, tol=cfg.leaf_tol,
+        verdict = foliation.classify_leaf_linear(args.t, tol=cfg.tol,
                                                  max_denominator=args.max_denominator)
         payload = {"t": args.t, **verdict.to_json_dict()}
         trace = None
@@ -203,7 +168,7 @@ def cmd_leaves(args) -> int:
             trace = foliation.trace_leaf(frame, _parse_point(args.start, 5),
                                          duration or 2.0 * math.pi, h=args.step)
     else:
-        s = _load_section(args.section)
+        s = _load_json(args.section, Section)
         verdict, trace = foliation.classify_section_leaf(
             s, _parse_point(args.start, 5), args.duration or 2.0 * math.pi,
             h=args.step)
@@ -226,7 +191,7 @@ def cmd_verify(args) -> int:
 
 def cmd_flow(args) -> int:
     cfg = _cfg(args)
-    lam = _load_field(args.hamiltonian)
+    lam = _load_json(args.hamiltonian, Field)
     cd = ct.standard_contact(trunc_order=cfg.trunc_order, verify=False)
     p = _parse_point(args.point, cd.space.dim)
     path = ct.flow_contact(cd, lam, p, args.duration, h=args.step)
@@ -246,7 +211,7 @@ def cmd_flow(args) -> int:
 def cmd_scan(args) -> int:
     cfg = _cfg(args)
     values = [float(v) for v in args.values]
-    report = foliation.integrality_scan(values, tol=cfg.leaf_tol,
+    report = foliation.integrality_scan(values, tol=cfg.tol,
                                         max_denominator=args.max_denominator)
     _emit_json(report, cfg.out)
     return EXIT_OK
@@ -261,7 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
         (("--config",), {"help": f"JSON config path (or ${CONFIG_ENV})"}),
         (("--seed",), {"type": int, "help": "PRNG seed"}),
         (("--trunc",), {"type": int, "help": "frequency truncation order"}),
-        (("--tol",), {"type": float, "help": "override all tolerances"}),
+        (("--tol",), {"type": float,
+                      "help": "tolerance of the kuranishi verdict, the prolong "
+                              "solver and leaf rationality (verify keeps its "
+                              "fixed identity tolerances)"}),
         (("--out",), {"help": "write the main report here instead of stdout"}),
     ):
         common.add_argument(*args, default=argparse.SUPPRESS, **kw)
@@ -323,9 +291,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
     except (ValueError, OSError, integrate.StepSizeError,
             ct.NondegeneracyError) as exc:
         sys.stderr.write(f"error: {exc}\n")

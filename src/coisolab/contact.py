@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate
-from .dercalc import AtiyahForm, Derivation, Form, is_basic, pullback_reduction
+from .dercalc import AtiyahForm, Derivation, Form
 from .fields import (Field, ShapeError, Space, VectorField, stacked_evaluator,
                      wrap_torus)
 
@@ -241,43 +241,3 @@ def flow_with_frame(cd: ContactData, lam: Field, p, frame, duration: float,
     end = path[-1]
     return (wrap_torus(end[:dim], cd.space.torus_dim),
             end[dim:].reshape(dim, n_vec))
-
-
-def verify_reduction(trunc_order: int = 8, samples: int = 50, seed: int = 0) -> dict:
-    """Check the contact reduction of the zero section S = T^5 onto B = T^3:
-    the presymplectic pair on S is the pullback of the symplectic pair on B,
-    it is basic for the projection, and the reduced pair is non-degenerate.
-
-    Returns a report with one entry per check."""
-    sp_s = Space(5, 0, trunc_order, 0)
-    sp_b = Space(3, 0, trunc_order, 0)
-
-    def theta_form(sp):
-        return Form(sp, 1, {(1,): Field.sin(sp, 0), (2,): Field.cos(sp, 0)})
-
-    theta_s, theta_b = theta_form(sp_s), theta_form(sp_b)
-    varpi_s = AtiyahForm.of_pair(theta_s.d(), theta_s)
-    varpi_b = AtiyahForm.of_pair(theta_b.d(), theta_b)
-
-    pulled = pullback_reduction(varpi_b, sp_s)
-    pullback_defect = (varpi_s - pulled).max_abs()
-
-    basic_ok, basic_defect = is_basic(varpi_s, fiber_axes=(3, 4))
-
-    rng = np.random.default_rng(seed)
-    dtheta_b = varpi_b.alpha
-    min_det = np.inf
-    for p in rng.uniform(0.0, 2.0 * np.pi, size=(samples, 3)):
-        det = abs(float(np.linalg.det(flat_matrix(theta_b, dtheta_b, p))))
-        min_det = min(min_det, det)
-
-    checks = [
-        {"check": "reduction_pullback_equality", "max_defect": pullback_defect,
-         "samples": 1, "seed": seed, "pass": pullback_defect == 0.0},
-        {"check": "reduction_basic_form", "max_defect": basic_defect,
-         "samples": 1, "seed": seed, "pass": bool(basic_ok)},
-        {"check": "reduced_nondegeneracy", "max_defect": float(1.0 / min_det),
-         "samples": samples, "seed": seed, "pass": bool(min_det > 0.5)},
-    ]
-    return {"checks": checks, "min_abs_det": float(min_det),
-            "pass": all(c["pass"] for c in checks)}

@@ -88,6 +88,10 @@ class Form:
     def max_abs(self) -> float:
         return max((f.max_abs() for f in self.comps.values()), default=0.0)
 
+    @property
+    def trunc_loss(self) -> float:
+        return sum(f.trunc_loss for f in self.comps.values())
+
     def __add__(self, other: "Form") -> "Form":
         if other.space != self.space or other.degree != self.degree:
             raise ShapeError("form mismatch in addition")
@@ -155,27 +159,8 @@ class Form:
             form = form.contract(vf)
         return form.component(())
 
-    def evaluate_at(self, idx, point) -> float:
-        """Numeric component value, any index order (sign-tracked)."""
-        idx = tuple(idx)
-        if len(set(idx)) != len(idx):
-            return 0.0
-        order = tuple(sorted(idx))
-        sign = _permutation_sign(idx, order)
-        return sign * self.component(order).evaluate(point)
-
     def __repr__(self):
         return f"Form(deg={self.degree}, {len(self.comps)} comps)"
-
-
-def _permutation_sign(src: tuple, dst: tuple) -> int:
-    perm = [dst.index(i) for i in src]
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 class Derivation:
@@ -273,6 +258,10 @@ class AtiyahForm:
             m = max(m, self.beta.max_abs())
         return m
 
+    @property
+    def trunc_loss(self) -> float:
+        return self.alpha.trunc_loss + (0.0 if self.beta is None else self.beta.trunc_loss)
+
     def __add__(self, other: "AtiyahForm") -> "AtiyahForm":
         if other.degree != self.degree or other.space != self.space:
             raise ShapeError("Atiyah form mismatch in addition")
@@ -287,12 +276,6 @@ class AtiyahForm:
 
     def __sub__(self, other: "AtiyahForm") -> "AtiyahForm":
         return self + (-other)
-
-    def __mul__(self, scalar) -> "AtiyahForm":
-        return AtiyahForm(self.space, self.degree, self.alpha * scalar,
-                          None if self.beta is None else self.beta * scalar)
-
-    __rmul__ = __mul__
 
     # -- structural operators ------------------------------------------------
 

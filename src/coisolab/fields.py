@@ -499,6 +499,10 @@ class VectorField:
     def max_abs(self) -> float:
         return max(c.max_abs() for c in self.components)
 
+    @property
+    def trunc_loss(self) -> float:
+        return sum(c.trunc_loss for c in self.components)
+
     def __repr__(self):
         return f"VectorField({self.space.torus_dim}+{self.space.fiber_dim}d)"
 

@@ -167,10 +167,17 @@ def test_verify_vacuous_warns(capsys):
 
 
 def test_verify_truncated_hamiltonian_exit_two(capsys):
-    # at --trunc 2 the contact suite's Hamiltonian fields leave the box
-    code, out, err = run(capsys, "verify", "contact", "--n", "2", "--trunc", "2")
-    assert code == 2 and out == ""
-    assert err.startswith("error: Hamiltonian derivation lost mass") and err.count("\n") == 1
+    # at --trunc 2 the contact suite's Hamiltonian fields leave the box, and
+    # the Cartan and Jacobi suites' evidence loses products: each is refused
+    # as an input error, not reported as a failed identity
+    for suite, prefix in (
+            ("contact", "error: Hamiltonian derivation lost mass"),
+            ("cartan", "error: check commutator_jacobi: evidence lost mass"),
+            ("jacobi", "error: check bracket_antisymmetry: evidence lost mass")):
+        code, out, err = run(capsys, "verify", suite, "--n", "2", "--trunc", "2")
+        assert code == 2 and out == ""
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert "to truncation" in err
 
 
 def test_verify_deterministic_bytes(capsys):
@@ -251,17 +258,21 @@ def test_out_flag_writes_file(capsys, tmp_path):
 
 def test_config_file_and_env(capsys, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"trunc_order": 6, "seed": 3}))
+    cfg.write_text(json.dumps({"trunc_order": 6, "seed": 3, "tol": 100.0}))
     monkeypatch.setenv("COISOLAB_CONFIG", str(cfg))
     code, out, _ = run(capsys, "verify", "reduction", "--n", "2")
     assert code == 0
     assert json.loads(out)["seed"] == 3
+    # tol 100 is above the obstruction's max |coefficient| (2 pi)^2 / 2
+    code, out, _ = run(capsys, "kuranishi", sect("obstructed.json"))
+    assert code == 0 and json.loads(out)["nonzero"] is False
     monkeypatch.delenv("COISOLAB_CONFIG")
 
 
 def test_unknown_config_key_rejected(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    for key in ("bogus", "poly_deg", "sample_count"):
+    for key in ("bogus", "poly_deg", "sample_count",
+                "identity_tol", "solver_tol", "leaf_tol"):
         cfg.write_text(json.dumps({key: 1}))
         code, _, err = run(capsys, "--config", str(cfg),
                            "residual", sect("zero.json"))

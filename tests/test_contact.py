@@ -11,7 +11,7 @@ from coisolab import integrate
 from coisolab.coisotropy import family_section, residual_from_jet
 from coisolab.dercalc import AtiyahForm, Derivation
 from coisolab.fields import Field, ShapeError, VectorField, stacked_evaluator
-from coisolab.verify import rand_field
+from coisolab.verify import rand_field, reduction_suite
 
 TWO_PI = 2 * math.pi
 
@@ -299,9 +299,10 @@ def test_flow_preserves_coisotropicity_at_samples(cd):
 # -- reduction ---------------------------------------------------------------------------
 
 def test_verify_reduction_report():
-    report = ct.verify_reduction(samples=50, seed=0)
+    report = reduction_suite(seed=0, n=50)
     assert report["pass"]
     by_name = {c["check"]: c for c in report["checks"]}
     assert by_name["reduction_pullback_equality"]["max_defect"] == 0.0
     assert by_name["reduction_basic_form"]["pass"]
-    assert report["min_abs_det"] > 0.5
+    # max_defect is 1 / min |det|, so this is min |det| > 0.5
+    assert by_name["reduced_nondegeneracy"]["max_defect"] < 2.0
