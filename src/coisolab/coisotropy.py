@@ -290,6 +290,9 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
             prev = history[-1 - STALL_WINDOW]
             if prev > 0 and (prev - norm) / prev < STALL_REL:
                 status = "obstructed"
+                diagnostic = (f"stalled: residual norm fell by {(prev - norm) / prev:.3e} "
+                              f"(relative) over the last {STALL_WINDOW} iterations, "
+                              f"below STALL_REL = {STALL_REL:g}")
                 break
 
         A, rows = _jacobian(box, s, X, Y, row_cap)

@@ -32,6 +32,7 @@ from .fields import (Field, ShapeError, Space, VectorField, stacked_evaluator,
 
 M_TORUS_DIM = 5
 M_FIBER_DIM = 2
+M_POLY_DEG = 2     # fiber degree cap of contact_space: theta is linear in y
 # coordinate axes on M: x1..x5 are 0..4, y4 is 5, y5 is 6
 
 
@@ -54,17 +55,16 @@ class ContactData:
     varpi: AtiyahForm    # degree-2 pair (d theta, theta)
 
 
-def contact_space(trunc_order: int = 8, poly_deg: int = 2) -> Space:
-    return Space(M_TORUS_DIM, M_FIBER_DIM, trunc_order, poly_deg)
+def contact_space(trunc_order: int = 8) -> Space:
+    return Space(M_TORUS_DIM, M_FIBER_DIM, trunc_order, M_POLY_DEG)
 
 
-def standard_contact(trunc_order: int = 8, poly_deg: int = 2,
-                     samples: int = 100, seed: int = 0,
+def standard_contact(trunc_order: int = 8, samples: int = 100, seed: int = 0,
                      verify: bool = True) -> ContactData:
     """Build the contact structure and verify its defining invariants:
     iota_1 varpi = (theta, 0), d varpi = 0 coefficientwise, and pointwise
     non-degeneracy of varpi-flat at seeded random points."""
-    sp = contact_space(trunc_order, poly_deg)
+    sp = contact_space(trunc_order)
     theta = Form(sp, 1, {
         (1,): Field.sin(sp, 0),
         (2,): Field.cos(sp, 0),
@@ -214,7 +214,7 @@ def flow_contact(cd: ContactData, lam: Field, p, duration: float,
 
 
 def flow_with_frame(cd: ContactData, lam: Field, p, frame, duration: float,
-                    h: float = 1e-3, err_tol: float = 1e-6):
+                    h: float = 1e-3):
     """Transport a point and a set of tangent vectors along the contact flow.
 
     Integrates the variational equation dot(v) = DXi(x) v next to the base
@@ -237,7 +237,7 @@ def flow_with_frame(cd: ContactData, lam: Field, p, frame, duration: float,
         return np.concatenate([vals[:dim], (J @ V).ravel()])
 
     y0 = np.concatenate([np.asarray(p, dtype=float), frame.ravel()])
-    path = integrate.rk4_flow(rhs, y0, duration, h, err_tol)
+    path = integrate.rk4_flow(rhs, y0, duration, h)
     end = path[-1]
     return (wrap_torus(end[:dim], cd.space.torus_dim),
             end[dim:].reshape(dim, n_vec))

@@ -23,10 +23,10 @@ tuples.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Mapping
 
-from .fields import Field, ShapeError, Space, VectorField
-from .fields import _merge_into, _mul_into
+from .fields import Field, FieldSum, ShapeError, Space, VectorField
 
 
 class DegreeError(ValueError):
@@ -62,7 +62,8 @@ class Form:
                     raise ShapeError(f"index tuple {idx} not strictly increasing")
                 if f.space != space:
                     raise ShapeError("component space mismatch")
-                if not f.is_zero():
+                # a zero component is kept while it carries truncation loss
+                if f.coeffs or f.trunc_loss:
                     cleaned[idx] = f
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "degree", degree)
@@ -83,7 +84,7 @@ class Form:
         return self.comps.get(tuple(idx), Field.zero(self.space))
 
     def is_zero(self) -> bool:
-        return not self.comps
+        return not any(f.coeffs for f in self.comps.values())
 
     def max_abs(self) -> float:
         return max((f.max_abs() for f in self.comps.values()), default=0.0)
@@ -115,20 +116,17 @@ class Form:
 
     def d(self) -> "Form":
         """Exterior differential."""
-        acc: dict = {}
-        losses: dict = {}
+        acc = defaultdict(FieldSum)
         for idx, f in self.comps.items():
             for axis in range(self.space.dim):
                 new_idx, sign = _insert_axis(idx, axis)
                 if not sign:
                     continue
                 term = f.partial(axis)
-                if term.is_zero():
-                    continue
-                _merge_into(acc.setdefault(new_idx, {}), term.coeffs, sign)
-                losses[new_idx] = losses.get(new_idx, 0.0) + term.trunc_loss
+                if term.coeffs or term.trunc_loss:
+                    acc[new_idx].add(term, sign)
         return Form(self.space, self.degree + 1,
-                    {i: Field(self.space, c, losses[i]) for i, c in acc.items()})
+                    {i: s.field(self.space) for i, s in acc.items()})
 
     def contract(self, vf: VectorField) -> "Form":
         """Interior product iota_V."""
@@ -136,19 +134,14 @@ class Form:
             raise DegreeError("cannot contract a 0-form")
         if vf.space != self.space:
             raise ShapeError("vector field space mismatch")
-        acc: dict = {}
-        losses: dict = {}
+        acc = defaultdict(FieldSum)
         for idx, f in self.comps.items():
             for pos, axis in enumerate(idx):
                 comp = vf.components[axis]
-                if comp.is_zero():
-                    continue
-                rest = idx[:pos] + idx[pos + 1:]
-                loss = _mul_into(acc.setdefault(rest, {}), comp, f, (-1) ** pos)
-                losses[rest] = (losses.get(rest, 0.0) + loss
-                                + comp.trunc_loss + f.trunc_loss)
+                if comp.coeffs or comp.trunc_loss or f.trunc_loss:
+                    acc[idx[:pos] + idx[pos + 1:]].add_product(comp, f, (-1) ** pos)
         return Form(self.space, self.degree - 1,
-                    {i: Field(self.space, c, losses[i]) for i, c in acc.items()})
+                    {i: s.field(self.space) for i, s in acc.items()})
 
     def __call__(self, *vfs: VectorField) -> Field:
         """Full evaluation on degree-many vector fields."""
@@ -319,30 +312,6 @@ class AtiyahForm:
                 term = b.scalar * self.beta(*rest)
                 total = total + term * ((-1) ** i)
         return total
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        def dump(form):
-            return [{"idx": list(idx), "field": f.to_json_dict()}
-                    for idx, f in sorted(form.comps.items())]
-        return {"degree": self.degree,
-                "alpha": dump(self.alpha),
-                "beta": dump(self.beta) if self.beta is not None else None}
-
-    @classmethod
-    def from_json_dict(cls, data: dict, space: Space) -> "AtiyahForm":
-        degree = int(data["degree"])
-
-        def load(entries, deg):
-            comps = {}
-            for e in entries or []:
-                comps[tuple(e["idx"])] = Field.from_json_dict(e["field"])
-            return Form(space, deg, comps)
-
-        alpha = load(data["alpha"], degree)
-        beta = load(data["beta"], degree - 1) if degree > 0 else None
-        return cls(space, degree, alpha, beta)
 
     def __repr__(self):
         return f"AtiyahForm(deg={self.degree})"

@@ -15,7 +15,9 @@ it exactly (conjugation commutes with IEEE complex arithmetic), and with
 Differentiation is exact (mode-wise).  Products are exact while the combined
 frequencies stay inside the truncation box; escaping modes are dropped and
 their absolute mass is accumulated in the result's ``trunc_loss`` so callers
-can decide whether a computation remained exact.
+can decide whether a computation remained exact.  A result keeps the loss
+of every term it was built from, also of terms that are zero or cancel;
+``FieldSum`` is the one accumulator of such sums.
 
 Fields are immutable values: operations return new instances and never
 mutate their inputs.  ``stacked_evaluator`` compiles a list of fields into
@@ -223,8 +225,6 @@ class Field:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            if other == 0:
-                return Field.zero(self.space)
             return Field(self.space, {k: other * c for k, c in self.coeffs.items()},
                          self.trunc_loss)
         self._require_same_space(other)
@@ -358,17 +358,6 @@ def _unit_freq(space: Space, axis: int):
     return (k, (0,) * space.fiber_dim)
 
 
-def _merge_into(dst: dict, src: Mapping, scale=1):
-    """Accumulate scaled coefficients into dst (internal hot path)."""
-    get = dst.get
-    if scale == 1:
-        for key, c in src.items():
-            dst[key] = get(key, 0.0) + c
-    else:
-        for key, c in src.items():
-            dst[key] = get(key, 0.0) + scale * c
-
-
 def _mul_into(dst: dict, a: "Field", b: "Field", scale=1) -> float:
     """Accumulate the product of two fields into dst; returns the dropped
     out-of-box mass.  Bound checks are skipped entirely when the factors
@@ -423,6 +412,37 @@ def _mul_into(dst: dict, a: "Field", b: "Field", scale=1) -> float:
     return loss
 
 
+class FieldSum:
+    """Signed sum of fields and field products, accumulated into one
+    coefficient dict; the sum's ``trunc_loss`` adds up the loss of every
+    term, including terms that are zero or that cancel.  Callers that build
+    fields term by term go through it, so that only this module writes
+    coefficient dicts."""
+
+    __slots__ = ("coeffs", "loss")
+
+    def __init__(self):
+        self.coeffs: dict = {}
+        self.loss = 0.0
+
+    def add(self, field: Field, sign=1):
+        dst, get = self.coeffs, self.coeffs.get
+        if sign == 1:
+            for key, c in field.coeffs.items():
+                dst[key] = get(key, 0.0) + c
+        else:
+            for key, c in field.coeffs.items():
+                dst[key] = get(key, 0.0) + sign * c
+        self.loss += field.trunc_loss
+
+    def add_product(self, a: Field, b: Field, sign=1):
+        self.loss += a.trunc_loss + b.trunc_loss
+        self.loss += _mul_into(self.coeffs, a, b, sign)
+
+    def field(self, space: Space) -> Field:
+        return Field(space, self.coeffs, self.loss)
+
+
 class VectorField:
     """Vector field with one Field component per coordinate direction
     (torus directions first, then fiber directions)."""
@@ -460,15 +480,12 @@ class VectorField:
         """Directional derivative sum_a V^a d(phi)/dx_a."""
         if phi.space != self.space:
             raise ShapeError("field space mismatch")
-        acc: dict = {}
-        loss = 0.0
+        acc = FieldSum()
         for a, comp in enumerate(self.components):
-            if comp.is_zero():
-                continue
-            dphi = phi.partial(a)
-            loss += comp.trunc_loss + dphi.trunc_loss
-            loss += _mul_into(acc, comp, dphi)
-        return Field(self.space, acc, loss)
+            # a zero component adds nothing, unless a factor carries loss
+            if comp.coeffs or comp.trunc_loss or phi.trunc_loss:
+                acc.add_product(comp, phi.partial(a))
+        return acc.field(self.space)
 
     __call__ = apply
 

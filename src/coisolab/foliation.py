@@ -25,6 +25,9 @@ from . import integrate
 from .coisotropy import Section, xy_frame
 from .fields import VectorField, stacked_evaluator, wrap_torus
 
+MAX_CF_TERMS = 64     # partial quotients computed at most
+CLOSURE_TOL = 1e-6    # lattice distance at which a traced leaf counts as closed
+
 
 @dataclass(frozen=True)
 class CharFrame:
@@ -39,7 +42,6 @@ class CharFrame:
 class LeafTrace:
     points: np.ndarray      # wrapped samples on T^5
     lifted: np.ndarray      # unwrapped lift in R^5
-    params: dict
 
 
 @dataclass
@@ -78,31 +80,23 @@ def involutivity_defect(frame: CharFrame, p) -> float:
     return float(np.linalg.norm(A @ coef - b))
 
 
-def trace_leaf(frame: CharFrame, start, duration: float, h: float = 1e-3,
-               direction=(1.0, 0.0), err_tol: float = 1e-6) -> LeafTrace:
-    """Integrate c1*V1 + c2*V2 from start, recording wrapped and lifted
-    samples (the lift makes closure detection robust against dense
-    windings)."""
-    c1, c2 = direction
-    w = frame.v1 * float(c1) + frame.v2 * float(c2)
-    rhs = stacked_evaluator(w.components)
-    lifted = integrate.rk4_flow(rhs, np.asarray(start, dtype=float), duration, h, err_tol)
+def trace_leaf(frame: CharFrame, start, duration: float, h: float = 1e-3) -> LeafTrace:
+    """Integrate V1 from start, recording wrapped and lifted samples (the
+    lift makes closure detection robust against dense windings)."""
+    rhs = stacked_evaluator(frame.v1.components)
+    lifted = integrate.rk4_flow(rhs, np.asarray(start, dtype=float), duration, h)
     wrapped = np.array([wrap_torus(q, 5) for q in lifted])
-    return LeafTrace(points=wrapped, lifted=lifted,
-                     params={"steps": len(lifted) - 1, "h": h,
-                             "start": list(np.asarray(start, dtype=float)),
-                             "direction": [float(c1), float(c2)]})
+    return LeafTrace(points=wrapped, lifted=lifted)
 
 
-def continued_fraction_convergents(t: float, max_denominator: int = 10 ** 6,
-                                   max_terms: int = 64):
+def continued_fraction_convergents(t: float, max_denominator: int = 10 ** 6):
     """Partial quotients and convergents p/q of t, stopped once q exceeds
     max_denominator (or the expansion terminates at float resolution)."""
     quotients, convergents = [], []
     p_m2, p_m1 = 0, 1
     q_m2, q_m1 = 1, 0
     x = float(t)
-    for _ in range(max_terms):
+    for _ in range(MAX_CF_TERMS):
         a = math.floor(x)
         p = a * p_m1 + p_m2
         q = a * q_m1 + q_m2
@@ -175,8 +169,8 @@ def integrality_scan(t_values, tol: float = 1e-9,
     return report
 
 
-def classify_section_leaf(s: Section, start, duration: float, h: float = 1e-3,
-                          closure_tol: float = 1e-6) -> tuple[LeafClass, LeafTrace]:
+def classify_section_leaf(s: Section, start, duration: float,
+                          h: float = 1e-3) -> tuple[LeafClass, LeafTrace]:
     """Trace-based evidence for a general section's leaf.
 
     No general decision procedure exists here; the verdict stays "unknown"
@@ -189,7 +183,7 @@ def classify_section_leaf(s: Section, start, duration: float, h: float = 1e-3,
     dist = np.max(np.abs(lattice - np.round(lattice)), axis=1)
     dist[0] = np.inf  # ignore the start point itself
     moved = np.max(np.abs(disp), axis=1) > 0.1
-    hits = np.where((dist < closure_tol) & moved)[0]
+    hits = np.where((dist < CLOSURE_TOL) & moved)[0]
     evidence = {"closure_hits": [int(i) for i in hits[:8]],
                 "min_lattice_distance": float(np.min(dist[moved])) if moved.any() else None}
     return LeafClass("unknown", evidence=evidence), trace

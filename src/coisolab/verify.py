@@ -21,6 +21,7 @@ from .fields import Field, ShapeError, Space, VectorField
 
 IDENTITY_TOL = 1e-9
 POINT_TOL = 1e-6
+CARTAN_TORUS_DIM = 3      # the Cartan suite draws its random forms on T^3
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +158,17 @@ def _finish(suite, spec, defects, n, seed):
     return report
 
 
-def cartan_suite(seed: int = 0, n: int = 50, torus_dim: int = 3,
-                 trunc_order: int = 8, degrees=(0, 1, 2, 3),
-                 tol: float = IDENTITY_TOL) -> dict:
+def cartan_suite(seed: int = 0, n: int = 50, trunc_order: int = 8,
+                 degrees=(0, 1, 2, 3)) -> dict:
     """All seven graded-commutator identities of the calculus plus the
     contracting homotopy, on random forms of each degree, plus the
     cross-validation of the differential and the Lie derivative against
     their defining formulas, and exactness of the commutator Jacobi
     identity."""
     rng = np.random.default_rng(seed)
-    space = Space(torus_dim, 0, trunc_order, 0)
+    space = Space(CARTAN_TORUS_DIM, 0, trunc_order, 0)
     one = Derivation.identity(space)
-    spec = [(name, n, tol) for name in (
+    spec = [(name, n, IDENTITY_TOL) for name in (
         "cartan_magic", "iota_lie", "lie_lie", "d_squared", "d_lie",
         "iota_iota", "homotopy", "d_defining_formula",
         "lie_defining_formula", "commutator_jacobi")]
@@ -244,8 +244,7 @@ def cartan_suite(seed: int = 0, n: int = 50, torus_dim: int = 3,
     return _finish("cartan", spec, defects, n, seed)
 
 
-def jacobi_suite(seed: int = 0, n: int = 30, trunc_order: int = 8,
-                 point_tol: float = POINT_TOL) -> dict:
+def jacobi_suite(seed: int = 0, n: int = 30, trunc_order: int = 8) -> dict:
     """Bracket laws of the non-degenerate Jacobi structure: antisymmetry,
     the Jacobi identity (spectral nested brackets, sampled pointwise), the
     bi-derivation law, and agreement of the pointwise-solve bracket with the
@@ -254,7 +253,7 @@ def jacobi_suite(seed: int = 0, n: int = 30, trunc_order: int = 8,
     cd = ct.standard_contact(trunc_order=trunc_order, verify=False)
     sp = cd.space
     spec = [("bracket_antisymmetry", n, 1e-9),
-            ("bracket_jacobi_identity", n, point_tol),
+            ("bracket_jacobi_identity", n, POINT_TOL),
             ("bracket_biderivation", n, 1e-8),
             ("bracket_pointwise_vs_spectral", n, 1e-9)]
     defects, bump = _accumulator(spec)
@@ -285,7 +284,7 @@ def jacobi_suite(seed: int = 0, n: int = 30, trunc_order: int = 8,
 
 
 def contact_suite(seed: int = 0, n: int = 30, trunc_order: int = 8,
-                  nondeg_samples: int = 100, point_tol: float = POINT_TOL) -> dict:
+                  nondeg_samples: int = 100) -> dict:
     """Structure invariants of the explicit contact data: closedness of
     varpi, pointwise non-degeneracy, the Reeb normalization, agreement of
     the spectral Hamiltonian derivation with the pointwise solve, tangency
@@ -300,8 +299,8 @@ def contact_suite(seed: int = 0, n: int = 30, trunc_order: int = 8,
             ("reeb_normalization", 1, 1e-12),
             ("hamiltonian_flat_relation", n, 1e-10),
             ("hamiltonian_pointwise_vs_spectral", n, 1e-9),
-            ("contact_field_tangency", n, point_tol),
-            ("lie_algebra_morphism", n, point_tol)]
+            ("contact_field_tangency", n, POINT_TOL),
+            ("lie_algebra_morphism", n, POINT_TOL)]
     defects, bump = _accumulator(spec)
 
     bump("varpi_closed", cd.varpi.d())

@@ -8,8 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from coisolab.coisotropy import (PreconditionError, ProlongOptions, Section,
-                                 _jacobian, _RealCoords, base_space,
+from coisolab.coisotropy import (STALL_REL, STALL_WINDOW, PreconditionError,
+                                 ProlongOptions, Section, _jacobian, _RealCoords, base_space,
                                  family_section, kuranishi,
                                  linearized_residual, prolong, residual,
                                  residual_from_jet, xy_frame)
@@ -209,6 +209,22 @@ def test_prolong_obstructed_direction_stalls():
     floor = rep.residual_norm_history[-1]
     assert floor > 1e-4
     assert floor == pytest.approx(OBSTRUCTED_FLOOR, rel=1e-6)
+
+
+def test_prolong_stall_window_verdict():
+    # with unknowns of radius 2 on x1 the solver keeps descending, ever more
+    # slowly, instead of exhausting its damping: the verdict comes from the
+    # stall window, at the first iteration whose window condition holds
+    rep = prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=(2, 1, 0, 0, 0)))
+    assert rep.status == "obstructed" and rep.iterations == 7
+    h = rep.residual_norm_history
+    assert len(h) == rep.iterations + 1
+    assert all(a > b for a, b in zip(h, h[1:]))
+    rel = (h[-1 - STALL_WINDOW] - h[-1]) / h[-1 - STALL_WINDOW]
+    assert rel < STALL_REL <= (h[-2 - STALL_WINDOW] - h[-2]) / h[-2 - STALL_WINDOW]
+    assert h[-1] == pytest.approx(0.16319, rel=1e-4)
+    assert f"fell by {rel:.3e}" in rep.diagnostic
+    assert f"over the last {STALL_WINDOW} iterations" in rep.diagnostic
 
 
 def test_prolong_rejects_non_infinitesimal_direction():

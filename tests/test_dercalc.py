@@ -1,7 +1,6 @@
 """Der-complex operators: examples with known closed forms, the contracting
 homotopy, and the defining-formula cross-validations."""
 
-import json
 import math
 
 import numpy as np
@@ -271,11 +270,27 @@ def test_pullbacks_are_basic():
         assert ok and defect == 0.0
 
 
-# -- serialization ------------------------------------------------------------------------
+# -- truncation loss --------------------------------------------------------------------
 
-def test_atiyah_json_roundtrip():
-    eta = theta_pair(T5)
-    data = json.loads(json.dumps(eta.to_json_dict(), sort_keys=True))
-    back = AtiyahForm.from_json_dict(data, T5)
-    assert (back - eta).max_abs() < 1e-15
-    assert back.degree == 2
+def lossy_sin(space=T3, loss=0.25):
+    return Field(space, Field.sin(space, 0).coeffs, trunc_loss=loss)
+
+
+def test_cancelling_form_keeps_loss():
+    f = lossy_sin()
+    F = Form(T3, 1, {(0,): f})
+    assert (F - F).is_zero()
+    assert (F - F).trunc_loss == (f - f).trunc_loss == 0.5
+
+
+def test_form_keeps_loss_of_zero_component():
+    F = Form(T3, 2, {(0, 1): Field(T3, None, trunc_loss=0.25)})
+    assert F.is_zero() and F.trunc_loss == 0.25
+    assert F.d().trunc_loss == 0.25
+
+
+def test_contract_keeps_loss_of_zero_component():
+    z = Field.zero(T3)
+    V = VectorField([Field(T3, None, trunc_loss=0.5), z, z])
+    got = Form(T3, 1, {(0,): Field.sin(T3, 0)}).contract(V)
+    assert got.is_zero() and got.trunc_loss == 0.5

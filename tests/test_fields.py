@@ -158,6 +158,12 @@ def test_multiply_truncation_loss_recorded():
     assert (prod - Field.constant(tight, 0.5)).max_abs() < 1e-14
 
 
+def test_multiply_by_number_zero_keeps_loss():
+    f = Field(T5, Field.sin(T5, 0).coeffs, trunc_loss=0.25)
+    assert (f * 0).is_zero()
+    assert (f * 0).trunc_loss == f.trunc_loss == 0.25
+
+
 @given(small_fields(), small_fields())
 @settings(max_examples=40, deadline=None)
 def test_leibniz_rule(f, g):
@@ -258,6 +264,15 @@ def test_apply_vector_field_chain_rule():
 def test_apply_vector_field_constant():
     X, _ = xy_frame_t5()
     assert X(Field.constant(T5, 3.0)).is_zero()
+
+
+def test_apply_keeps_loss_of_zero_component():
+    # a component that lost all its mass to truncation is zero but not exact
+    lossy = Field(T5, None, trunc_loss=0.5)
+    one = Field.constant(T5, 1.0)
+    z = Field.zero(T5)
+    got = VectorField([lossy, one, z, z, z]).apply(Field.sin(T5, 0))
+    assert got.is_zero() and got.trunc_loss == 0.5
 
 
 def test_vector_field_shape_mismatch():
