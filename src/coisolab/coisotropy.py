@@ -176,42 +176,44 @@ class SolverReport:
 
 
 class _RealCoords:
-    """Real coordinates of a real field's coefficients.
+    """Real coordinates of a real field's coefficients on a fiber-free space.
 
-    Each canonical representative k of a pair {k, -k} owns a slot: (re, im)
-    for k != 0, the real part alone for k = 0.  Weights carry the Parseval
-    multiplicity, so the weighted Euclidean norm is the coefficient norm.
-    Modes get slots in the order they are first seen."""
+    Each canonical representative k of a pair {k, -k} owns a slot, keyed by
+    its packed mode key: (re, im) for k != 0, the real part alone for k = 0.
+    Canonical keys are those at or above the key of k = 0.  Weights carry
+    the Parseval multiplicity, so the weighted Euclidean norm is the
+    coefficient norm.  Modes get slots in the order they are first seen."""
 
-    def __init__(self, modes=()):
+    def __init__(self, space: Space, keys=()):
+        self.space, self.zero = space, space.zero_key
         self.slots = {}
         self.weights = []
-        for k in modes:
-            self.slot(k)
+        for key in keys:
+            self.slot(key)
 
-    def slot(self, k) -> int:
-        s = self.slots.get(k)
+    def slot(self, key) -> int:
+        s = self.slots.get(key)
         if s is None:
-            s = self.slots[k] = len(self.weights)
-            self.weights.extend((2.0, 2.0) if any(k) else (1.0,))
+            s = self.slots[key] = len(self.weights)
+            self.weights.extend((2.0, 2.0) if key != self.zero else (1.0,))
         return s
 
     def add(self, out, h: Field):
         """Add the coordinates of h into the vector out."""
-        for (k, _m), c in h.coeffs.items():
-            if canonical_rep(k):
-                s = self.slot(k)
+        for key, c in h.packed.items():
+            if key >= self.zero:
+                s = self.slot(key)
                 out[s] += c.real
-                if any(k):
+                if key != self.zero:
                     out[s + 1] += c.imag
 
     def modes(self, v) -> dict:
-        """The nonzero coefficients {k: c} held in the vector v."""
+        """The nonzero coefficients {(k, m): c} held in the vector v."""
         out = {}
-        for k, s in self.slots.items():
-            c = complex(v[s], v[s + 1] if any(k) else 0.0)
+        for key, s in self.slots.items():
+            c = complex(v[s], v[s + 1] if key != self.zero else 0.0)
             if c:
-                out[k] = c
+                out[self.space.unpack(key)] = c
         return out
 
 
@@ -252,8 +254,8 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
         raise PreconditionError(
             f"solver system of up to {row_cap}x{n} too large for dense assembly; "
             "reduce solver_radius (per-axis radii are accepted)")
-    box = _RealCoords(k for k in itertools.product(*(range(-r, r + 1) for r in radii))
-                      if canonical_rep(k))
+    box = _RealCoords(sp, (sp.pack(k, ()) for k in itertools.product(
+        *(range(-r, r + 1) for r in radii)) if canonical_rep(k)))
     nb = len(box.weights)
     X, Y = xy_frame(sp)
 
@@ -346,8 +348,8 @@ def _solver_radii(direction: Section, radius, trunc_order: int):
     if len(radii) != BASE_TORUS_DIM:
         raise PreconditionError("solver_radius needs one entry per torus axis")
     for h in (direction.f, direction.g):
-        for (k, _m) in h.coeffs:
-            for a, ka in enumerate(k):
+        for key in h.packed:
+            for a, ka in enumerate(h.space.unpack(key)[0]):
                 radii[a] = max(radii[a], abs(ka))
     if max(radii) > trunc_order:
         raise PreconditionError(
@@ -366,19 +368,17 @@ def _jacobian(box: _RealCoords, s: Section, X: VectorField, Y: VectorField, row_
     for (0, psi)."""
     sp = s.space
     jet_f, jet_g = _jet(s.f, X, Y), _jet(s.g, X, Y)
-    rows = _RealCoords()
+    rows = _RealCoords(sp)
     A = np.zeros((row_cap, 2 * len(box.weights)))
-    dofs = [(block, k, c) for block in (0, 1) for k in box.slots
-            for c in ((1.0, 1j) if any(k) else (1.0,))]
-    for j, (block, k, c) in enumerate(dofs):
-        h = Field.from_modes(sp, {k: c}, add_conjugates=True)
+    dofs = [(block, sp.unpack(key), c) for block in (0, 1) for key in box.slots
+            for c in ((1.0, 1j) if key != box.zero else (1.0,))]
+    for j, (block, mode, c) in enumerate(dofs):
+        h = Field.from_modes(sp, {mode: c}, add_conjugates=True)
         if block == 0:
             quad = _quadratic_form(_jet(h, X, Y), jet_g)
             lin = h.partial(FIBER_AXES[1])
         else:
             quad = _quadratic_form(jet_f, _jet(h, X, Y))
             lin = -h.partial(FIBER_AXES[0])
-        quad = Field(sp, {key: v for key, v in quad.coeffs.items()
-                          if abs(v) >= COLUMN_PRUNE})
-        rows.add(A[:, j], quad + lin)
+        rows.add(A[:, j], quad.drop_below(COLUMN_PRUNE) + lin)
     return A, rows

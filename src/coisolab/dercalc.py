@@ -63,7 +63,7 @@ class Form:
                 if f.space != space:
                     raise ShapeError("component space mismatch")
                 # a zero component is kept while it carries truncation loss
-                if f.coeffs or f.trunc_loss:
+                if f.packed or f.trunc_loss:
                     cleaned[idx] = f
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "degree", degree)
@@ -84,7 +84,7 @@ class Form:
         return self.comps.get(tuple(idx), Field.zero(self.space))
 
     def is_zero(self) -> bool:
-        return not any(f.coeffs for f in self.comps.values())
+        return not any(f.packed for f in self.comps.values())
 
     def max_abs(self) -> float:
         return max((f.max_abs() for f in self.comps.values()), default=0.0)
@@ -123,7 +123,7 @@ class Form:
                 if not sign:
                     continue
                 term = f.partial(axis)
-                if term.coeffs or term.trunc_loss:
+                if term.packed or term.trunc_loss:
                     acc[new_idx].add(term, sign)
         return Form(self.space, self.degree + 1,
                     {i: s.field(self.space) for i, s in acc.items()})
@@ -138,7 +138,7 @@ class Form:
         for idx, f in self.comps.items():
             for pos, axis in enumerate(idx):
                 comp = vf.components[axis]
-                if comp.coeffs or comp.trunc_loss or f.trunc_loss:
+                if comp.packed or comp.trunc_loss or f.trunc_loss:
                     acc[idx[:pos] + idx[pos + 1:]].add_product(comp, f, (-1) ** pos)
         return Form(self.space, self.degree - 1,
                     {i: s.field(self.space) for i, s in acc.items()})

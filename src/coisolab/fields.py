@@ -6,11 +6,19 @@ tensored with low-degree polynomials in the non-compact fiber coordinates:
     phi(x, y) = sum over (k, m) of  c[k, m] * exp(i k.x) * y^m
 
 where k is an integer frequency vector with |k_i| <= trunc_order and m is a
-monomial multi-index with total degree <= poly_deg.  Coefficients live in a
-dict keyed by ``(k, m)`` (two tuples of ints).  Real-valuedness is encoded as
-Hermitian symmetry, ``c[-k, m] == conj(c[k, m])``; every operation preserves
-it exactly (conjugation commutes with IEEE complex arithmetic), and with
-``STRICT`` enabled each result is re-checked.
+monomial multi-index with total degree <= poly_deg.  Real-valuedness is
+encoded as Hermitian symmetry, ``c[-k, m] == conj(c[k, m])``; every
+operation preserves it exactly (conjugation commutes with IEEE complex
+arithmetic), and with ``STRICT`` enabled each result is re-checked.
+
+``Field.packed`` maps one int key per mode to its coefficient, in insertion
+order.  ``Space.pack`` builds it from mixed-radix digits ``k_i + 2N`` (torus
+axes) then ``m_j`` (fiber axes), axis 0 most significant: integer order is
+``(k, m)`` order, and two in-box keys sum to the summed mode's key plus
+``Space.zero_key``.  ``Field.coeffs`` is a read-only ``{(k, m): c}`` view,
+decoded on access.  Public constructions validate keys and compute
+``bounds`` (max |k_i|, max fiber degree); operations propagate them, so a
+product tests the box per term pair only when its bounds allow an escape.
 
 Differentiation is exact (mode-wise).  Products are exact while the combined
 frequencies stay inside the truncation box; escaping modes are dropped and
@@ -27,9 +35,9 @@ dense arrays once, for loops that evaluate them at many points.
 from __future__ import annotations
 
 import math
-import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -53,7 +61,8 @@ class UnsupportedAxisError(ValueError):
 @dataclass(frozen=True)
 class Space:
     """Common base data for fields: torus dimension, fiber dimension,
-    frequency truncation and fiber polynomial degree cap."""
+    frequency truncation and fiber polynomial degree cap; also the codec
+    of packed mode keys."""
 
     torus_dim: int
     fiber_dim: int = 0
@@ -65,10 +74,34 @@ class Space:
             raise ShapeError("dimensions must be non-negative")
         if self.trunc_order < 0 or self.poly_deg < 0:
             raise ShapeError("truncation order and polynomial degree must be non-negative")
+        radix = max(4 * self.trunc_order + 1, 2 * self.poly_deg + 1)
+        weights = tuple(radix ** (self.dim - 1 - i) for i in range(self.dim))
+        zero_key = 2 * self.trunc_order * sum(weights[:self.torus_dim])
+        for name, value in (("radix", radix), ("weights", weights), ("zero_key", zero_key)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.torus_dim + self.fiber_dim
+
+    def pack(self, k, m) -> int:
+        """The packed key of the mode (k, m); ShapeError outside the box."""
+        if len(k) != self.torus_dim or len(m) != self.fiber_dim:
+            raise ShapeError(f"key {k},{m} does not match space {self}")
+        if any(abs(a) > self.trunc_order for a in k):
+            raise ShapeError(f"frequency {k} outside truncation box")
+        if any(a < 0 for a in m) or sum(m) > self.poly_deg:
+            raise ShapeError(f"monomial {m} outside degree cap {self.poly_deg}")
+        key = 0
+        for digit in [a + 2 * self.trunc_order for a in k] + list(m):
+            key = key * self.radix + digit
+        return key
+
+    def unpack(self, key: int) -> tuple:
+        """The mode (k, m) of a packed key."""
+        digits = [key // w % self.radix for w in self.weights]
+        n, off = self.torus_dim, 2 * self.trunc_order
+        return tuple(a - off for a in digits[:n]), tuple(digits[n:])
 
 
 def _neg(k: tuple) -> tuple:
@@ -89,21 +122,25 @@ def canonical_rep(k: tuple) -> bool:
 class Field:
     """Immutable truncated Fourier-polynomial scalar field."""
 
-    __slots__ = ("space", "coeffs", "trunc_loss")
+    __slots__ = ("space", "packed", "trunc_loss", "bounds")
 
     def __init__(self, space: Space, coeffs: Mapping | None = None,
                  trunc_loss: float = 0.0):
-        cleaned = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                if type(c) is not complex:
-                    c = complex(c)
-                if abs(c) < PRUNE_TOL:
-                    continue
-                cleaned[key] = c
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "trunc_loss", float(trunc_loss))
+        packed, freq, deg = {}, 0, 0
+        for (k, m), c in (coeffs or {}).items():
+            packed[space.pack(k, m)] = complex(c)
+            freq, deg = max(freq, *map(abs, k), 0), max(deg, sum(m))
+        self._set(space, packed, trunc_loss, (freq, deg))
+
+    def _set(self, space: Space, packed: dict, trunc_loss: float, bounds: tuple):
+        setattr_ = object.__setattr__
+        setattr_(self, "space", space)
+        # the scan in C finds most fields with nothing to prune; NaN is kept
+        if not min(map(abs, packed.values()), default=PRUNE_TOL) >= PRUNE_TOL:
+            packed = {key: c for key, c in packed.items() if not abs(c) < PRUNE_TOL}
+        setattr_(self, "packed", packed)
+        setattr_(self, "trunc_loss", float(trunc_loss))
+        setattr_(self, "bounds", bounds)
         if STRICT:
             self._check()
 
@@ -112,16 +149,19 @@ class Field:
 
     def _check(self):
         sp = self.space
-        for (k, m), c in self.coeffs.items():
-            if len(k) != sp.torus_dim or len(m) != sp.fiber_dim:
-                raise ShapeError(f"key {k},{m} does not match space {sp}")
-            if any(abs(a) > sp.trunc_order for a in k):
-                raise ShapeError(f"frequency {k} outside truncation box")
-            if any(a < 0 for a in m) or sum(m) > sp.poly_deg:
-                raise ShapeError(f"monomial {m} outside degree cap {sp.poly_deg}")
-            mate = self.coeffs.get((_neg(k), m), 0.0)
+        for (k, m), c in self._modes():
+            mate = self.packed.get(sp.pack(_neg(k), m), 0.0)   # pack checks the box
             if abs(mate - c.conjugate()) > 1e-12 * max(1.0, abs(c)):
                 raise ShapeError(f"Hermitian symmetry violated at {k},{m}")
+
+    def _modes(self):
+        """((k, m), c) pairs in the order of ``packed``."""
+        return zip(map(self.space.unpack, self.packed), self.packed.values())
+
+    @property
+    def coeffs(self) -> Mapping:
+        """Read-only {(k, m): coefficient} view, in the order of ``packed``."""
+        return _Coeffs(self)
 
     # -- constructors ------------------------------------------------------
 
@@ -182,58 +222,65 @@ class Field:
     # -- predicates and norms ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.packed
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return max((abs(c) for c in self.packed.values()), default=0.0)
 
     def coeff_norm(self) -> float:
         """Plain l2 norm of the coefficient vector."""
-        return math.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values()))
+        return math.sqrt(sum(abs(c) ** 2 for c in self.packed.values()))
 
     def l2_norm(self) -> float:
         """L2(T^n) norm; by Parseval this is (2*pi)^(n/2) times coeff_norm.
 
         Only defined for purely toroidal fields (fiber polynomials are not
         square-integrable over R^k)."""
-        if any(any(m) for (_, m) in self.coeffs):
+        if self.space.fiber_dim and any(any(m) for (_, m), _c in self._modes()):
             raise ShapeError("L2 norm requires a fiber-independent field")
         return TWO_PI ** (self.space.torus_dim / 2.0) * self.coeff_norm()
 
     # -- arithmetic ---------------------------------------------------------
 
     def _require_same_space(self, other: "Field"):
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise ShapeError(f"space mismatch: {self.space} vs {other.space}")
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
             other = Field.constant(self.space, other)
         self._require_same_space(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
+        out = dict(self.packed)
+        for key, c in other.packed.items():
             out[key] = out.get(key, 0.0) + c
-        return Field(self.space, out, self.trunc_loss + other.trunc_loss)
+        return _field(self.space, out, self.trunc_loss + other.trunc_loss,
+                      tuple(map(max, self.bounds, other.bounds)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Field(self.space, {k: -c for k, c in self.coeffs.items()}, self.trunc_loss)
+        return _field(self.space, {k: -c for k, c in self.packed.items()},
+                      self.trunc_loss, self.bounds)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Field) else -float(other))
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return Field(self.space, {k: other * c for k, c in self.coeffs.items()},
-                         self.trunc_loss)
+            return _field(self.space, {k: other * c for k, c in self.packed.items()},
+                          self.trunc_loss, self.bounds)
         self._require_same_space(other)
         out: dict = {}
         loss = _mul_into(out, self, other)
-        return Field(self.space, out,
-                     self.trunc_loss + other.trunc_loss + loss)
+        return _field(self.space, out, self.trunc_loss + other.trunc_loss + loss,
+                      _product_bounds(self.space, self.bounds, other.bounds))
 
     __rmul__ = __mul__
+
+    def drop_below(self, tol: float) -> "Field":
+        """The field without its coefficients of modulus below tol."""
+        return _field(self.space, {k: c for k, c in self.packed.items() if abs(c) >= tol},
+                      self.trunc_loss, self.bounds)
 
     # -- calculus ------------------------------------------------------------
 
@@ -243,18 +290,20 @@ class Field:
         if not 0 <= axis < sp.dim:
             raise ShapeError(f"axis {axis} out of range for dim {sp.dim}")
         out: dict = {}
+        w, radix = sp.weights[axis], sp.radix
         if axis < sp.torus_dim:
-            for (k, m), c in self.coeffs.items():
-                if k[axis]:
-                    out[(k, m)] = 1j * k[axis] * c
+            off = 2 * sp.trunc_order
+            for key, c in self.packed.items():
+                ka = key // w % radix - off
+                if ka:
+                    out[key] = 1j * ka * c
         else:
-            fa = axis - sp.torus_dim
-            for (k, m), c in self.coeffs.items():
-                if m[fa]:
-                    lowered = tuple(v - 1 if i == fa else v for i, v in enumerate(m))
-                    key = (k, lowered)
-                    out[key] = out.get(key, 0.0) + m[fa] * c
-        return Field(sp, out, self.trunc_loss)
+            for key, c in self.packed.items():
+                ma = key // w % radix
+                if ma:
+                    lowered = key - w
+                    out[lowered] = out.get(lowered, 0.0) + ma * c
+        return _field(sp, out, self.trunc_loss, self.bounds)
 
     def evaluate(self, point) -> float:
         """Pointwise value; the imaginary residue must cancel below 1e-12."""
@@ -264,7 +313,7 @@ class Field:
             raise ShapeError(f"point of length {p.shape} for dim {sp.dim}")
         x, y = p[: sp.torus_dim], p[sp.torus_dim:]
         val = 0.0 + 0.0j
-        for (k, m), c in self.coeffs.items():
+        for (k, m), c in self._modes():
             term = c * np.exp(1j * float(np.dot(k, x)))
             for ya, ma in zip(y, m):
                 if ma:
@@ -277,37 +326,38 @@ class Field:
 
     __call__ = evaluate
 
+    def _torus_axes(self, axes: Iterable[int]) -> list:
+        axes = sorted(set(axes))
+        for a in axes:
+            if not 0 <= a < self.space.torus_dim:
+                raise UnsupportedAxisError(f"axis {a} is not a torus axis")
+        return axes
+
     def integrate_torus(self, axes: Iterable[int]) -> "Field":
         """Integrate over full periods of the given torus axes.
 
         Returns (2*pi)^#axes times the restriction to modes with k_a = 0 for
         each integrated axis; the result no longer depends on those axes but
         still lives over the same space."""
-        axes = sorted(set(axes))
         sp = self.space
-        for a in axes:
-            if not 0 <= a < sp.torus_dim:
-                raise UnsupportedAxisError(f"axis {a} is not a torus axis")
-        scale = TWO_PI ** len(axes)
-        out = {key: scale * c for key, c in self.coeffs.items()
-               if all(key[0][a] == 0 for a in axes)}
-        return Field(sp, out, self.trunc_loss)
+        weights = [sp.weights[a] for a in self._torus_axes(axes)]
+        scale, zero = TWO_PI ** len(weights), 2 * sp.trunc_order
+        out = {key: scale * c for key, c in self.packed.items()
+               if all(key // w % sp.radix == zero for w in weights)}
+        return _field(sp, out, self.trunc_loss, self.bounds)
 
     def drop_torus_axes(self, axes: Iterable[int]) -> "Field":
         """Forget torus axes the field does not depend on."""
-        axes = sorted(set(axes))
         sp = self.space
-        for a in axes:
-            if not 0 <= a < sp.torus_dim:
-                raise UnsupportedAxisError(f"axis {a} is not a torus axis")
+        axes = self._torus_axes(axes)
         keep = [a for a in range(sp.torus_dim) if a not in axes]
+        small = Space(len(keep), sp.fiber_dim, sp.trunc_order, sp.poly_deg)
         out = {}
-        for (k, m), c in self.coeffs.items():
+        for (k, m), c in self._modes():
             if any(k[a] != 0 for a in axes):
                 raise ShapeError(f"field depends on dropped axis (mode {k})")
-            out[(tuple(k[a] for a in keep), m)] = c
-        small = Space(len(keep), sp.fiber_dim, sp.trunc_order, sp.poly_deg)
-        return Field(small, out, self.trunc_loss)
+            out[small.pack(tuple(k[a] for a in keep), m)] = c
+        return _field(small, out, self.trunc_loss, self.bounds)
 
     def promote(self, space: Space) -> "Field":
         """Reinterpret over a larger torus or box: existing axes become the
@@ -318,21 +368,18 @@ class Field:
         if space.trunc_order < sp.trunc_order or space.poly_deg < sp.poly_deg:
             raise ShapeError("target truncation box too small")
         pad = (0,) * (space.torus_dim - sp.torus_dim)
-        out = {(k + pad, m): c for (k, m), c in self.coeffs.items()}
-        return Field(space, out, self.trunc_loss)
+        out = {space.pack(k + pad, m): c for (k, m), c in self._modes()}
+        return _field(space, out, self.trunc_loss, self.bounds)
 
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         """One representative per +/-k pair; the reader restores conjugates."""
-        terms = []
-        for (k, m) in sorted(self.coeffs):
-            if not canonical_rep(k):
-                continue
-            c = self.coeffs[(k, m)]
-            terms.append({"k": list(k), "m": list(m),
-                          "re": c.real, "im": c.imag})
         sp = self.space
+        terms = []
+        for (k, m), c in sorted(self._modes()):
+            if canonical_rep(k):
+                terms.append({"k": list(k), "m": list(m), "re": c.real, "im": c.imag})
         return {"torus_dim": sp.torus_dim, "fiber_dim": sp.fiber_dim,
                 "trunc_order": sp.trunc_order, "poly_deg": sp.poly_deg,
                 "terms": terms}
@@ -348,7 +395,37 @@ class Field:
         return cls.from_modes(sp, modes, add_conjugates=True)
 
     def __repr__(self):
-        return f"Field({self.space.torus_dim}+{self.space.fiber_dim}d, {len(self.coeffs)} modes)"
+        return f"Field({self.space.torus_dim}+{self.space.fiber_dim}d, {len(self.packed)} modes)"
+
+
+def _field(space: Space, packed: dict, trunc_loss: float, bounds: tuple) -> Field:
+    """A Field that takes over packed (valid keys): pruned, not re-validated."""
+    f = object.__new__(Field)
+    f._set(space, packed, trunc_loss, bounds)
+    return f
+
+
+class _Coeffs(Mapping):
+    """A field's coefficients keyed by (k, m), decoded on access."""
+
+    def __init__(self, field: Field):
+        self._field = field
+
+    def __len__(self):
+        return len(self._field.packed)
+
+    def __iter__(self):
+        return map(self._field.space.unpack, self._field.packed)
+
+    def __getitem__(self, mode):
+        try:
+            return self._field.packed[self._field.space.pack(*mode)]
+        except (TypeError, ValueError):   # not a mode of this space
+            raise KeyError(mode) from None
+
+
+def _product_bounds(sp: Space, a: tuple, b: tuple) -> tuple:
+    return min(a[0] + b[0], sp.trunc_order), min(a[1] + b[1], sp.poly_deg)
 
 
 def _unit_freq(space: Space, axis: int):
@@ -359,88 +436,69 @@ def _unit_freq(space: Space, axis: int):
 
 
 def _mul_into(dst: dict, a: "Field", b: "Field", scale=1) -> float:
-    """Accumulate the product of two fields into dst; returns the dropped
-    out-of-box mass.  Bound checks are skipped entirely when the factors
-    cannot escape the box (the overwhelmingly common case)."""
+    """Accumulate the product of two fields into dst (a packed-key dict);
+    returns the dropped out-of-box mass.  Per-pair box tests run only when
+    the factors' bounds allow an escape."""
     sp = a.space
-    ac, bc = a.coeffs, b.coeffs
+    ac, bc = a.packed, b.packed
     if not ac or not bc:
         return 0.0
     if len(ac) > len(bc):
         ac, bc = bc, ac
-    add = operator.add
-    get = dst.get
-    amax = max(max(map(abs, k)) for (k, _m) in ac)
-    bmax = max(max(map(abs, k)) for (k, _m) in bc)
-    freq_safe = amax + bmax <= sp.trunc_order
-    deg_safe = True
-    if sp.fiber_dim:
-        adeg = max(sum(m) for (_k, m) in ac)
-        bdeg = max(sum(m) for (_k, m) in bc)
-        deg_safe = adeg + bdeg <= sp.poly_deg
-    loss = 0.0
-    if freq_safe and deg_safe:
-        if sp.fiber_dim:
-            for (k1, m1), c1 in ac.items():
-                c1 *= scale
-                for (k2, m2), c2 in bc.items():
-                    key = (tuple(map(add, k1, k2)), tuple(map(add, m1, m2)))
-                    dst[key] = get(key, 0.0) + c1 * c2
-        else:
-            m0 = ()
-            for (k1, _m1), c1 in ac.items():
-                c1 *= scale
-                for (k2, _m2), c2 in bc.items():
-                    key = (tuple(map(add, k1, k2)), m0)
-                    dst[key] = get(key, 0.0) + c1 * c2
+    get, zero = dst.get, sp.zero_key
+    (fa, da), (fb, db) = a.bounds, b.bounds
+    if fa + fb <= sp.trunc_order and da + db <= sp.poly_deg:
+        for k1, c1 in ac.items():
+            c1 *= scale
+            k1 -= zero
+            for k2, c2 in bc.items():
+                key = k1 + k2
+                dst[key] = get(key, 0.0) + c1 * c2
         return 0.0
-    N, d = sp.trunc_order, sp.poly_deg
-    for (k1, m1), c1 in ac.items():
+    loss = 0.0
+    for k1, c1 in ac.items():
         c1 *= scale
-        for (k2, m2), c2 in bc.items():
-            k = tuple(map(add, k1, k2))
-            c = c1 * c2
-            if any(abs(p) > N for p in k):
+        k1 -= zero
+        for k2, c2 in bc.items():
+            key, c = k1 + k2, c1 * c2
+            k, m = sp.unpack(key)
+            if any(abs(p) > sp.trunc_order for p in k) or sum(m) > sp.poly_deg:
                 loss += abs(c)
                 continue
-            m = tuple(map(add, m1, m2))
-            if sum(m) > d:
-                loss += abs(c)
-                continue
-            key = (k, m)
             dst[key] = get(key, 0.0) + c
     return loss
 
 
 class FieldSum:
     """Signed sum of fields and field products, accumulated into one
-    coefficient dict; the sum's ``trunc_loss`` adds up the loss of every
-    term, including terms that are zero or that cancel.  Callers that build
-    fields term by term go through it, so that only this module writes
+    packed coefficient dict; the sum's ``trunc_loss`` adds up the loss of
+    every term, including terms that are zero or that cancel.  Callers that
+    build fields term by term go through it, so that only this module writes
     coefficient dicts."""
 
-    __slots__ = ("coeffs", "loss")
+    __slots__ = ("packed", "loss", "bounds")
 
     def __init__(self):
-        self.coeffs: dict = {}
-        self.loss = 0.0
+        self.packed, self.loss, self.bounds = {}, 0.0, (0, 0)
 
     def add(self, field: Field, sign=1):
-        dst, get = self.coeffs, self.coeffs.get
+        dst, get = self.packed, self.packed.get
         if sign == 1:
-            for key, c in field.coeffs.items():
+            for key, c in field.packed.items():
                 dst[key] = get(key, 0.0) + c
         else:
-            for key, c in field.coeffs.items():
+            for key, c in field.packed.items():
                 dst[key] = get(key, 0.0) + sign * c
         self.loss += field.trunc_loss
+        self.bounds = tuple(map(max, self.bounds, field.bounds))
 
     def add_product(self, a: Field, b: Field, sign=1):
         self.loss += a.trunc_loss + b.trunc_loss
-        self.loss += _mul_into(self.coeffs, a, b, sign)
+        self.loss += _mul_into(self.packed, a, b, sign)
+        self.bounds = tuple(map(max, self.bounds, _product_bounds(a.space, a.bounds, b.bounds)))
 
     def field(self, space: Space) -> Field:
-        return Field(space, self.coeffs, self.loss)
+        return _field(space, dict(self.packed), self.loss, self.bounds)
 
 
 class VectorField:
@@ -483,7 +541,7 @@ class VectorField:
         acc = FieldSum()
         for a, comp in enumerate(self.components):
             # a zero component adds nothing, unless a factor carries loss
-            if comp.coeffs or comp.trunc_loss or phi.trunc_loss:
+            if comp.packed or comp.trunc_loss or phi.trunc_loss:
                 acc.add_product(comp, phi.partial(a))
         return acc.field(self.space)
 
@@ -539,13 +597,14 @@ def stacked_evaluator(fields):
     sp = fields[0].space
     if any(f.space != sp for f in fields):
         raise ShapeError("fields over different spaces")
-    keys = sorted(set().union(*(f.coeffs for f in fields)))
+    keys = sorted(set().union(*(f.packed for f in fields)))
     column = {key: j for j, key in enumerate(keys)}
-    freqs = np.array([k for k, _ in keys], dtype=float).reshape(len(keys), sp.torus_dim)
-    powers = np.array([m for _, m in keys], dtype=float).reshape(len(keys), sp.fiber_dim)
+    modes = [sp.unpack(key) for key in keys]
+    freqs = np.array([k for k, _ in modes], dtype=float).reshape(len(keys), sp.torus_dim)
+    powers = np.array([m for _, m in modes], dtype=float).reshape(len(keys), sp.fiber_dim)
     coeffs = np.zeros((len(fields), len(keys)), dtype=complex)
     for row, f in enumerate(fields):
-        for key, c in f.coeffs.items():
+        for key, c in f.packed.items():
             coeffs[row, column[key]] = c
     torus_dim, dim = sp.torus_dim, sp.dim
     polynomial = bool(powers.any())

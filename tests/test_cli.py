@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from coisolab import fields
 from coisolab.cli import main
 from coisolab.contact import contact_space
 from coisolab.fields import Field
@@ -292,6 +293,23 @@ def test_bad_payload_exit_two(capsys, tmp_path):
     bad.write_text(json.dumps({"f": {"oops": 1}}))
     code, _, err = run(capsys, "residual", str(bad))
     assert code == 2 and "bad section payload" in err
+
+
+@pytest.mark.parametrize("command", ["residual", "kuranishi", "prolong"])
+@pytest.mark.parametrize("k, why", [([9, 0, 0, 0, 0], "outside truncation box"),
+                                    ([1, 0, 0], "does not match space")])
+def test_mode_outside_box_exit_two(capsys, tmp_path, monkeypatch, command, k, why):
+    # keys are validated at every construction, not only with STRICT on: a
+    # mode at k1 = 9 (trunc_order 8) or a 3-component key on T^5 would
+    # alias another mode's packed key
+    monkeypatch.setattr(fields, "STRICT", False)
+    data = json.loads(open(sect("obstructed.json")).read())
+    data["f"]["terms"].append({"k": k, "m": [], "re": 0.5, "im": 0.0})
+    path = tmp_path / "section.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and why in err
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -259,8 +259,8 @@ def test_jacobian_columns_are_central_differences():
                     ((0, 0, 0, 1, -1), ()): 0.25},
                    {((1, 1, 0, 0, 0), ()): -0.4 + 0.1j, ((0, 0, 0, 0, 0), ()): 0.2,
                     ((0, 0, 1, 0, 1), ()): 0.15})
-    box = _RealCoords(k for k in itertools.product(range(-1, 2), repeat=5)
-                      if canonical_rep(k))
+    box = _RealCoords(SP, (SP.pack(k, ()) for k in itertools.product(range(-1, 2), repeat=5)
+                           if canonical_rep(k)))
     row_cap = 7 * 5 ** 4
     X, Y = xy_frame(SP)
     A, rows = _jacobian(box, s, X, Y, row_cap)
@@ -277,7 +277,7 @@ def test_jacobian_columns_are_central_differences():
         minus = residual(Section(s.f - d.f, s.g - d.g))
         want = np.zeros(row_cap)
         rows.add(want, (plus - minus) * (0.5 / t))
-        col = A[:, block * nb + box.slots[k] + (part == 1j)]
+        col = A[:, block * nb + box.slots[SP.pack(k, ())] + (part == 1j)]
         assert np.max(np.abs(col)) > 0.1
         assert np.max(np.abs(col - want)) < 1e-10
 

@@ -323,3 +323,165 @@ def test_norms():
     assert f.l2_norm() == pytest.approx(TWO_PI ** 2.5 * math.sqrt(0.5))
     with pytest.raises(ShapeError):
         (Field.fiber_coordinate(M, 0)).l2_norm()
+
+
+# -- packed kernel against the tuple-key reference ---------------------------------
+#
+# The reference below is the tuple-keyed implementation the packed kernel
+# replaced.  Every operation must reproduce it bit for bit: same keys in the
+# same order, the same coefficient bits and the same trunc_loss.
+
+T3_EDGE = Space(3, 0, 2, 0)
+M_EDGE = Space(5, 2, 2, 2)   # small boxes, so that products escape them
+
+
+@st.composite
+def box_fields(draw, space):
+    """Hermitian fields with modes in a box of random size up to the whole
+    truncation box, its edge included."""
+    freq, deg = draw(st.integers(0, space.trunc_order)), draw(st.integers(0, space.poly_deg))
+    modes = {}
+    for _ in range(draw(st.integers(0, 4))):
+        k = tuple(draw(st.integers(-freq, freq)) for _ in range(space.torus_dim))
+        m, left = [], deg
+        for _ in range(space.fiber_dim):
+            m.append(draw(st.integers(0, left)))
+            left -= m[-1]
+        re = draw(st.floats(-2, 2, allow_nan=False))
+        im = draw(st.floats(-2, 2, allow_nan=False)) if any(k) else 0.0
+        key = (k, tuple(m))
+        modes[key] = modes.get(key, 0.0) + complex(re, im)
+    return Field.from_modes(space, modes, add_conjugates=True)
+
+
+def ref(f):
+    return dict(f.coeffs.items()), f.trunc_loss
+
+
+def ref_clean(coeffs):
+    return {key: c for key, c in coeffs.items() if not abs(c) < fields.PRUNE_TOL}
+
+
+def ref_mul_into(dst, sp, ac, bc, scale=1):
+    if not ac or not bc:
+        return 0.0
+    if len(ac) > len(bc):
+        ac, bc = bc, ac
+    loss = 0.0
+    for (k1, m1), c1 in ac.items():
+        c1 *= scale
+        for (k2, m2), c2 in bc.items():
+            k = tuple(a + b for a, b in zip(k1, k2))
+            m = tuple(a + b for a, b in zip(m1, m2))
+            c = c1 * c2
+            if any(abs(p) > sp.trunc_order for p in k) or sum(m) > sp.poly_deg:
+                loss += abs(c)
+                continue
+            dst[(k, m)] = dst.get((k, m), 0.0) + c
+    return loss
+
+
+def ref_mul(sp, a, b):
+    out = {}
+    loss = ref_mul_into(out, sp, a[0], b[0])
+    return ref_clean(out), a[1] + b[1] + loss
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a[0])
+    for key, c in b[0].items():
+        out[key] = out.get(key, 0.0) + (c if sign == 1 else sign * c)
+    return ref_clean(out), a[1] + b[1]
+
+
+def ref_partial(sp, a, axis):
+    out = {}
+    for (k, m), c in a[0].items():
+        if axis < sp.torus_dim:
+            if k[axis]:
+                out[(k, m)] = 1j * k[axis] * c
+        else:
+            fa = axis - sp.torus_dim
+            if m[fa]:
+                key = (k, tuple(v - 1 if i == fa else v for i, v in enumerate(m)))
+                out[key] = out.get(key, 0.0) + m[fa] * c
+    return ref_clean(out), a[1]
+
+
+def bits(coeffs):
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in coeffs.items()]
+
+
+def assert_same(field, want):
+    assert bits(field.coeffs) == bits(want[0])
+    assert field.trunc_loss == want[1]
+
+
+@pytest.mark.parametrize("space", [T3_EDGE, M_EDGE], ids=["T3", "T5xR2"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_kernel_matches_tuple_reference(space, data):
+    f, g, h = (data.draw(box_fields(space)) for _ in range(3))
+    rf, rg, rh = ref(f), ref(g), ref(h)
+    fg, rfg = f * g, ref_mul(space, rf, rg)   # lossy, with capped bounds
+    assert_same(fg, rfg)
+    assert_same(fg * h, ref_mul(space, rfg, rh))
+    # results feed further products, so that their propagated bounds matter
+    assert_same((fg + h) * g, ref_mul(space, ref_add(rfg, rh), rg))
+    rbig = {key: c for key, c in rfg[0].items() if abs(c) >= 0.5}, rfg[1]
+    assert_same(fg.drop_below(0.5) * h, ref_mul(space, rbig, rh))
+    assert_same(f - fg, ref_add(rf, (ref_clean({k: -c for k, c in rfg[0].items()}), rfg[1])))
+    for axis in range(space.dim):
+        assert_same(fg.partial(axis), ref_partial(space, rfg, axis))
+        assert_same(fg.partial(axis) * h, ref_mul(space, ref_partial(space, rfg, axis), rh))
+
+    acc, dst = fields.FieldSum(), {}
+    acc.add(fg, -1)
+    acc.add_product(g, h, -1)
+    acc.add_product(h, f)
+    for key, c in rfg[0].items():
+        dst[key] = dst.get(key, 0.0) + -1 * c
+    loss = rfg[1] + rg[1] + rh[1] + ref_mul_into(dst, space, rg[0], rh[0], -1)
+    loss += rh[1] + rf[1] + ref_mul_into(dst, space, rh[0], rf[0])
+    rsum = ref_clean(dst), loss
+    assert_same(acc.field(space), rsum)
+    assert_same(acc.field(space) * g, ref_mul(space, rsum, rg))
+
+    axes = (1, 2)
+    integrated = fg.integrate_torus(axes)
+    want = {key: TWO_PI ** 2 * c for key, c in rfg[0].items()
+            if all(key[0][a] == 0 for a in axes)}
+    assert_same(integrated, (want, rfg[1]))
+    dropped = integrated.drop_torus_axes(axes)
+    assert dropped.space == Space(space.torus_dim - 2, space.fiber_dim,
+                                  space.trunc_order, space.poly_deg)
+    assert_same(dropped, ({((k[0],) + k[3:], m): c for (k, m), c in want.items()}, rfg[1]))
+    big = Space(space.torus_dim + 1, space.fiber_dim, space.trunc_order + 1, space.poly_deg + 1)
+    assert_same(fg.promote(big), ({(k + (0,), m): c for (k, m), c in rfg[0].items()}, rfg[1]))
+
+
+@pytest.mark.parametrize("space", [T3_EDGE, M_EDGE], ids=["T3", "T5xR2"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_keys_order_and_sum(space, data):
+    modes = [mode for f in (data.draw(box_fields(space)) for _ in range(2)) for mode in f.coeffs]
+    for mode in modes:
+        assert space.unpack(space.pack(*mode)) == mode
+    # integer order is lexicographic (k, m) order
+    assert sorted(modes, key=lambda mode: space.pack(*mode)) == sorted(modes)
+    # two keys sum to the summed mode's key plus the key of the zero mode
+    for (k1, m1) in modes:
+        for (k2, m2) in modes:
+            k = tuple(a + b for a, b in zip(k1, k2))
+            m = tuple(a + b for a, b in zip(m1, m2))
+            if max(map(abs, k), default=0) <= space.trunc_order and sum(m) <= space.poly_deg:
+                assert (space.pack(k1, m1) + space.pack(k2, m2) - space.zero_key
+                        == space.pack(k, m))
+
+
+def test_construction_validates_keys_without_strict(monkeypatch):
+    monkeypatch.setattr(fields, "STRICT", False)
+    for key in [((3, 0, 0), ()), ((1, 0), ()), ((0,) * 5, (2, 1)), ((0,) * 5, (-1, 0))]:
+        space = T3_EDGE if not key[1] else M_EDGE
+        with pytest.raises(ShapeError):
+            Field(space, {key: 1.0})

@@ -1,6 +1,7 @@
 """The benchmark's traced run patches coisolab functions by name, and its
 worker reads ``fields.STRICT``; a rename that breaks either must fail here
-rather than only when the benchmark runs."""
+rather than only when the benchmark runs.  Its product counters read
+``_mul_into``'s result, ``len(dst)`` and ``len(field.coeffs)``."""
 
 import os
 import subprocess
@@ -36,3 +37,19 @@ def test_strict_flag_ships_off():
     code = "import coisolab.fields as f; assert f.STRICT is False"
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=package_root))
+
+
+def test_mul_into_feeds_the_product_counters():
+    # term_pairs = len(a.coeffs) * len(b.coeffs), out_modes = growth of
+    # len(dst), trunc_loss = the returned float
+    sp = fields.Space(1, 0, 1, 0)
+    s, c = fields.Field.sin(sp, 0), fields.Field.cos(sp, 0) + 1.0
+    assert (len(s.coeffs), len(c.coeffs)) == (2, 3)
+    dst = {}
+    loss = fields._mul_into(dst, s, c, 1)
+    # the pairs (1, 1) and (-1, -1) escape the box with mass 1/4 each; the
+    # other four land on k = 1, 0, -1
+    assert type(loss) is float and loss == 0.5
+    assert len(dst) == 3
+    assert fields._mul_into(dst, s, c, -1) == 0.5 and len(dst) == 3
+    assert fields._mul_into(dst, s, fields.Field.zero(sp), 1) == 0.0 and len(dst) == 3
