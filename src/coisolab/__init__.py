@@ -11,8 +11,7 @@ exposes everything on the command line.
 """
 
 from .fields import Field, Space, VectorField, ShapeError, UnsupportedAxisError
-from .dercalc import (AtiyahForm, DegreeError, Derivation, Form, is_basic,
-                      pullback_reduction)
+from .dercalc import AtiyahForm, Derivation, Form, is_basic, pullback_reduction
 from .contact import (ContactData, NondegeneracyError, PointDerivation,
                       contact_vector_field, flow_contact, hamiltonian_derivation,
                       hamiltonian_field, jacobi_bracket, jacobi_bracket_field,
@@ -28,7 +27,7 @@ from .integrate import StepSizeError
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtiyahForm", "CharFrame", "ContactData", "DegreeError", "Derivation",
+    "AtiyahForm", "CharFrame", "ContactData", "Derivation",
     "Field", "Form", "LeafClass", "LeafTrace", "NondegeneracyError",
     "PointDerivation", "PreconditionError", "ProlongOptions", "Section",
     "ShapeError", "SolverReport", "Space", "StepSizeError",

@@ -6,7 +6,7 @@ converged, 1 solver gave up without a verdict, 2 input error (including a
 flow step the error monitor rejects, a degenerate contact pairing, a
 Hamiltonian field or identity-check evidence truncated by the box, and a
 prolongation system above the solver size guard), 3 obstructed verdict,
-4 verification failure.
+4 verification failure, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
@@ -24,13 +24,14 @@ from . import contact as ct
 from . import foliation, integrate, verify
 from .coisotropy import (ProlongOptions, Section, family_section, kuranishi,
                          prolong, residual)
-from .fields import Field
+from .fields import Field, json_int
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_OBSTRUCTED = 3
 EXIT_VERIFY = 4
+EXIT_PIPE = 141     # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 CONFIG_ENV = "COISOLAB_CONFIG"
 
@@ -52,8 +53,9 @@ def _cfg(args) -> RunConfig:
         for key, value in data.items():
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown config key '{key}'")
-            setattr(cfg, key, type(getattr(cfg, key))(value)
-                    if getattr(cfg, key) is not None else value)
+            kind = type(getattr(cfg, key))
+            setattr(cfg, key, json_int(value, f"config key '{key}'") if kind is int
+                    else float(value) if kind is float else value)
     for key, flag in (("seed", "seed"), ("trunc_order", "trunc"),
                       ("tol", "tol"), ("out", "out")):
         if getattr(args, flag, None) is not None:
@@ -71,6 +73,7 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()   # a closed reader shows here, inside main
 
 
 def _emit_json(payload, out_path: str | None):
@@ -291,6 +294,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # nothing to report; stdout goes to devnull so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, OSError, integrate.StepSizeError,
             ct.NondegeneracyError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -33,6 +33,7 @@ from .fields import (Field, ShapeError, Space, VectorField, stacked_evaluator,
 M_TORUS_DIM = 5
 M_FIBER_DIM = 2
 M_POLY_DEG = 2     # fiber degree cap of contact_space: theta is linear in y
+NONDEG_SAMPLES = 100   # seeded points where varpi-flat is checked non-degenerate
 # coordinate axes on M: x1..x5 are 0..4, y4 is 5, y5 is 6
 
 
@@ -59,8 +60,7 @@ def contact_space(trunc_order: int = 8) -> Space:
     return Space(M_TORUS_DIM, M_FIBER_DIM, trunc_order, M_POLY_DEG)
 
 
-def standard_contact(trunc_order: int = 8, samples: int = 100, seed: int = 0,
-                     verify: bool = True) -> ContactData:
+def standard_contact(trunc_order: int = 8, verify: bool = True) -> ContactData:
     """Build the contact structure and verify its defining invariants:
     iota_1 varpi = (theta, 0), d varpi = 0 coefficientwise, and pointwise
     non-degeneracy of varpi-flat at seeded random points."""
@@ -71,7 +71,7 @@ def standard_contact(trunc_order: int = 8, samples: int = 100, seed: int = 0,
         (3,): Field.fiber_coordinate(sp, 0),
         (4,): Field.fiber_coordinate(sp, 1),
     })
-    varpi = AtiyahForm.of_pair(theta.d(), theta)
+    varpi = AtiyahForm(theta.d(), theta)
     cd = ContactData(sp, theta, varpi)
     if verify:
         hooked = varpi.contract(Derivation.identity(sp))
@@ -79,8 +79,8 @@ def standard_contact(trunc_order: int = 8, samples: int = 100, seed: int = 0,
             raise NondegeneracyError("iota_1 varpi != (theta, 0)")
         if not varpi.d().is_zero():
             raise NondegeneracyError("varpi is not closed")
-        rng = np.random.default_rng(seed)
-        for p in _sample_points(rng, sp, samples):
+        rng = np.random.default_rng(0)
+        for p in _sample_points(rng, sp, NONDEG_SAMPLES):
             det = float(np.linalg.det(omega_flat_matrix(cd, p)))
             if abs(det) <= 1e-8:
                 raise NondegeneracyError(f"varpi-flat degenerate at {p} (det={det:.3e})")
@@ -203,14 +203,14 @@ def jacobi_bracket_field(cd: ContactData, lam: Field, mu: Field) -> Field:
 
 
 def flow_contact(cd: ContactData, lam: Field, p, duration: float,
-                 h: float = 1e-3, err_tol: float = 1e-6) -> np.ndarray:
+                 h: float = 1e-3) -> np.ndarray:
     """RK4 trajectory of the contact vector field of lam from p.
 
     The exact spectral field is compiled once into a stacked evaluator.
     Returns the sampled path with torus coordinates wrapped to [0, 2*pi)."""
     rhs = stacked_evaluator(contact_vector_field(cd, lam).components)
-    path = integrate.rk4_flow(rhs, np.asarray(p, dtype=float), duration, h, err_tol)
-    return np.array([wrap_torus(q, cd.space.torus_dim) for q in path])
+    path = integrate.rk4_flow(rhs, np.asarray(p, dtype=float), duration, h)
+    return wrap_torus(path, cd.space.torus_dim)
 
 
 def flow_with_frame(cd: ContactData, lam: Field, p, frame, duration: float,

@@ -15,6 +15,10 @@ In this splitting the structural operators are
     iota_(X,a)(al, be)  = (iota_X al + a*be, -iota_X be)
     lie_b               = d o iota_b + iota_b o d
 
+Forms of negative degree are zero (no index tuple has negative length), so
+a section lam is the Atiyah form (lam, 0), contracting a section gives zero,
+and these formulas hold in every degree, sections included.
+
 The differential's shape is pinned down by the contracting-homotopy identity
 [d, iota_1] = id for the identity derivation 1 = (0, 1); the test suite
 cross-validates it against the intrinsic Koszul formula on random derivation
@@ -29,10 +33,6 @@ from typing import Mapping
 from .fields import Field, FieldSum, ShapeError, Space, VectorField
 
 
-class DegreeError(ValueError):
-    """Operation invalid for the form's degree."""
-
-
 def _insert_axis(idx: tuple, axis: int):
     """Insert axis into a strictly increasing tuple; returns (tuple, sign)
     with sign = (-1)^position, or (None, 0) if axis already present."""
@@ -45,13 +45,11 @@ def _insert_axis(idx: tuple, axis: int):
 
 class Form:
     """Ordinary exterior form with Field coefficients, stored sparsely on
-    strictly increasing index tuples."""
+    strictly increasing index tuples; a form of negative degree is zero."""
 
     __slots__ = ("space", "degree", "comps")
 
     def __init__(self, space: Space, degree: int, comps: Mapping | None = None):
-        if degree < 0:
-            raise DegreeError("negative form degree")
         cleaned = {}
         if comps:
             for idx, f in comps.items():
@@ -129,9 +127,7 @@ class Form:
                     {i: s.field(self.space) for i, s in acc.items()})
 
     def contract(self, vf: VectorField) -> "Form":
-        """Interior product iota_V."""
-        if self.degree == 0:
-            raise DegreeError("cannot contract a 0-form")
+        """Interior product iota_V (zero on a 0-form)."""
         if vf.space != self.space:
             raise ShapeError("vector field space mismatch")
         acc = defaultdict(FieldSum)
@@ -203,24 +199,16 @@ class Derivation:
 
 class AtiyahForm:
     """Degree-k Atiyah form in the trivialization, stored as the pair
-    (alpha: k-form, beta: (k-1)-form); beta is absent in degree 0."""
+    (alpha: k-form, beta: (k-1)-form); beta defaults to zero."""
 
     __slots__ = ("space", "degree", "alpha", "beta")
 
-    def __init__(self, space: Space, degree: int, alpha: Form, beta: Form | None):
-        if degree < 0:
-            raise DegreeError("negative degree")
-        if alpha.space != space or alpha.degree != degree:
-            raise ShapeError("alpha degree/space mismatch")
-        if degree == 0:
-            if beta is not None and not beta.is_zero():
-                raise ShapeError("degree-0 Atiyah forms have no beta part")
-            beta = None
-        else:
-            if beta is None:
-                beta = Form.zero(space, degree - 1)
-            elif beta.space != space or beta.degree != degree - 1:
-                raise ShapeError("beta degree/space mismatch")
+    def __init__(self, alpha: Form, beta: Form | None = None):
+        space, degree = alpha.space, alpha.degree
+        if beta is None:
+            beta = Form.zero(space, degree - 1)
+        elif beta.space != space or beta.degree != degree - 1:
+            raise ShapeError("beta degree/space mismatch")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "alpha", alpha)
@@ -231,41 +219,27 @@ class AtiyahForm:
 
     @classmethod
     def zero(cls, space: Space, degree: int) -> "AtiyahForm":
-        beta = Form.zero(space, degree - 1) if degree > 0 else None
-        return cls(space, degree, Form.zero(space, degree), beta)
+        return cls(Form.zero(space, degree))
 
     @classmethod
     def of_section(cls, lam: Field) -> "AtiyahForm":
-        return cls(lam.space, 0, Form.scalar(lam), None)
-
-    @classmethod
-    def of_pair(cls, alpha: Form, beta: Form | None) -> "AtiyahForm":
-        return cls(alpha.space, alpha.degree, alpha, beta)
+        return cls(Form.scalar(lam))
 
     def is_zero(self) -> bool:
-        return self.alpha.is_zero() and (self.beta is None or self.beta.is_zero())
+        return self.alpha.is_zero() and self.beta.is_zero()
 
     def max_abs(self) -> float:
-        m = self.alpha.max_abs()
-        if self.beta is not None:
-            m = max(m, self.beta.max_abs())
-        return m
+        return max(self.alpha.max_abs(), self.beta.max_abs())
 
     @property
     def trunc_loss(self) -> float:
-        return self.alpha.trunc_loss + (0.0 if self.beta is None else self.beta.trunc_loss)
+        return self.alpha.trunc_loss + self.beta.trunc_loss
 
     def __add__(self, other: "AtiyahForm") -> "AtiyahForm":
-        if other.degree != self.degree or other.space != self.space:
-            raise ShapeError("Atiyah form mismatch in addition")
-        beta = None
-        if self.degree > 0:
-            beta = self.beta + other.beta
-        return AtiyahForm(self.space, self.degree, self.alpha + other.alpha, beta)
+        return AtiyahForm(self.alpha + other.alpha, self.beta + other.beta)
 
     def __neg__(self) -> "AtiyahForm":
-        return AtiyahForm(self.space, self.degree, -self.alpha,
-                          None if self.beta is None else -self.beta)
+        return AtiyahForm(-self.alpha, -self.beta)
 
     def __sub__(self, other: "AtiyahForm") -> "AtiyahForm":
         return self + (-other)
@@ -275,29 +249,18 @@ class AtiyahForm:
     def d(self) -> "AtiyahForm":
         """Differential (d alpha, alpha - d beta); on a section lam this is
         (d lam, lam), the first jet."""
-        new_beta = self.alpha
-        if self.beta is not None:
-            new_beta = new_beta - self.beta.d()
-        return AtiyahForm(self.space, self.degree + 1, self.alpha.d(), new_beta)
+        return AtiyahForm(self.alpha.d(), self.alpha - self.beta.d())
 
     def contract(self, box: Derivation) -> "AtiyahForm":
         """iota_(X,a) = (iota_X alpha + a*beta, -iota_X beta)."""
-        if self.degree == 0:
-            raise DegreeError("cannot contract a degree-0 Atiyah form")
         if box.space != self.space:
             raise ShapeError("derivation space mismatch")
-        alpha = self.alpha.contract(box.symbol) + self.beta * box.scalar
-        beta = None
-        if self.degree >= 2:
-            beta = -self.beta.contract(box.symbol)
-        return AtiyahForm(self.space, self.degree - 1, alpha, beta)
+        return AtiyahForm(self.alpha.contract(box.symbol) + self.beta * box.scalar,
+                          -self.beta.contract(box.symbol))
 
     def lie(self, box: Derivation) -> "AtiyahForm":
         """Lie derivative via the Cartan formula d o iota + iota o d."""
-        out = self.d().contract(box)
-        if self.degree > 0:
-            out = out + self.contract(box).d()
-        return out
+        return self.d().contract(box) + self.contract(box).d()
 
     def evaluate_on(self, boxes) -> Field:
         """Evaluate on degree-many derivations per the splitting contract."""
@@ -306,11 +269,10 @@ class AtiyahForm:
             raise ShapeError(f"degree-{self.degree} form applied to {len(boxes)} derivations")
         symbols = [b.symbol for b in boxes]
         total = self.alpha(*symbols)
-        if self.beta is not None:
-            for i, b in enumerate(boxes):
-                rest = symbols[:i] + symbols[i + 1:]
-                term = b.scalar * self.beta(*rest)
-                total = total + term * ((-1) ** i)
+        for i, b in enumerate(boxes):
+            rest = symbols[:i] + symbols[i + 1:]
+            term = b.scalar * self.beta(*rest)
+            total = total + term * ((-1) ** i)
         return total
 
     def __repr__(self):
@@ -327,8 +289,7 @@ def pullback_reduction(eta: AtiyahForm, target: Space) -> AtiyahForm:
         return Form(target, form.degree,
                     {idx: f.promote(target) for idx, f in form.comps.items()})
 
-    beta = lift(eta.beta) if eta.beta is not None else None
-    return AtiyahForm(target, eta.degree, lift(eta.alpha), beta)
+    return AtiyahForm(lift(eta.alpha), lift(eta.beta))
 
 
 def is_basic(eta: AtiyahForm, fiber_axes, tol: float = 1e-10):
@@ -339,7 +300,5 @@ def is_basic(eta: AtiyahForm, fiber_axes, tol: float = 1e-10):
     defect = 0.0
     for a in fiber_axes:
         box = Derivation.from_vector(VectorField.basis(eta.space, a))
-        if eta.degree > 0:
-            defect = max(defect, eta.contract(box).max_abs())
-        defect = max(defect, eta.lie(box).max_abs())
+        defect = max(defect, eta.contract(box).max_abs(), eta.lie(box).max_abs())
     return defect <= tol, defect

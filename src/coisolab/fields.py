@@ -386,11 +386,11 @@ class Field:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Field":
-        sp = Space(int(data["torus_dim"]), int(data["fiber_dim"]),
-                   int(data["trunc_order"]), int(data["poly_deg"]))
+        sp = Space(*(json_int(data[key], key) for key in
+                     ("torus_dim", "fiber_dim", "trunc_order", "poly_deg")))
         modes = {}
         for t in data["terms"]:
-            k, m = tuple(int(a) for a in t["k"]), tuple(int(a) for a in t["m"])
+            k, m = (tuple(json_int(a, f"{key} entry") for a in t[key]) for key in "km")
             modes[(k, m)] = complex(float(t["re"]), float(t["im"]))
         return cls.from_modes(sp, modes, add_conjugates=True)
 
@@ -628,8 +628,15 @@ def stacked_evaluator(fields):
     return evaluate
 
 
+# an integer read by json.load; a float or a boolean is refused, not truncated
+def json_int(value, name: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def wrap_torus(point, torus_dim: int):
-    """Wrap the first torus_dim coordinates to [0, 2*pi)."""
+    """Wrap the torus coordinates of a point, or of each path row, to [0, 2*pi)."""
     p = np.array(point, dtype=float)
-    p[:torus_dim] = np.mod(p[:torus_dim], TWO_PI)
+    p[..., :torus_dim] = np.mod(p[..., :torus_dim], TWO_PI)
     return p

@@ -85,8 +85,7 @@ def trace_leaf(frame: CharFrame, start, duration: float, h: float = 1e-3) -> Lea
     lift makes closure detection robust against dense windings)."""
     rhs = stacked_evaluator(frame.v1.components)
     lifted = integrate.rk4_flow(rhs, np.asarray(start, dtype=float), duration, h)
-    wrapped = np.array([wrap_torus(q, 5) for q in lifted])
-    return LeafTrace(points=wrapped, lifted=lifted)
+    return LeafTrace(points=wrap_torus(lifted, 5), lifted=lifted)
 
 
 def continued_fraction_convergents(t: float, max_denominator: int = 10 ** 6):

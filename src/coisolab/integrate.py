@@ -46,8 +46,6 @@ def rk4_flow(rhs, y0, duration: float, h: float, err_tol: float = 1e-6) -> np.nd
     if h <= 0:
         raise ValueError("step size must be positive")
     y = np.array(y0, dtype=float)
-    if duration == 0:
-        return y[np.newaxis, :].copy()
     sign = 1.0 if duration > 0 else -1.0
     n_full, tail = split_duration(duration, h)
     steps = [h] * n_full

@@ -122,7 +122,7 @@ def test_criterion_4_unobstructed_control(capsys, tmp_path):
 
 def test_criterion_5_cartan_suite():
     with Timer(30.0) as t:
-        rep = verify.cartan_suite(seed=20260809, n=50, degrees=(0, 1, 2, 3))
+        rep = verify.cartan_suite(seed=20260809, n=50)
         assert rep["pass"]
         worst = max(c["max_defect"] for c in rep["checks"])
         assert worst < 1e-9
@@ -131,7 +131,7 @@ def test_criterion_5_cartan_suite():
 
 def test_criterion_6_contact_suite():
     with Timer(60.0) as t:
-        rep = verify.contact_suite(seed=20260809, n=30, nondeg_samples=100)
+        rep = verify.contact_suite(seed=20260809, n=30)
         by_name = {c["check"]: c for c in rep["checks"]}
         assert by_name["varpi_closed"]["max_defect"] == 0.0
         assert by_name["varpi_nondegenerate"]["pass"]

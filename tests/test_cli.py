@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -297,11 +299,12 @@ def test_bad_payload_exit_two(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["residual", "kuranishi", "prolong"])
 @pytest.mark.parametrize("k, why", [([9, 0, 0, 0, 0], "outside truncation box"),
-                                    ([1, 0, 0], "does not match space")])
+                                    ([1, 0, 0], "does not match space"),
+                                    ([0, 1.5, 0, 0, 0], "k entry must be an integer")])
 def test_mode_outside_box_exit_two(capsys, tmp_path, monkeypatch, command, k, why):
     # keys are validated at every construction, not only with STRICT on: a
     # mode at k1 = 9 (trunc_order 8) or a 3-component key on T^5 would
-    # alias another mode's packed key
+    # alias another mode's packed key, and k2 = 1.5 would be read as 1
     monkeypatch.setattr(fields, "STRICT", False)
     data = json.loads(open(sect("obstructed.json")).read())
     data["f"]["terms"].append({"k": k, "m": [], "re": 0.5, "im": 0.0})
@@ -331,6 +334,37 @@ def test_config_file_and_env(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "kuranishi", sect("obstructed.json"))
     assert code == 0 and json.loads(out)["nonzero"] is False
     monkeypatch.delenv("COISOLAB_CONFIG")
+
+
+@pytest.mark.parametrize("config", [{"trunc_order": 8.9}, {"trunc_order": 2.5},
+                                    {"trunc_order": True}, {"seed": 1.0}])
+def test_non_integral_config_value_rejected(capsys, tmp_path, config):
+    # 8.9 used to run at trunc_order 8, and 2.5 ran verify at --trunc 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "--config", str(cfg), "verify", "cartan", "--n", "1")
+    key = next(iter(config))
+    assert code == 2 and out == ""
+    assert err == f"error: config key '{key}' must be an integer, got {config[key]!r}\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_closed_stdout_exits_141_silently(unbuffered):
+    # a reader that closes the pipe early (`coisolab residual ... | head`) is
+    # not an input error: no message, the shell's 128 + SIGPIPE status
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "coisolab.cli", "residual", sect("obstructed.json")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141 and proc.stderr == b""
 
 
 def test_unknown_config_key_rejected(capsys, tmp_path):

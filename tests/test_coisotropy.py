@@ -2,12 +2,14 @@
 prolongation solver."""
 
 import itertools
+import json
 import math
 import time
 
 import numpy as np
 import pytest
 
+from coisolab.cli import main
 from coisolab.coisotropy import (STALL_REL, STALL_WINDOW, PreconditionError,
                                  ProlongOptions, Section, _jacobian, _RealCoords, base_space,
                                  family_section, kuranishi,
@@ -185,7 +187,7 @@ def test_prolong_family_direction_converges_to_family_member():
     assert rep.final_section.g.is_zero()
 
 
-def test_prolong_unobstructed_nontrivial_direction_iterates():
+def test_prolong_unobstructed_nontrivial_direction_iterates(capsys, tmp_path):
     # f = sin(x4+x5), g = sin(x4+x5) + cos(x2): an infinitesimal deformation
     # (dg/dx4 = df/dx5) with zero obstruction whose quadratic residual is
     # nonzero, so Gauss-Newton has to work; it converges quadratically to an
@@ -201,6 +203,17 @@ def test_prolong_unobstructed_nontrivial_direction_iterates():
     assert residual(rep.final_section).l2_norm() < 1e-9
     h = rep.residual_norm_history
     assert h[0] > 0.1 and h[-1] < 1e-9
+    # the fourth iterate converges: with the budget spent on it, the
+    # post-loop test gives the same report
+    assert rep.iterations == 4
+    assert prolong(u, 0.1, ProlongOptions(max_iters=4)).to_json_dict() == rep.to_json_dict()
+    short = prolong(u, 0.1, ProlongOptions(max_iters=1))
+    assert short.status == "max_iters" and short.residual_norm_history == h[:2]
+    # the CLI reports a solver that gave up without a verdict as exit 1
+    path = tmp_path / "direction.json"
+    path.write_text(json.dumps(u.to_json_dict()))
+    assert main(["prolong", str(path), "--eps", "0.1", "--max-iters", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "max_iters"
 
 
 def test_prolong_obstructed_direction_stalls():

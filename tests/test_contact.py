@@ -18,7 +18,7 @@ TWO_PI = 2 * math.pi
 
 @pytest.fixture(scope="module")
 def cd():
-    return ct.standard_contact(trunc_order=8, samples=100, seed=0)
+    return ct.standard_contact(trunc_order=8)
 
 
 def reeb_field(sp):
@@ -233,7 +233,7 @@ def test_flow_step_rejection():
     lam = Field.sin(cd_small.space, 1) * 50.0   # strongly curved flow
     start = np.array([0.3, 0.7, 0.1, 0.0, 0.0, 0.0, 0.0])
     with pytest.raises(StepSizeError):
-        ct.flow_contact(cd_small, lam, start, 1.0, h=0.5, err_tol=1e-12)
+        ct.flow_contact(cd_small, lam, start, 1.0, h=0.5)
 
 
 def test_flow_matches_pointwise_solve_path(cd):

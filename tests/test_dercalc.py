@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from coisolab.dercalc import (AtiyahForm, DegreeError, Derivation, Form,
-                              is_basic, pullback_reduction)
+from coisolab.dercalc import (AtiyahForm, Derivation, Form, is_basic,
+                              pullback_reduction)
 from coisolab.fields import Field, ShapeError, Space, VectorField
 from coisolab.verify import (d_via_definition, lie_via_definition, rand_atiyah,
                              rand_derivation, rand_field)
@@ -27,7 +27,7 @@ def contact_theta(space=M):
 
 def theta_pair(space=M):
     th = contact_theta(space)
-    return AtiyahForm.of_pair(th.d(), th)
+    return AtiyahForm(th.d(), th)
 
 
 def d1(space, axis):
@@ -165,10 +165,30 @@ def test_contract_squares_to_zero():
     assert eta.contract(box).contract(box).max_abs() < 1e-13
 
 
-def test_contract_zero_form_raises():
-    eta = AtiyahForm.of_section(Field.sin(T3, 0))
-    with pytest.raises(DegreeError):
-        eta.contract(d1(T3, 0))
+def test_contract_zero_form_is_zero():
+    # forms of negative degree are zero, so contracting a section gives zero
+    # and the homotopy [d, iota_1] = id holds on sections too
+    lam = Field.sin(T3, 0)
+    eta = AtiyahForm.of_section(lam)
+    got = eta.contract(d1(T3, 0))
+    assert got.degree == -1 and got.is_zero() and got.beta.degree == -2
+    assert Form.scalar(lam).contract(VectorField.basis(T3, 0)).is_zero()
+    one = Derivation.identity(T3)
+    h = eta.d().contract(one) + eta.contract(one).d() - eta
+    assert h.is_zero()
+    with pytest.raises(ShapeError):
+        Form(T3, -1, {(): lam})
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (Form(T3, 2), Form(T3, 2)),            # degree k where k - 1 is due
+    (Form(T3, 2), Form(T5, 1)),            # another space
+    (Form.scalar(Field.sin(T3, 0)), Form.scalar(Field.sin(T3, 1))),  # a section's is -1
+])
+def test_atiyah_beta_of_wrong_degree_or_space_rejected(alpha, beta):
+    with pytest.raises(ShapeError):
+        AtiyahForm(alpha, beta)
+    assert AtiyahForm(alpha).beta.degree == alpha.degree - 1
 
 
 # -- lie derivative -----------------------------------------------------------------
@@ -254,7 +274,7 @@ def test_is_basic_on_reduced_pair():
 
 def test_is_basic_rejects_dx4_component():
     eta_s = theta_pair(T5)
-    spoiled = AtiyahForm.of_pair(
+    spoiled = AtiyahForm(
         eta_s.alpha,
         eta_s.beta + Form(T5, 1, {(3,): Field.sin(T5, 0)}))
     ok, defect = is_basic(spoiled, fiber_axes=(3, 4))

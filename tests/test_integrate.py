@@ -31,6 +31,14 @@ def test_eleven_rhs_calls_per_step():
     assert len(calls) == 11 * 4
 
 
+def test_zero_duration_is_the_start_point():
+    def never(y):
+        raise AssertionError("rhs called for a zero duration")
+
+    path = rk4_flow(never, [0.3, 0.2], 0.0, 0.1)
+    assert path.shape == (1, 2) and np.array_equal(path, [[0.3, 0.2]])
+
+
 @pytest.mark.parametrize("duration", [0.35, -0.35])
 def test_path_is_step_doubled_rk4(duration):
     """Bit-identical to a full step checked against two fresh half steps."""
