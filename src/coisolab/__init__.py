@@ -10,7 +10,7 @@ coisotropicity PDE with obstruction functional and prolongation solver
 exposes everything on the command line.
 """
 
-from .fields import Field, Space, VectorField, ShapeError, UnsupportedAxisError
+from .fields import Field, Space, VectorField, ShapeError
 from .dercalc import AtiyahForm, Derivation, Form, is_basic, pullback_reduction
 from .contact import (ContactData, NondegeneracyError, PointDerivation,
                       contact_vector_field, flow_contact, hamiltonian_derivation,
@@ -31,7 +31,7 @@ __all__ = [
     "Field", "Form", "LeafClass", "LeafTrace", "NondegeneracyError",
     "PointDerivation", "PreconditionError", "ProlongOptions", "Section",
     "ShapeError", "SolverReport", "Space", "StepSizeError",
-    "UnsupportedAxisError", "VectorField", "base_space",
+    "VectorField", "base_space",
     "characteristic_frame", "classify_leaf_linear", "contact_vector_field",
     "family_section", "flow_contact", "hamiltonian_derivation",
     "hamiltonian_field", "integrality_scan", "involutivity_defect",

@@ -3,10 +3,10 @@
 Structured results are JSON (sorted keys, so identical seed and config give
 byte-identical reports); trajectories are CSV.  Exit codes: 0 success or
 converged, 1 solver gave up without a verdict, 2 input error (including a
-flow step the error monitor rejects, a degenerate contact pairing, a
-Hamiltonian field or identity-check evidence truncated by the box, and a
-prolongation system above the solver size guard), 3 obstructed verdict,
-4 verification failure, 141 standard output closed by its reader.
+mistyped or non-finite number, a flow the integrator refuses, a degenerate
+contact pairing, a Hamiltonian field or identity-check evidence truncated by
+the box, and a prolongation system above the solver size guard), 3 obstructed
+verdict, 4 verification failure, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import contact as ct
 from . import foliation, integrate, verify
 from .coisotropy import (ProlongOptions, Section, family_section, kuranishi,
                          prolong, residual)
-from .fields import Field, json_int
+from .fields import Field, json_float, json_int
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -53,15 +53,17 @@ def _cfg(args) -> RunConfig:
         for key, value in data.items():
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown config key '{key}'")
-            kind = type(getattr(cfg, key))
-            setattr(cfg, key, json_int(value, f"config key '{key}'") if kind is int
-                    else float(value) if kind is float else value)
+            name = f"config key '{key}'"
+            if key == "out" and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+            setattr(cfg, key, json_float(value, name) if key == "tol"
+                    else value if key == "out" else json_int(value, name))
     for key, flag in (("seed", "seed"), ("trunc_order", "trunc"),
                       ("tol", "tol"), ("out", "out")):
         if getattr(args, flag, None) is not None:
             setattr(cfg, key, getattr(args, flag))
-    if cfg.tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < cfg.tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {cfg.tol!r}")
     return cfg
 
 
@@ -100,7 +102,7 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != dim:
         raise ValueError(f"point needs {dim} coordinates, got {len(parts)}")
-    return np.array([float(p) for p in parts])
+    return np.array([json_float(float(p), "point coordinate") for p in parts])
 
 
 def _trace_csv(trace: foliation.LeafTrace) -> str:
@@ -115,8 +117,7 @@ def _trace_csv(trace: foliation.LeafTrace) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_residual(args) -> int:
-    cfg = _cfg(args)
+def cmd_residual(args, cfg: RunConfig) -> int:
     s = _load_json(args.section, Section)
     r = residual(s)
     _emit_json({"check": "residual",
@@ -126,8 +127,7 @@ def cmd_residual(args) -> int:
     return EXIT_OK
 
 
-def cmd_kuranishi(args) -> int:
-    cfg = _cfg(args)
+def cmd_kuranishi(args, cfg: RunConfig) -> int:
     s = _load_json(args.section, Section)
     obstruction = kuranishi(s)
     nonzero = obstruction.max_abs() > cfg.tol
@@ -139,22 +139,16 @@ def cmd_kuranishi(args) -> int:
     return EXIT_OK
 
 
-def cmd_prolong(args) -> int:
-    cfg = _cfg(args)
+def cmd_prolong(args, cfg: RunConfig) -> int:
     direction = _load_json(args.section, Section)
     opts = ProlongOptions(tol=cfg.tol, max_iters=args.max_iters,
-                          solver_radius=args.radius, trunc_order=cfg.trunc_order)
+                          solver_radius=args.radius)
     report = prolong(direction, args.eps, opts)
     _emit_json(report.to_json_dict(), cfg.out)
-    if report.status == "converged":
-        return EXIT_OK
-    if report.status == "obstructed":
-        return EXIT_OBSTRUCTED
-    return EXIT_FAIL
+    return {"converged": EXIT_OK, "obstructed": EXIT_OBSTRUCTED}.get(report.status, EXIT_FAIL)
 
 
-def cmd_leaves(args) -> int:
-    cfg = _cfg(args)
+def cmd_leaves(args, cfg: RunConfig) -> int:
     if (args.t is None) == (args.section is None):
         raise ValueError("choose exactly one of --t or --section")
     if args.t is not None:
@@ -182,8 +176,7 @@ def cmd_leaves(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    cfg = _cfg(args)
+def cmd_verify(args, cfg: RunConfig) -> int:
     report = verify.run_suites(args.suite, seed=cfg.seed, n=args.n,
                                trunc_order=cfg.trunc_order)
     if args.n == 0:
@@ -192,10 +185,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["pass"] else EXIT_VERIFY
 
 
-def cmd_flow(args) -> int:
-    cfg = _cfg(args)
+def cmd_flow(args, cfg: RunConfig) -> int:
     lam = _load_json(args.hamiltonian, Field)
-    cd = ct.standard_contact(trunc_order=cfg.trunc_order, verify=False)
+    cd = ct.standard_contact(verify=False)
     p = _parse_point(args.point, cd.space.dim)
     path = ct.flow_contact(cd, lam, p, args.duration, h=args.step)
     n_full, _ = integrate.split_duration(args.duration, args.step)
@@ -211,8 +203,7 @@ def cmd_flow(args) -> int:
     return EXIT_OK
 
 
-def cmd_scan(args) -> int:
-    cfg = _cfg(args)
+def cmd_scan(args, cfg: RunConfig) -> int:
     values = [float(v) for v in args.values]
     report = foliation.integrality_scan(values, tol=cfg.tol,
                                         max_denominator=args.max_denominator)
@@ -228,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     for args, kw in (
         (("--config",), {"help": f"JSON config path (or ${CONFIG_ENV})"}),
         (("--seed",), {"type": int, "help": "PRNG seed"}),
-        (("--trunc",), {"type": int, "help": "frequency truncation order"}),
+        (("--trunc",), {"type": int, "help": "frequency truncation order of "
+                                             "verify and leaves --t"}),
         (("--tol",), {"type": float,
                       "help": "tolerance of the kuranishi verdict, the prolong "
                               "solver and leaf rationality (verify keeps its "
@@ -276,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-denominator", type=int, default=10 ** 6)
 
     p = add("verify", cmd_verify, help="randomized identity suites")
-    p.add_argument("suite", choices=("cartan", "jacobi", "contact",
-                                     "reduction", "all"))
+    p.add_argument("suite", choices=(*verify.SUITES, "all"))
     p.add_argument("--n", type=int, default=50)
 
     p = add("flow", cmd_flow, help="contact flow trajectory of a Hamiltonian")
@@ -293,7 +284,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _cfg(args))
     except BrokenPipeError:
         # nothing to report; stdout goes to devnull so the flush at exit is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

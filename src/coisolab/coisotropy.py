@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,25 +153,23 @@ class ProlongOptions:
     tol: float = 1e-9
     max_iters: int = 200
     solver_radius: int | tuple = 1  # frequency radius of the unknowns (int or per-axis)
-    trunc_order: int = 8
 
 
 @dataclass
 class SolverReport:
     status: str                    # "converged" | "obstructed" | "max_iters"
     iterations: int
-    residual_norm_history: list = dc_field(default_factory=list)
-    truncation_loss: float = 0.0
-    final_section: Section | None = None
-    diagnostic: str = ""
+    residual_norm_history: list
+    truncation_loss: float
+    final_section: Section
+    diagnostic: str
 
     def to_json_dict(self) -> dict:
         return {"status": self.status,
                 "iterations": self.iterations,
                 "residual_norm_history": list(self.residual_norm_history),
                 "truncation_loss": self.truncation_loss,
-                "final_section": self.final_section.to_json_dict()
-                if self.final_section is not None else None,
+                "final_section": self.final_section.to_json_dict(),
                 "diagnostic": self.diagnostic}
 
 
@@ -219,7 +217,7 @@ class _RealCoords:
 
 def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) -> SolverReport:
     """Try to extend an infinitesimal deformation to a genuine coisotropic
-    section of size eps.
+    section of size eps, in the direction's truncation box.
 
     Gauss-Newton on the Fourier coefficients of (f, g) minimizes the L2 norm
     of the residual, subject to the one-dimensional affine constraint that
@@ -239,9 +237,7 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
             "direction is not an infinitesimal deformation "
             f"(linearized residual norm {lin.l2_norm():.3e} > 1e-10)")
 
-    sp = Space(BASE_TORUS_DIM, 0, opts.trunc_order, 0)
-    if direction.space != sp:
-        direction = Section(direction.f.promote(sp), direction.g.promote(sp))
+    sp = direction.space
     radii = _solver_radii(direction, opts.solver_radius, sp.trunc_order)
     # a real field on a symmetric box of T modes has T real coordinates; the
     # residual and every Jacobian column stay in the box of radius 2 r (and
@@ -260,8 +256,8 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     X, Y = xy_frame(sp)
 
     def section_of(v):
-        return Section(Field.from_modes(sp, box.modes(v[:nb]), add_conjugates=True),
-                       Field.from_modes(sp, box.modes(v[nb:]), add_conjugates=True))
+        return Section(Field.from_modes(sp, box.modes(v[:nb])),
+                       Field.from_modes(sp, box.modes(v[nb:])))
 
     u = np.zeros(n)
     box.add(u[:nb], direction.f)
@@ -373,7 +369,7 @@ def _jacobian(box: _RealCoords, s: Section, X: VectorField, Y: VectorField, row_
     dofs = [(block, sp.unpack(key), c) for block in (0, 1) for key in box.slots
             for c in ((1.0, 1j) if key != box.zero else (1.0,))]
     for j, (block, mode, c) in enumerate(dofs):
-        h = Field.from_modes(sp, {mode: c}, add_conjugates=True)
+        h = Field.from_modes(sp, {mode: c})
         if block == 0:
             quad = _quadratic_form(_jet(h, X, Y), jet_g)
             lin = h.partial(FIBER_AXES[1])

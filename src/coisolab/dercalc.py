@@ -32,6 +32,8 @@ from typing import Mapping
 
 from .fields import Field, FieldSum, ShapeError, Space, VectorField
 
+BASIC_TOL = 1e-10   # largest coefficient is_basic still counts as zero
+
 
 def _insert_axis(idx: tuple, axis: int):
     """Insert axis into a strictly increasing tuple; returns (tuple, sign)
@@ -69,10 +71,6 @@ class Form:
 
     def __setattr__(self, name, value):
         raise AttributeError("Form is immutable")
-
-    @classmethod
-    def zero(cls, space: Space, degree: int) -> "Form":
-        return cls(space, degree)
 
     @classmethod
     def scalar(cls, field: Field) -> "Form":
@@ -175,10 +173,6 @@ class Derivation:
     def identity(cls, space: Space) -> "Derivation":
         return cls(VectorField.zero(space), Field.constant(space, 1.0))
 
-    @classmethod
-    def from_vector(cls, vf: VectorField) -> "Derivation":
-        return cls(vf, Field.zero(vf.space))
-
     def apply(self, lam: Field) -> Field:
         if lam.space != self.space:
             raise ShapeError("section space mismatch")
@@ -206,7 +200,7 @@ class AtiyahForm:
     def __init__(self, alpha: Form, beta: Form | None = None):
         space, degree = alpha.space, alpha.degree
         if beta is None:
-            beta = Form.zero(space, degree - 1)
+            beta = Form(space, degree - 1)
         elif beta.space != space or beta.degree != degree - 1:
             raise ShapeError("beta degree/space mismatch")
         object.__setattr__(self, "space", space)
@@ -216,10 +210,6 @@ class AtiyahForm:
 
     def __setattr__(self, name, value):
         raise AttributeError("AtiyahForm is immutable")
-
-    @classmethod
-    def zero(cls, space: Space, degree: int) -> "AtiyahForm":
-        return cls(Form.zero(space, degree))
 
     @classmethod
     def of_section(cls, lam: Field) -> "AtiyahForm":
@@ -292,13 +282,13 @@ def pullback_reduction(eta: AtiyahForm, target: Space) -> AtiyahForm:
     return AtiyahForm(lift(eta.alpha), lift(eta.beta))
 
 
-def is_basic(eta: AtiyahForm, fiber_axes, tol: float = 1e-10):
+def is_basic(eta: AtiyahForm, fiber_axes):
     """Basic-form test against the generators (d/dx_a, 0) of the vertical
     derivations: eta is basic iff both iota and lie vanish on each generator.
 
     Returns (verdict, max coefficient magnitude among the tested forms)."""
     defect = 0.0
     for a in fiber_axes:
-        box = Derivation.from_vector(VectorField.basis(eta.space, a))
+        box = Derivation(VectorField.basis(eta.space, a), Field.zero(eta.space))
         defect = max(defect, eta.contract(box).max_abs(), eta.lie(box).max_abs())
-    return defect <= tol, defect
+    return defect <= BASIC_TOL, defect

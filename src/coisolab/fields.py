@@ -35,6 +35,7 @@ dense arrays once, for loops that evaluate them at many points.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable
@@ -52,10 +53,6 @@ STRICT = False
 
 class ShapeError(ValueError):
     """Dimension or box mismatch between operands."""
-
-
-class UnsupportedAxisError(ValueError):
-    """An axis outside the supported range for the requested operation."""
 
 
 @dataclass(frozen=True)
@@ -178,17 +175,17 @@ class Field:
     @classmethod
     def sin(cls, space: Space, axis: int) -> "Field":
         """sin(x_axis) for a torus axis."""
-        return cls.from_modes(space, {_unit_freq(space, axis): -0.5j}, add_conjugates=True)
+        return cls.from_modes(space, {_unit_freq(space, axis): -0.5j})
 
     @classmethod
     def cos(cls, space: Space, axis: int) -> "Field":
-        return cls.from_modes(space, {_unit_freq(space, axis): 0.5}, add_conjugates=True)
+        return cls.from_modes(space, {_unit_freq(space, axis): 0.5})
 
     @classmethod
     def fiber_coordinate(cls, space: Space, fiber_axis: int) -> "Field":
         """The linear coordinate y_(fiber_axis) on the fiber factor."""
         if not 0 <= fiber_axis < space.fiber_dim:
-            raise UnsupportedAxisError(f"fiber axis {fiber_axis} out of range")
+            raise ShapeError(f"fiber axis {fiber_axis} out of range")
         if space.poly_deg < 1:
             raise ShapeError("space does not admit degree-1 fiber monomials")
         k0 = (0,) * space.torus_dim
@@ -196,27 +193,19 @@ class Field:
         return cls(space, {(k0, m): 1.0 + 0.0j})
 
     @classmethod
-    def from_modes(cls, space: Space, modes: Mapping, add_conjugates: bool = False) -> "Field":
-        """Build from a {(k, m): coeff} map, or {k: coeff} when fiber_dim is 0.
-
-        With ``add_conjugates`` each entry also contributes the conjugate
-        coefficient at -k (entries with k = 0 must then be real)."""
-        m0 = (0,) * space.fiber_dim
+    def from_modes(cls, space: Space, modes: Mapping) -> "Field":
+        """The real field of a half spectrum: each {(k, m): coeff} entry
+        also contributes the conjugate coefficient at -k (entries with
+        k = 0 must be real)."""
         out: dict = {}
-        for key, c in modes.items():
-            if space.fiber_dim == 0 and key and not isinstance(key[0], tuple):
-                key = (tuple(key), m0)
-            k, m = key
-            k, m = tuple(k), tuple(m)
-            c = complex(c)
+        for (k, m), c in modes.items():
+            k, m, c = tuple(k), tuple(m), complex(c)
             out[(k, m)] = out.get((k, m), 0.0) + c
-            if add_conjugates:
-                if all(a == 0 for a in k):
-                    if abs(c.imag) > PRUNE_TOL:
-                        raise ShapeError("zero-frequency coefficient must be real")
-                else:
-                    nk = _neg(k)
-                    out[(nk, m)] = out.get((nk, m), 0.0) + c.conjugate()
+            if any(k):
+                nk = _neg(k)
+                out[(nk, m)] = out.get((nk, m), 0.0) + c.conjugate()
+            elif abs(c.imag) > PRUNE_TOL:
+                raise ShapeError("zero-frequency coefficient must be real")
         return cls(space, out)
 
     # -- predicates and norms ----------------------------------------------
@@ -227,18 +216,15 @@ class Field:
     def max_abs(self) -> float:
         return max((abs(c) for c in self.packed.values()), default=0.0)
 
-    def coeff_norm(self) -> float:
-        """Plain l2 norm of the coefficient vector."""
-        return math.sqrt(sum(abs(c) ** 2 for c in self.packed.values()))
-
     def l2_norm(self) -> float:
-        """L2(T^n) norm; by Parseval this is (2*pi)^(n/2) times coeff_norm.
+        """L2(T^n) norm: (2*pi)^(n/2) times the coefficient l2 norm (Parseval).
 
         Only defined for purely toroidal fields (fiber polynomials are not
         square-integrable over R^k)."""
         if self.space.fiber_dim and any(any(m) for (_, m), _c in self._modes()):
             raise ShapeError("L2 norm requires a fiber-independent field")
-        return TWO_PI ** (self.space.torus_dim / 2.0) * self.coeff_norm()
+        return TWO_PI ** (self.space.torus_dim / 2.0) * math.sqrt(
+            sum(abs(c) ** 2 for c in self.packed.values()))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -330,7 +316,7 @@ class Field:
         axes = sorted(set(axes))
         for a in axes:
             if not 0 <= a < self.space.torus_dim:
-                raise UnsupportedAxisError(f"axis {a} is not a torus axis")
+                raise ShapeError(f"axis {a} is not a torus axis")
         return axes
 
     def integrate_torus(self, axes: Iterable[int]) -> "Field":
@@ -391,8 +377,8 @@ class Field:
         modes = {}
         for t in data["terms"]:
             k, m = (tuple(json_int(a, f"{key} entry") for a in t[key]) for key in "km")
-            modes[(k, m)] = complex(float(t["re"]), float(t["im"]))
-        return cls.from_modes(sp, modes, add_conjugates=True)
+            modes[(k, m)] = complex(json_float(t["re"], "re"), json_float(t["im"], "im"))
+        return cls.from_modes(sp, modes)
 
     def __repr__(self):
         return f"Field({self.space.torus_dim}+{self.space.fiber_dim}d, {len(self.packed)} modes)"
@@ -430,7 +416,7 @@ def _product_bounds(sp: Space, a: tuple, b: tuple) -> tuple:
 
 def _unit_freq(space: Space, axis: int):
     if not 0 <= axis < space.torus_dim:
-        raise UnsupportedAxisError(f"axis {axis} is not a torus axis")
+        raise ShapeError(f"axis {axis} is not a torus axis")
     k = tuple(1 if i == axis else 0 for i in range(space.torus_dim))
     return (k, (0,) * space.fiber_dim)
 
@@ -560,9 +546,6 @@ class VectorField:
     def __sub__(self, other):
         return VectorField([a - b for a, b in zip(self.components, other.components)])
 
-    def __neg__(self):
-        return VectorField([-a for a in self.components])
-
     def __mul__(self, factor):
         return VectorField([c * factor for c in self.components])
 
@@ -633,6 +616,14 @@ def json_int(value, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+# a finite number read by json.load; a boolean, a string, NaN, an infinity
+# or an int beyond the float range is refused, not converted
+def json_float(value, name: str) -> float:
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def wrap_torus(point, torus_dim: int):

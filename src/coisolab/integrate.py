@@ -11,8 +11,11 @@ rejected by raising, telling the caller to shrink h.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
+
+ERR_TOL = 1e-6   # largest accepted step-doubling error estimate
 
 
 class StepSizeError(RuntimeError):
@@ -37,14 +40,18 @@ def split_duration(duration: float, h: float) -> tuple[int, float]:
     return n_full, tail
 
 
-def rk4_flow(rhs, y0, duration: float, h: float, err_tol: float = 1e-6) -> np.ndarray:
+def rk4_flow(rhs, y0, duration: float, h: float) -> np.ndarray:
     """Integrate y' = rhs(y) for the signed duration, returning the full
     sample path (n_steps+1, dim) including the start point.
 
     Each macro step is advanced with two half steps; the discrepancy against
     the single full step is the local error estimate."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    # refused before any step: the step count must be finite and fit an index
+    if not 0 < h < math.inf:
+        raise ValueError(f"step size must be finite and positive, got {h!r}")
+    if not abs(duration) / h <= sys.maxsize:   # false for NaN too
+        raise ValueError(f"duration {duration!r} does not split into at most "
+                         f"{sys.maxsize} steps of {h!r}")
     y = np.array(y0, dtype=float)
     sign = 1.0 if duration > 0 else -1.0
     n_full, tail = split_duration(duration, h)
@@ -59,9 +66,9 @@ def rk4_flow(rhs, y0, duration: float, h: float, err_tol: float = 1e-6) -> np.nd
         mid = _rk4_step(rhs, y, hs / 2.0, k1)
         half = _rk4_step(rhs, mid, hs / 2.0, rhs(mid))
         err = float(np.max(np.abs(full - half)))
-        if err > err_tol:
+        if not err <= ERR_TOL:   # NaN fails this test too
             raise StepSizeError(
-                f"local error {err:.3e} exceeds {err_tol:.1e}; reduce h={h:g}")
+                f"local error {err:.3e} exceeds {ERR_TOL:.1e}; reduce h={h:g}")
         y = half
         path.append(y.copy())
     return np.array(path)

@@ -44,7 +44,7 @@ def rand_field(rng, space: Space, n_modes: int = 2, max_freq: int = 1,
         if not any(k):
             c = complex(c.real, 0.0)
         modes[(k, m)] = modes.get((k, m), 0.0) + c
-    return Field.from_modes(space, modes, add_conjugates=True)
+    return Field.from_modes(space, modes)
 
 
 def rand_vector_field(rng, space: Space, **kw) -> VectorField:
@@ -56,11 +56,11 @@ def rand_derivation(rng, space: Space, **kw) -> Derivation:
                       rand_field(rng, space, **kw))
 
 
-def rand_form(rng, space: Space, degree: int, n_comps: int = 2, **kw) -> Form:
+def rand_form(rng, space: Space, degree: int, **kw) -> Form:
     if degree == 0:
         return Form.scalar(rand_field(rng, space, **kw))
     comps = {}
-    for _ in range(n_comps):
+    for _ in range(2):
         idx = tuple(sorted(rng.choice(space.dim, size=degree, replace=False)))
         f = rand_field(rng, space, **kw)
         comps[idx] = comps[idx] + f if idx in comps else f

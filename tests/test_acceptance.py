@@ -194,11 +194,9 @@ def test_criterion_9_frobenius_link():
         for _ in range(3):
             s = Section(
                 Field.from_modes(SP, {((0, 1, 0, 1, 0), ()):
-                                      complex(*rng.normal(size=2))},
-                                 add_conjugates=True),
+                                      complex(*rng.normal(size=2))}),
                 Field.from_modes(SP, {((1, 0, 0, 0, 1), ()):
-                                      complex(*rng.normal(size=2))},
-                                 add_conjugates=True))
+                                      complex(*rng.normal(size=2))}))
             eps = np.array([1e-2, 1e-3, 1e-4])
             errs = [(residual(Section(s.f * e, s.g * e))
                      + linearized_residual(s) * e).l2_norm() for e in eps]

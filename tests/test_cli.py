@@ -276,6 +276,39 @@ def test_flow_rejected_step_exit_two(capsys, tmp_path):
     assert err.startswith("error: local error") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--tol", "nan", "kuranishi", sect("obstructed.json")],
+    ["--tol", "0", "kuranishi", sect("obstructed.json")],
+    ["flow", "UNIT", "--point", "0,0,0,0,0,0,0", "--duration", "inf"],
+    ["flow", "UNIT", "--point", "0,0,0,0,0,0,0", "--duration", "1e300"],
+    ["flow", "UNIT", "--point", "0,0,0,0,0,0,0", "--duration", "1", "--step", "inf"],
+    ["flow", "UNIT", "--point", "nan,0,0,0,0,0,0", "--duration", "1"],
+    ["flow", "UNIT", "--point", "0,0,0,0,0,0", "--duration", "1"],
+    ["leaves", "--t", "0.5", "--trace", "--duration", "inf"],
+], ids=["tol-nan", "tol-zero", "duration-inf", "duration-1e300", "step-inf",
+        "point-nan", "point-short", "leaf-duration-inf"])
+def test_refused_number_exit_two(capsys, tmp_path, argv):
+    # these used to report a verdict for tol nan, print NaN rows, or die with
+    # an OverflowError traceback
+    unit = tmp_path / "unit.json"
+    unit.write_text(json.dumps(Field.constant(contact_space(), 1.0).to_json_dict()))
+    code, out, err = run(capsys, *[str(unit) if a == "UNIT" else a for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_file_box_beats_trunc_flag(capsys, tmp_path):
+    # prolong and flow use the box of their input file; --trunc 4 used to
+    # stop prolong and --trunc 0 the flow of a Hamiltonian built at 8
+    unit = tmp_path / "unit.json"
+    unit.write_text(json.dumps(Field.constant(contact_space(), 1.0).to_json_dict()))
+    for trunc, argv, want in (("4", ["prolong", sect("obstructed.json")], 3),
+                              ("0", ["flow", str(unit), "--point", "0.5,1,2,3,4,0.1,-0.2",
+                                     "--duration", "0.2", "--step", "0.01"], 0)):
+        plain = run(capsys, *argv)
+        assert plain[0] == want and run(capsys, "--trunc", trunc, *argv) == plain
+
+
 # -- input handling -----------------------------------------------------------------
 
 def test_missing_file_exit_two(capsys):
@@ -291,10 +324,20 @@ def test_invalid_json_exit_two(capsys, tmp_path):
 
 
 def test_bad_payload_exit_two(capsys, tmp_path):
+    # a NaN coefficient used to give a NaN residual and a "nonzero": false
+    # verdict with exit 0; "0.5" and true were read as 0.5 and 1
     bad = tmp_path / "payload.json"
-    bad.write_text(json.dumps({"f": {"oops": 1}}))
-    code, _, err = run(capsys, "residual", str(bad))
-    assert code == 2 and "bad section payload" in err
+    payloads = [({"f": {"oops": 1}}, "")]
+    for term in ({"re": math.nan}, {"re": "0.5"}, {"im": True}, {"re": 10 ** 400}):
+        data = json.loads(open(sect("obstructed.json")).read())
+        data["f"]["terms"][0].update(term)
+        payloads.append((data, "must be a finite number"))
+    for data, why in payloads:
+        bad.write_text(json.dumps(data))
+        for command in ("residual", "kuranishi", "prolong"):
+            code, out, err = run(capsys, command, str(bad))
+            assert code == 2 and out == "" and err.count("\n") == 1
+            assert "bad section payload" in err and why in err
 
 
 @pytest.mark.parametrize("command", ["residual", "kuranishi", "prolong"])
@@ -337,15 +380,20 @@ def test_config_file_and_env(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("config", [{"trunc_order": 8.9}, {"trunc_order": 2.5},
-                                    {"trunc_order": True}, {"seed": 1.0}])
+                                    {"trunc_order": True}, {"seed": 1.0},
+                                    {"tol": True}, {"tol": "nan"}, {"tol": math.nan},
+                                    {"out": 5}])
 def test_non_integral_config_value_rejected(capsys, tmp_path, config):
-    # 8.9 used to run at trunc_order 8, and 2.5 ran verify at --trunc 2
+    # 8.9 used to run at trunc_order 8, and 2.5 ran verify at --trunc 2; a
+    # tol of true ran at 1.0, "nan" gave the obstructed section "nonzero":
+    # false, and an out of 5 was opened as a file descriptor
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     code, out, err = run(capsys, "--config", str(cfg), "verify", "cartan", "--n", "1")
     key = next(iter(config))
+    kind = {"tol": "a finite number", "out": "a string"}.get(key, "an integer")
     assert code == 2 and out == ""
-    assert err == f"error: config key '{key}' must be an integer, got {config[key]!r}\n"
+    assert err == f"error: config key '{key}' must be {kind}, got {config[key]!r}\n"
 
 
 @pytest.mark.parametrize("unbuffered", ["1", None])

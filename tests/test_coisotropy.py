@@ -32,8 +32,8 @@ def obstructed_direction():
 
 
 def section_of(f_modes, g_modes):
-    return Section(Field.from_modes(SP, f_modes, add_conjugates=True),
-                   Field.from_modes(SP, g_modes, add_conjugates=True))
+    return Section(Field.from_modes(SP, f_modes),
+                   Field.from_modes(SP, g_modes))
 
 
 # -- residual --------------------------------------------------------------------
@@ -192,7 +192,7 @@ def test_prolong_unobstructed_nontrivial_direction_iterates(capsys, tmp_path):
     # (dg/dx4 = df/dx5) with zero obstruction whose quadratic residual is
     # nonzero, so Gauss-Newton has to work; it converges quadratically to an
     # exactly coisotropic section
-    f = Field.from_modes(SP, {((0, 0, 0, 1, 1), ()): -0.5j}, add_conjugates=True)
+    f = Field.from_modes(SP, {((0, 0, 0, 1, 1), ()): -0.5j})
     u = Section(f, f + Field.cos(SP, 1))
     assert linearized_residual(u).is_zero()
     assert kuranishi(u).is_zero()
@@ -214,6 +214,16 @@ def test_prolong_unobstructed_nontrivial_direction_iterates(capsys, tmp_path):
     path.write_text(json.dumps(u.to_json_dict()))
     assert main(["prolong", str(path), "--eps", "0.1", "--max-iters", "1"]) == 1
     assert json.loads(capsys.readouterr().out)["status"] == "max_iters"
+
+
+def test_prolong_solves_in_the_direction_box():
+    # a direction written at trunc_order 6 is solved at 6, not at a default box
+    sp = base_space(6)
+    f = Field.from_modes(sp, {((0, 0, 0, 1, 1), ()): -0.5j})
+    u = Section(f, f + Field.cos(sp, 1))
+    rep = prolong(u, 0.1)
+    assert rep.status == "converged" and rep.iterations == 4
+    assert rep.final_section.space == u.space
 
 
 def test_prolong_obstructed_direction_stalls():
@@ -284,7 +294,7 @@ def test_jacobian_columns_are_central_differences():
     for block, k, part in ((0, (0, 1, 0, 0, 0), 1.0), (0, (1, -1, 0, 1, 0), 1j),
                            (1, (0, 0, 0, 0, 0), 1.0), (1, (1, 0, 0, 0, -1), 1j),
                            (1, (0, 1, 0, 1, 0), 1.0), (0, (0, 0, 1, 1, 1), 1j)):
-        h = Field.from_modes(SP, {k: part * t}, add_conjugates=True)
+        h = Field.from_modes(SP, {(k, ()): part * t})
         d = Section(h, zero) if block == 0 else Section(zero, h)
         plus = residual(Section(s.f + d.f, s.g + d.g))
         minus = residual(Section(s.f - d.f, s.g - d.g))

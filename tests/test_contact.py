@@ -252,9 +252,8 @@ def test_flow_field_exact_at_box_edge(cd):
     y4^2 term): the flow's right-hand side still matches the pointwise
     solve, and the field built inside cd's box is refused as truncated."""
     sp = cd.space
-    edge = Field.from_modes(sp, {((sp.trunc_order, 1, 0, -2, 0), (0, 0)): 0.4 + 0.3j},
-                            add_conjugates=True)
-    y4_squared = Field.from_modes(sp, {((0, 1, 0, 0, 0), (2, 0)): 0.5}, add_conjugates=True)
+    edge = Field.from_modes(sp, {((sp.trunc_order, 1, 0, -2, 0), (0, 0)): 0.4 + 0.3j})
+    y4_squared = Field.from_modes(sp, {((0, 1, 0, 0, 0), (2, 0)): 0.5})
     rng = np.random.default_rng(18)
     for lam in (edge, y4_squared):
         with pytest.raises(ShapeError):

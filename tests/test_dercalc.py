@@ -31,7 +31,7 @@ def theta_pair(space=M):
 
 
 def d1(space, axis):
-    return Derivation.from_vector(VectorField.basis(space, axis))
+    return Derivation(VectorField.basis(space, axis), Field.zero(space))
 
 
 # -- commutator -----------------------------------------------------------------
@@ -253,7 +253,7 @@ def test_pullback_of_reduced_contact_pair():
 
 
 def test_pullback_of_zero():
-    z = AtiyahForm.zero(Space(3, 0, 8, 0), 2)
+    z = AtiyahForm(Form(Space(3, 0, 8, 0), 2))
     assert pullback_reduction(z, T5).is_zero()
 
 

@@ -63,7 +63,7 @@ def test_frame_normal_form_invariant():
             if a == 0 and b == 0:
                 c = complex(c.real, 0.0)
             modes_f[((int(a), int(b), 0, 0, 0), ())] = c
-        s = Section(Field.from_modes(SP, modes_f, add_conjugates=True),
+        s = Section(Field.from_modes(SP, modes_f),
                     Field.sin(SP, 2))
         fr = characteristic_frame(s)
         assert (fr.v1.components[3] - Field.constant(SP, 1.0)).is_zero()

@@ -4,7 +4,7 @@ path against the textbook form of the scheme."""
 import numpy as np
 import pytest
 
-from coisolab.integrate import rk4_flow, split_duration
+from coisolab.integrate import StepSizeError, rk4_flow, split_duration
 
 
 def pendulum(y):
@@ -51,3 +51,17 @@ def test_path_is_step_doubled_rk4(duration):
         want.append(y)
     assert np.array_equal(rk4_flow(pendulum, [0.3, 0.2], duration, 0.1), np.array(want))
 
+
+@pytest.mark.parametrize("duration, h", [(1.0, 0.0), (1.0, -0.1), (1.0, np.inf), (1.0, np.nan),
+                                         (np.inf, 0.1), (np.nan, 0.1), (1e300, 1e-3)])
+def test_refused_before_any_step(duration, h):
+    def never(y):
+        raise AssertionError("rhs called for a refused step count")
+
+    with pytest.raises(ValueError):
+        rk4_flow(never, [0.3, 0.2], duration, h)
+
+
+def test_nan_error_estimate_is_rejected():
+    with pytest.raises(StepSizeError):
+        rk4_flow(lambda y: np.full(2, np.nan), [0.3, 0.2], 0.3, 0.1)
