@@ -231,6 +231,8 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     opts = opts or ProlongOptions()
     if not 0.0 < eps <= 0.5:
         raise PreconditionError(f"eps={eps} outside (0, 0.5]")
+    if opts.max_iters < 0:
+        raise PreconditionError(f"max_iters={opts.max_iters} is negative")
     lin = linearized_residual(direction)
     if lin.l2_norm() > 1e-10:
         raise PreconditionError(
@@ -254,6 +256,7 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
         *(range(-r, r + 1) for r in radii)) if canonical_rep(k)))
     nb = len(box.weights)
     X, Y = xy_frame(sp)
+    unknowns = _unknowns(box, X, Y)
 
     def section_of(v):
         return Section(Field.from_modes(sp, box.modes(v[:nb])),
@@ -293,22 +296,28 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
                               f"below STALL_REL = {STALL_REL:g}")
                 break
 
-        A, rows = _jacobian(box, s, X, Y, row_cap)
+        A, rows = _jacobian(unknowns, s, X, Y, row_cap)
         rvec = np.zeros(row_cap)
         rows.add(rvec, r_field)
         m = len(rows.weights)
         sw = np.sqrt(rows.weights)
         AP = (A[:m] * sw[:, None]) @ proj
+        del A   # free the Jacobian before the solve, which needs room of its own
         rvec = rvec[:m] * sw
 
         improved = False
-        for _attempt in range(12):
-            if lam > 0:
+        retry_step = None
+        for attempt in range(12):
+            if attempt:
+                # every retry has lam > 0 and the same AP: one SVD serves them all
+                retry_step = retry_step or _tikhonov_steps(AP, rvec)
+                delta = retry_step(lam)
+            elif lam > 0:
                 stacked = np.vstack([AP, math.sqrt(lam) * np.eye(n)])
                 target = np.concatenate([-rvec, np.zeros(n)])
+                delta, *_ = np.linalg.lstsq(stacked, target, rcond=None)
             else:
-                stacked, target = AP, -rvec
-            delta, *_ = np.linalg.lstsq(stacked, target, rcond=None)
+                delta, *_ = np.linalg.lstsq(AP, -rvec, rcond=None)
             delta = project_complement(delta)
             x_new = eps * u + project_complement(x + delta - eps * u)
             s_new = section_of(x_new)
@@ -343,6 +352,8 @@ def _solver_radii(direction: Section, radius, trunc_order: int):
     radii = [radius] * BASE_TORUS_DIM if isinstance(radius, int) else list(radius)
     if len(radii) != BASE_TORUS_DIM:
         raise PreconditionError("solver_radius needs one entry per torus axis")
+    if min(radii) < 0:
+        raise PreconditionError(f"solver radii {radii} have a negative entry")
     for h in (direction.f, direction.g):
         for key in h.packed:
             for a, ka in enumerate(h.space.unpack(key)[0]):
@@ -353,28 +364,41 @@ def _solver_radii(direction: Section, radius, trunc_order: int):
     return radii
 
 
-def _jacobian(box: _RealCoords, s: Section, X: VectorField, Y: VectorField, row_cap: int):
+def _tikhonov_steps(AP, rvec):
+    """The Levenberg steps argmin ||AP d + rvec||^2 + lam ||d||^2, lam > 0,
+    as a function of lam, from one thin SVD of AP: d = -V diag(s / (s^2 +
+    lam)) U^T rvec.  No singular value is cut: near-null ones of order
+    1e-12 ||AP|| still carry weight s / lam at lam = 1e-8."""
+    U, sv, Vt = np.linalg.svd(AP, full_matrices=False)
+    c = U.T @ rvec
+    return lambda lam: -Vt.T @ (sv / (sv * sv + lam) * c)
+
+
+def _unknowns(box: _RealCoords, X: VectorField, Y: VectorField) -> list:
+    """One (block, first jet, linear part) per real unknown, in Jacobian
+    column order: the f block, then the g block, each in box order.  None of
+    them depends on the iterate, so a solve builds them once; the two blocks
+    share their jets."""
+    sp = box.space
+    jets = [_jet(Field.from_modes(sp, {sp.unpack(key): c}), X, Y) for key in box.slots
+            for c in ((1.0, 1j) if key != box.zero else (1.0,))]
+    return ([(0, jet, jet[0].partial(FIBER_AXES[1])) for jet in jets]
+            + [(1, jet, -jet[0].partial(FIBER_AXES[0])) for jet in jets])
+
+
+def _jacobian(unknowns: list, s: Section, X: VectorField, Y: VectorField, row_cap: int):
     """Gauss-Newton Jacobian of the residual at s: a dense (row_cap, n)
-    matrix with one column per real unknown (f block, then g block, each in
-    box order) and the coordinates of its rows.
+    matrix with one column per entry of ``_unknowns`` and the coordinates of
+    its rows.
 
     The column of delta = (phi, 0) is the residual's derivative
     dQ(s)[delta] + dphi/dx5, where Q is the quadratic part, bilinear in
     (f, g): dQ(s)[(phi, 0)] = Q(phi, g).  Likewise Q(f, psi) - dpsi/dx4
     for (0, psi)."""
-    sp = s.space
     jet_f, jet_g = _jet(s.f, X, Y), _jet(s.g, X, Y)
-    rows = _RealCoords(sp)
-    A = np.zeros((row_cap, 2 * len(box.weights)))
-    dofs = [(block, sp.unpack(key), c) for block in (0, 1) for key in box.slots
-            for c in ((1.0, 1j) if key != box.zero else (1.0,))]
-    for j, (block, mode, c) in enumerate(dofs):
-        h = Field.from_modes(sp, {mode: c})
-        if block == 0:
-            quad = _quadratic_form(_jet(h, X, Y), jet_g)
-            lin = h.partial(FIBER_AXES[1])
-        else:
-            quad = _quadratic_form(jet_f, _jet(h, X, Y))
-            lin = -h.partial(FIBER_AXES[0])
+    rows = _RealCoords(s.space)
+    A = np.zeros((row_cap, len(unknowns)))
+    for j, (block, jet, lin) in enumerate(unknowns):
+        quad = _quadratic_form(jet, jet_g) if block == 0 else _quadratic_form(jet_f, jet)
         rows.add(A[:, j], quad.drop_below(COLUMN_PRUNE) + lin)
     return A, rows

@@ -91,6 +91,8 @@ def trace_leaf(frame: CharFrame, start, duration: float, h: float = 1e-3) -> Lea
 def continued_fraction_convergents(t: float, max_denominator: int = 10 ** 6):
     """Partial quotients and convergents p/q of t, stopped once q exceeds
     max_denominator (or the expansion terminates at float resolution)."""
+    if max_denominator < 1:
+        raise ValueError(f"max_denominator={max_denominator} is below 1")
     quotients, convergents = [], []
     p_m2, p_m1 = 0, 1
     q_m2, q_m1 = 1, 0

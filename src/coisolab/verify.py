@@ -383,6 +383,8 @@ SUITES = {
 
 
 def run_suites(which: str, seed: int = 0, n: int = 50, trunc_order: int = 8) -> dict:
+    if n < 0:
+        raise ValueError(f"sample count n={n} is negative")
     names = list(SUITES) if which == "all" else [which]
     reports = []
     for name in names:

@@ -235,6 +235,29 @@ def test_default_report_bytes_pinned(capsys, tmp_path):
     assert sha256(csv.read_text()) == LEAF_TRACE_CSV_DIGEST
 
 
+# every one of these solves converges at iteration 0, rejects every step or
+# fails its precondition, so the bytes do not depend on the BLAS build
+PROLONG_DIGESTS = {
+    "prolong constants.json --eps 0.1":
+        (0, "65ef1809eece98ceb288699e7a382d321c02f3842e602d450fd4d7f8d0019b05"),
+    "prolong obstructed.json --eps 0.1":
+        (3, "3a5659fa95ac9a615087d258d487c8d1a1e6bda7da067c3b1804d35508765515"),
+    "prolong st_sin.json --eps 0.1":
+        (0, "eb88b24a8ffd4afe0c40ad8219bb31228fc1eccc6dcf24da7304589b6e5e9f33"),
+    "prolong zero.json --eps 0.1":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "prolong st_sin.json --eps 0.25":
+        (0, "981d1bc4d0e0d237fcd20d3da0ff1d04a1b2ab93a49e47557431759b2b084173"),
+}
+
+
+def test_prolong_report_bytes_pinned(capsys):
+    for command, (want_code, digest) in PROLONG_DIGESTS.items():
+        argv = [sect(a) if a.endswith(".json") else a for a in command.split()]
+        code, out, _ = run(capsys, *argv)
+        assert (code, sha256(out)) == (want_code, digest), command
+
+
 # -- flow ---------------------------------------------------------------------------
 
 def test_flow_unit_hamiltonian(capsys, tmp_path):
@@ -293,6 +316,22 @@ def test_refused_number_exit_two(capsys, tmp_path, argv):
     unit = tmp_path / "unit.json"
     unit.write_text(json.dumps(Field.constant(contact_space(), 1.0).to_json_dict()))
     code, out, err = run(capsys, *[str(unit) if a == "UNIT" else a for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "cartan", "--n", "-1"],
+    ["leaves", "--t", "0.5", "--max-denominator", "0"],
+    ["scan", "0.5", "1.5", "--max-denominator", "-3"],
+    ["prolong", sect("obstructed.json"), "--radius", "-1"],
+    ["prolong", sect("obstructed.json"), "--max-iters", "-2"],
+], ids=["verify-n-negative", "leaves-denominator-zero", "scan-denominator-negative",
+        "prolong-radius-negative", "prolong-max-iters-negative"])
+def test_refused_count_exit_two(capsys, argv):
+    # these used to pass vacuously, call 1/2 a cylinder, solve at radius 0
+    # or report max_iters
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 

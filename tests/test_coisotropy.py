@@ -9,9 +9,11 @@ import time
 import numpy as np
 import pytest
 
+from coisolab import coisotropy
 from coisolab.cli import main
 from coisolab.coisotropy import (STALL_REL, STALL_WINDOW, PreconditionError,
-                                 ProlongOptions, Section, _jacobian, _RealCoords, base_space,
+                                 ProlongOptions, Section, _jacobian, _RealCoords,
+                                 _tikhonov_steps, _unknowns, base_space,
                                  family_section, kuranishi,
                                  linearized_residual, prolong, residual,
                                  residual_from_jet, xy_frame)
@@ -275,6 +277,59 @@ def test_prolong_refuses_radius_beyond_truncation():
         prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=(9, 0, 0, 0, 0)))
 
 
+def test_prolong_rejects_negative_radius_and_max_iters(monkeypatch):
+    def no_assembly(*args):
+        raise AssertionError("assembled a Jacobian")
+    monkeypatch.setattr(coisotropy, "_unknowns", no_assembly)
+    monkeypatch.setattr(coisotropy, "_jacobian", no_assembly)
+    for radius in (-1, (1, 1, -1, 1, 1)):
+        with pytest.raises(PreconditionError, match="negative entry"):
+            prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=radius))
+    with pytest.raises(PreconditionError, match="max_iters=-2 is negative"):
+        prolong(obstructed_direction(), 0.1, ProlongOptions(max_iters=-2))
+
+
+@pytest.mark.parametrize("m, n", [(40, 25), (25, 40)], ids=["tall", "wide"])
+def test_retry_step_is_the_damped_minimiser(m, n):
+    # the SVD step against the stacked lstsq of the first attempt, on a random
+    # rank-12 AP: they agree in AP's row space.  In its null space the damped
+    # minimiser is ill-conditioned: each route is off a 60-digit reference by
+    # about eps ||AP|| ||r|| / lam, so the two differ by that much
+    rng = np.random.default_rng([m, n])
+    k = 12
+    AP = rng.normal(size=(m, k)) @ rng.normal(size=(k, n))
+    r = rng.normal(size=m)
+    _, sv, Vt = np.linalg.svd(AP)
+    row_space = Vt[:k]
+    step = _tikhonov_steps(AP, r)
+    for lam in (1e-8, 1e-4, 1.0):
+        stacked, *_ = np.linalg.lstsq(np.vstack([AP, math.sqrt(lam) * np.eye(n)]),
+                                      np.concatenate([-r, np.zeros(n)]), rcond=None)
+        diff = step(lam) - stacked
+        assert np.linalg.norm(row_space @ diff) < 1e-10 * np.linalg.norm(stacked)
+        null_part = diff - row_space.T @ (row_space @ diff)
+        assert np.linalg.norm(null_part) < 10 * np.finfo(float).eps * sv[0] * np.linalg.norm(r) / lam
+
+
+def test_prolong_factors_once_per_rejected_iteration(monkeypatch):
+    calls = {"lstsq": 0, "svd": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(np.linalg, name), _name=name, **kw):
+            calls[_name] += 1
+            return _orig(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    # radius 1: the first attempt and 11 damped retries are all rejected
+    rep = prolong(obstructed_direction(), 0.1)
+    assert (rep.status, rep.iterations) == ("obstructed", 1)
+    assert rep.diagnostic == "no descent direction found (damping exhausted)"
+    assert calls == {"lstsq": 1, "svd": 1}
+    # every first attempt of the box solve is accepted: no factorization
+    calls.update(lstsq=0, svd=0)
+    rep = prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=(2, 1, 1, 1, 1)))
+    assert (rep.status, rep.iterations) == ("obstructed", 7)
+    assert calls == {"lstsq": 7, "svd": 0}
+
+
 def test_jacobian_columns_are_central_differences():
     # the residual is quadratic, so (R(s + t d) - R(s - t d)) / 2t is its
     # derivative along d up to roundoff
@@ -286,7 +341,7 @@ def test_jacobian_columns_are_central_differences():
                            if canonical_rep(k)))
     row_cap = 7 * 5 ** 4
     X, Y = xy_frame(SP)
-    A, rows = _jacobian(box, s, X, Y, row_cap)
+    A, rows = _jacobian(_unknowns(box, X, Y), s, X, Y, row_cap)
     nb = len(box.weights)
     assert A.shape == (row_cap, 2 * nb)
     t = 1e-3
