@@ -308,14 +308,11 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
         improved = False
         retry_step = None
         for attempt in range(12):
-            if attempt:
-                # every retry has lam > 0 and the same AP: one SVD serves them all
+            if lam > 0:
+                # every damped attempt of an iteration has the same AP: one
+                # SVD serves them all
                 retry_step = retry_step or _tikhonov_steps(AP, rvec)
                 delta = retry_step(lam)
-            elif lam > 0:
-                stacked = np.vstack([AP, math.sqrt(lam) * np.eye(n)])
-                target = np.concatenate([-rvec, np.zeros(n)])
-                delta, *_ = np.linalg.lstsq(stacked, target, rcond=None)
             else:
                 delta, *_ = np.linalg.lstsq(AP, -rvec, rcond=None)
             delta = project_complement(delta)

@@ -291,7 +291,7 @@ def test_prolong_rejects_negative_radius_and_max_iters(monkeypatch):
 
 @pytest.mark.parametrize("m, n", [(40, 25), (25, 40)], ids=["tall", "wide"])
 def test_retry_step_is_the_damped_minimiser(m, n):
-    # the SVD step against the stacked lstsq of the first attempt, on a random
+    # the SVD step against lstsq of the stacked damped system, on a random
     # rank-12 AP: they agree in AP's row space.  In its null space the damped
     # minimiser is ill-conditioned: each route is off a 60-digit reference by
     # about eps ||AP|| ||r|| / lam, so the two differ by that much
