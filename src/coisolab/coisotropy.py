@@ -223,11 +223,14 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     of the residual, subject to the one-dimensional affine constraint that
     the orthogonal projection of (f, g) onto the span of the direction's
     coefficient vector equals eps; the constraint is eliminated by working
-    in the orthogonal complement.  Verdicts: ``converged`` when the residual
-    norm drops below tol; ``obstructed`` when the norm stalls (relative
-    decrease below STALL_REL over STALL_WINDOW iterations) while still above
-    100*tol; ``max_iters`` otherwise.  A system larger than MAX_DENSE
-    entries is refused before any assembly."""
+    in the orthogonal complement.  The projected Jacobian is block diagonal
+    after a row and column permutation, so each iteration takes one thin
+    SVD per block (``_block_steps``); that one factorization serves the
+    undamped step and every damped retry.  Verdicts: ``converged`` when the
+    residual norm drops below tol; ``obstructed`` when the norm stalls
+    (relative decrease below STALL_REL over STALL_WINDOW iterations) while
+    still above 100*tol; ``max_iters`` otherwise.  A system larger than
+    MAX_DENSE entries is refused before any assembly."""
     opts = opts or ProlongOptions()
     if not 0.0 < eps <= 0.5:
         raise PreconditionError(f"eps={eps} outside (0, 0.5]")
@@ -273,7 +276,6 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     def project_complement(z):
         return z - (np.dot(w * z, u) / uu) * u
 
-    proj = np.eye(n) - np.outer(u, w * u) / uu
     x = eps * u
     s = section_of(x)
     r_field = residual(s)
@@ -301,21 +303,18 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
         rows.add(rvec, r_field)
         m = len(rows.weights)
         sw = np.sqrt(rows.weights)
-        AP = (A[:m] * sw[:, None]) @ proj
+        AP = A[:m] * sw[:, None]
         del A   # free the Jacobian before the solve, which needs room of its own
-        rvec = rvec[:m] * sw
+        # restrict to the constraint's complement: AP (I - u (w u)^T / uu)
+        AP -= np.outer(AP @ u, w * u / uu)
+        # every attempt of an iteration has the same AP: one factorization
+        # serves them all
+        step = _block_steps(AP, rvec[:m] * sw)
+        del AP
 
         improved = False
-        retry_step = None
         for attempt in range(12):
-            if lam > 0:
-                # every damped attempt of an iteration has the same AP: one
-                # SVD serves them all
-                retry_step = retry_step or _tikhonov_steps(AP, rvec)
-                delta = retry_step(lam)
-            else:
-                delta, *_ = np.linalg.lstsq(AP, -rvec, rcond=None)
-            delta = project_complement(delta)
+            delta = project_complement(step(lam))
             x_new = eps * u + project_complement(x + delta - eps * u)
             s_new = section_of(x_new)
             r_new = residual(s_new)
@@ -361,14 +360,63 @@ def _solver_radii(direction: Section, radius, trunc_order: int):
     return radii
 
 
-def _tikhonov_steps(AP, rvec):
-    """The Levenberg steps argmin ||AP d + rvec||^2 + lam ||d||^2, lam > 0,
-    as a function of lam, from one thin SVD of AP: d = -V diag(s / (s^2 +
-    lam)) U^T rvec.  No singular value is cut: near-null ones of order
-    1e-12 ||AP|| still carry weight s / lam at lam = 1e-8."""
-    U, sv, Vt = np.linalg.svd(AP, full_matrices=False)
-    c = U.T @ rvec
-    return lambda lam: -Vt.T @ (sv / (sv * sv + lam) * c)
+def _blocks(AP) -> list:
+    """The independent blocks of AP: the connected components of its exact
+    nonzero pattern, in which each nonzero entry joins its row and its
+    column.  One (rows, cols) pair of index arrays per block; a row or
+    column without a nonzero entry belongs to no block."""
+    ri, ci = np.nonzero(AP)
+    if not ri.size:
+        return []
+    m, n = AP.shape
+    # label each column with the least column index known to share its
+    # block; shortcut label[label] so long chains settle in few sweeps
+    label = np.arange(n)
+    while True:
+        row_label = np.full(m, n)
+        np.minimum.at(row_label, ri, label[ci])
+        new = label.copy()
+        np.minimum.at(new, ci, row_label[ri])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    groups = []
+    for idx, lab in ((np.unique(ri), row_label), (np.unique(ci), label)):
+        idx = idx[np.argsort(lab[idx], kind="stable")]
+        groups.append(np.split(idx, np.flatnonzero(np.diff(lab[idx])) + 1))
+    return list(zip(*groups))
+
+
+def _block_steps(AP, rvec):
+    """The Gauss-Newton steps for AP d ~ -rvec as a function of the Levenberg
+    parameter lam, from one thin SVD per block of ``_blocks(AP)``.
+
+    At lam = 0 the step is the minimum-norm least-squares solution, with
+    ``numpy.linalg.lstsq``'s default cutoff over the whole system: a
+    singular value at or below eps_mach max(m, n) s_max counts as zero, s_max
+    the largest over all blocks.  At lam > 0 it is argmin ||AP d + rvec||^2 +
+    lam ||d||^2 = -V diag(s / (s^2 + lam)) U^T rvec, and no singular value is
+    cut: near-null ones of order 1e-12 ||AP|| still carry weight s / lam at
+    lam = 1e-8.  Columns outside every block get a step of exactly 0."""
+    n = AP.shape[1]
+    factors = []
+    for rows, cols in _blocks(AP):
+        U, sv, Vt = np.linalg.svd(AP[np.ix_(rows, cols)], full_matrices=False)
+        factors.append((cols, sv, U.T @ rvec[rows], Vt))
+    s_max = max((sv[0] for _, sv, _, _ in factors), default=0.0)
+    cutoff = np.finfo(float).eps * max(AP.shape) * s_max
+
+    def step(lam):
+        delta = np.zeros(n)
+        for cols, sv, c, Vt in factors:
+            if lam > 0:
+                gain = sv / (sv * sv + lam)
+            else:
+                gain = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cutoff)
+            delta[cols] = -(Vt.T @ (gain * c))
+        return delta
+    return step
 
 
 def _unknowns(box: _RealCoords, X: VectorField, Y: VectorField) -> list:

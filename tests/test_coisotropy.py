@@ -12,8 +12,8 @@ import pytest
 from coisolab import coisotropy
 from coisolab.cli import main
 from coisolab.coisotropy import (STALL_REL, STALL_WINDOW, PreconditionError,
-                                 ProlongOptions, Section, _jacobian, _RealCoords,
-                                 _tikhonov_steps, _unknowns, base_space,
+                                 ProlongOptions, Section, _block_steps, _blocks,
+                                 _jacobian, _RealCoords, _unknowns, base_space,
                                  family_section, kuranishi,
                                  linearized_residual, prolong, residual,
                                  residual_from_jet, xy_frame)
@@ -289,19 +289,40 @@ def test_prolong_rejects_negative_radius_and_max_iters(monkeypatch):
         prolong(obstructed_direction(), 0.1, ProlongOptions(max_iters=-2))
 
 
-@pytest.mark.parametrize("m, n", [(40, 25), (25, 40)], ids=["tall", "wide"])
-def test_retry_step_is_the_damped_minimiser(m, n):
-    # the SVD step against lstsq of the stacked damped system, on a random
-    # rank-12 AP: they agree in AP's row space.  In its null space the damped
-    # minimiser is ill-conditioned: each route is off a 60-digit reference by
-    # about eps ||AP|| ||r|| / lam, so the two differ by that much
-    rng = np.random.default_rng([m, n])
-    k = 12
-    AP = rng.normal(size=(m, k)) @ rng.normal(size=(k, n))
+@pytest.mark.parametrize("shapes", [((9, 5, 3), (6, 4, 2), (12, 8, 6)),
+                                    ((5, 9, 3), (4, 6, 2), (8, 12, 6))], ids=["tall", "wide"])
+def test_block_steps_solve_a_planted_system(shapes):
+    # random rank-deficient blocks and one well-conditioned bidiagonal block
+    # (a chain, which takes the block finder several sweeps), rows and
+    # columns permuted, one all-zero row and one all-zero column
+    rng = np.random.default_rng(shapes[0])
+    blocks = [rng.normal(size=(bm, rank)) @ rng.normal(size=(rank, bn))
+              for bm, bn, rank in shapes]
+    blocks.append(np.diag(rng.uniform(2.0, 3.0, size=12))
+                  + np.diag(rng.uniform(-1.0, 1.0, size=11), 1))
+    m, n = (sum(B.shape[i] for B in blocks) + 1 for i in (0, 1))
+    row_perm, col_perm = rng.permutation(m), rng.permutation(n)
+    AP = np.zeros((m, n))
+    planted, i0, j0 = set(), 0, 0
+    for B in blocks:
+        rows, cols = row_perm[i0:i0 + B.shape[0]], col_perm[j0:j0 + B.shape[1]]
+        AP[np.ix_(rows, cols)] = B
+        planted.add((frozenset(rows.tolist()), frozenset(cols.tolist())))
+        i0, j0 = i0 + B.shape[0], j0 + B.shape[1]
     r = rng.normal(size=m)
+    assert {(frozenset(rows.tolist()), frozenset(cols.tolist()))
+            for rows, cols in _blocks(AP)} == planted
+    step = _block_steps(AP, r)
+    # lam = 0: lstsq's minimum-norm solution with its default cutoff; the
+    # zero column gets a step of exactly 0
+    want, *_ = np.linalg.lstsq(AP, -r, rcond=None)
+    assert np.linalg.norm(step(0.0) - want) < 1e-10 * np.linalg.norm(want)
+    assert step(0.0)[col_perm[-1]] == 0.0
+    # lam > 0: the stacked damped system agrees in AP's row space.  In its
+    # null space the damped minimiser is ill-conditioned: each route is off a
+    # 60-digit reference by about eps ||AP|| ||r|| / lam
     _, sv, Vt = np.linalg.svd(AP)
-    row_space = Vt[:k]
-    step = _tikhonov_steps(AP, r)
+    row_space = Vt[:sum(s[2] for s in shapes) + 12]
     for lam in (1e-8, 1e-4, 1.0):
         stacked, *_ = np.linalg.lstsq(np.vstack([AP, math.sqrt(lam) * np.eye(n)]),
                                       np.concatenate([-r, np.zeros(n)]), rcond=None)
@@ -309,25 +330,55 @@ def test_retry_step_is_the_damped_minimiser(m, n):
         assert np.linalg.norm(row_space @ diff) < 1e-10 * np.linalg.norm(stacked)
         null_part = diff - row_space.T @ (row_space @ diff)
         assert np.linalg.norm(null_part) < 10 * np.finfo(float).eps * sv[0] * np.linalg.norm(r) / lam
+    # a matrix without a nonzero entry has no block and a zero step
+    assert _blocks(np.zeros((m, n))) == []
+    assert not np.any(_block_steps(np.zeros((m, n)), r)(0.0))
 
 
 def test_prolong_factors_once_per_rejected_iteration(monkeypatch):
-    calls = {"lstsq": 0, "svd": 0}
-    for name in calls:
-        def counted(*args, _orig=getattr(np.linalg, name), _name=name, **kw):
+    calls = {"lstsq": 0, "factor": 0}
+    for name, owner, attr in (("lstsq", np.linalg, "lstsq"),
+                              ("factor", coisotropy, "_block_steps")):
+        def counted(*args, _orig=getattr(owner, attr), _name=name, **kw):
             calls[_name] += 1
             return _orig(*args, **kw)
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(owner, attr, counted)
     # radius 1: the first attempt and 11 damped retries are all rejected
     rep = prolong(obstructed_direction(), 0.1)
     assert (rep.status, rep.iterations) == ("obstructed", 1)
     assert rep.diagnostic == "no descent direction found (damping exhausted)"
-    assert calls == {"lstsq": 1, "svd": 1}
-    # every first attempt of the box solve is accepted: no factorization
-    calls.update(lstsq=0, svd=0)
+    assert calls == {"lstsq": 0, "factor": 1}
+    # the box solve accepts every first attempt: one factorization per iteration
+    calls.update(lstsq=0, factor=0)
     rep = prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=(2, 1, 1, 1, 1)))
     assert (rep.status, rep.iterations) == ("obstructed", 7)
-    assert calls == {"lstsq": 7, "svd": 0}
+    assert calls == {"lstsq": 0, "factor": 7}
+
+
+def test_prolong_radius1_first_step_is_exactly_zero(monkeypatch):
+    # at eps u the residual eps^2 sin x1 sits in rows that no unknown of the
+    # complement reaches, so every step of the one iteration is exactly 0
+    steps = []
+
+    def recorded(*args, _orig=coisotropy._block_steps):
+        steps.append(_orig(*args))
+        return steps[-1]
+    monkeypatch.setattr(coisotropy, "_block_steps", recorded)
+    rep = prolong(obstructed_direction(), 0.1)
+    assert (rep.status, rep.iterations) == ("obstructed", 1)
+    assert len(steps) == 1
+    for lam in (0.0, 1e-8, 1e-4, 1.0):
+        assert not np.any(steps[0](lam))
+
+
+# floors of obstructed.json at solver_radius (2, 1, 1, 1, 1), measured with
+# the dense lstsq solve that the block solve replaced
+@pytest.mark.parametrize("eps, floor", [(0.05, 0.040798494134), (0.1, 0.163193976536),
+                                        (0.2, 0.652775906143), (0.3, 1.46874578882)])
+def test_prolong_box_floor_matches_dense_solve(eps, floor):
+    rep = prolong(obstructed_direction(), eps, ProlongOptions(solver_radius=(2, 1, 1, 1, 1)))
+    assert (rep.status, rep.iterations) == ("obstructed", 7)
+    assert rep.residual_norm_history[-1] == pytest.approx(floor, rel=1e-10)
 
 
 def test_jacobian_columns_are_central_differences():
