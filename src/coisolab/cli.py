@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -105,6 +106,17 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
     return np.array([json_float(float(p), "point coordinate") for p in parts])
 
 
+def _parse_radius(text: str):
+    """The solver radius of ``prolong --radius``: one integer for every
+    torus axis, or five comma-separated integers, one per axis."""
+    parts = text.split(",")
+    if len(parts) not in (1, 5) or not all(re.fullmatch(r"-?[0-9]+", p) for p in parts):
+        raise ValueError("radius must be one integer or five comma-separated "
+                         f"integers, got {text!r}")
+    radii = tuple(int(p) for p in parts)
+    return radii if len(radii) == 5 else radii[0]
+
+
 def _trace_csv(trace: foliation.LeafTrace) -> str:
     lines = ["step,x1,x2,x3,x4,x5,u1,u2,u3,u4,u5"]
     for i, (w, u) in enumerate(zip(trace.points, trace.lifted)):
@@ -142,7 +154,7 @@ def cmd_kuranishi(args, cfg: RunConfig) -> int:
 def cmd_prolong(args, cfg: RunConfig) -> int:
     direction = _load_json(args.section, Section)
     opts = ProlongOptions(tol=cfg.tol, max_iters=args.max_iters,
-                          solver_radius=args.radius)
+                          solver_radius=_parse_radius(args.radius))
     report = prolong(direction, args.eps, opts)
     _emit_json(report.to_json_dict(), cfg.out)
     return {"converged": EXIT_OK, "obstructed": EXIT_OBSTRUCTED}.get(report.status, EXIT_FAIL)
@@ -250,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("section", help="direction (infinitesimal deformation) file")
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--radius", type=int, default=1,
-                   help="per-axis frequency radius of the solver unknowns")
+    p.add_argument("--radius", default="1",
+                   help="frequency radius of the solver unknowns: one integer, "
+                        "or five comma-separated ones, one per torus axis")
 
     p = add("leaves", cmd_leaves, help="classify / trace characteristic leaves")
     p.add_argument("--t", type=float, help="parameter of the linear family")

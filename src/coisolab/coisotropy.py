@@ -180,7 +180,8 @@ class _RealCoords:
     its packed mode key: (re, im) for k != 0, the real part alone for k = 0.
     Canonical keys are those at or above the key of k = 0.  Weights carry
     the Parseval multiplicity, so the weighted Euclidean norm is the
-    coefficient norm.  Modes get slots in the order they are first seen."""
+    coefficient norm.  Slots follow the order of the keys given to the
+    constructor; ``slot`` and ``add`` append a slot for any other key."""
 
     def __init__(self, space: Space, keys=()):
         self.space, self.zero = space, space.zero_key
@@ -223,14 +224,17 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     of the residual, subject to the one-dimensional affine constraint that
     the orthogonal projection of (f, g) onto the span of the direction's
     coefficient vector equals eps; the constraint is eliminated by working
-    in the orthogonal complement.  The projected Jacobian is block diagonal
-    after a row and column permutation, so each iteration takes one thin
-    SVD per block (``_block_steps``); that one factorization serves the
-    undamped step and every damped retry.  Verdicts: ``converged`` when the
-    residual norm drops below tol; ``obstructed`` when the norm stalls
-    (relative decrease below STALL_REL over STALL_WINDOW iterations) while
-    still above 100*tol; ``max_iters`` otherwise.  A system larger than
-    MAX_DENSE entries is refused before any assembly."""
+    in the orthogonal complement.  The Jacobian is assembled in closed form
+    from the jets of single exponentials (``_jacobian``), with no Field
+    product per column; its rows come in sorted key order.  The projected
+    Jacobian is block diagonal after a row and column permutation, so each
+    iteration takes one thin SVD per block (``_block_steps``); that one
+    factorization serves the undamped step and every damped retry.
+    Verdicts: ``converged`` when the residual norm drops below tol;
+    ``obstructed`` when the norm stalls (relative decrease below STALL_REL
+    over STALL_WINDOW iterations) while still above 100*tol; ``max_iters``
+    otherwise.  A system larger than MAX_DENSE entries is refused before
+    any assembly."""
     opts = opts or ProlongOptions()
     if not 0.0 < eps <= 0.5:
         raise PreconditionError(f"eps={eps} outside (0, 0.5]")
@@ -259,7 +263,6 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
         *(range(-r, r + 1) for r in radii)) if canonical_rep(k)))
     nb = len(box.weights)
     X, Y = xy_frame(sp)
-    unknowns = _unknowns(box, X, Y)
 
     def section_of(v):
         return Section(Field.from_modes(sp, box.modes(v[:nb])),
@@ -298,7 +301,7 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
                               f"below STALL_REL = {STALL_REL:g}")
                 break
 
-        A, rows = _jacobian(unknowns, s, X, Y, row_cap)
+        A, rows = _jacobian(box, s, X, Y, row_cap)
         rvec = np.zeros(row_cap)
         rows.add(rvec, r_field)
         m = len(rows.weights)
@@ -419,31 +422,106 @@ def _block_steps(AP, rvec):
     return step
 
 
-def _unknowns(box: _RealCoords, X: VectorField, Y: VectorField) -> list:
-    """One (block, first jet, linear part) per real unknown, in Jacobian
-    column order: the f block, then the g block, each in box order.  None of
-    them depends on the iterate, so a solve builds them once; the two blocks
-    share their jets."""
-    sp = box.space
-    jets = [_jet(Field.from_modes(sp, {sp.unpack(key): c}), X, Y) for key in box.slots
-            for c in ((1.0, 1j) if key != box.zero else (1.0,))]
-    return ([(0, jet, jet[0].partial(FIBER_AXES[1])) for jet in jets]
-            + [(1, jet, -jet[0].partial(FIBER_AXES[0])) for jet in jets])
+def _digits(sp: Space, keys) -> np.ndarray:
+    """The torus frequencies of packed keys on a fiber-free space, one row
+    per key; a digit one step outside the box still decodes."""
+    return keys[:, None] // np.array(sp.weights) % sp.radix - 2 * sp.trunc_order
 
 
-def _jacobian(unknowns: list, s: Section, X: VectorField, Y: VectorField, row_cap: int):
-    """Gauss-Newton Jacobian of the residual at s: a dense (row_cap, n)
-    matrix with one column per entry of ``_unknowns`` and the coordinates of
-    its rows.
+def _exponential_columns(jet, modes, sp: Space):
+    """Q(E_p, h) for every frequency p in the rows of ``modes``, in closed
+    form from the first jet (h, h1, Xh, Yh) of h:
 
-    The column of delta = (phi, 0) is the residual's derivative
-    dQ(s)[delta] + dphi/dx5, where Q is the quadratic part, bilinear in
-    (f, g): dQ(s)[(phi, 0)] = Q(phi, g).  Likewise Q(f, psi) - dpsi/dx4
-    for (0, psi)."""
-    jet_f, jet_g = _jet(s.f, X, Y), _jet(s.g, X, Y)
-    rows = _RealCoords(s.space)
-    A = np.zeros((row_cap, len(unknowns)))
-    for j, (block, jet, lin) in enumerate(unknowns):
-        quad = _quadratic_form(jet, jet_g) if block == 0 else _quadratic_form(jet_f, jet)
-        rows.add(A[:, j], quad.drop_below(COLUMN_PRUNE) + lin)
+        E_p (i p1 Xh + Yh) - E_{p+e1} (xp h1 + yp h) - E_{p-e1} (xm h1 + ym h)
+
+    with X E_p = xp E_{p+e1} + xm E_{p-e1}, Y E_p = yp E_{p+e1} + ym E_{p-e1},
+    xp = (i/2)(p2 + i p3), xm = (i/2)(p2 - i p3), yp = (p2 + i p3)/2 and
+    ym = (-p2 + i p3)/2.  Returns (offsets, values): E_p times the jet's
+    part at offsets[j] lands on the key of p plus offsets[j], and values[p, j]
+    is 0 where that mode or E_{p +- e1} leaves the truncation box, which the
+    Field products drop."""
+    h, h1, Xh, Yh = jet
+    n, e1 = sp.trunc_order, sp.weights[0]
+    parts = [(Xh, 0), (Yh, 0), (h1, e1), (h, e1), (h1, -e1), (h, -e1)]
+    keyed = [(np.fromiter(f.packed, np.int64, len(f.packed)) + shift,
+              np.fromiter(f.packed.values(), complex, len(f.packed)))
+             for f, shift in parts]
+    keys = np.unique(np.concatenate([k for k, _ in keyed]))
+    xh, yh, h1p, hp, h1m, hm = (np.zeros(len(keys), complex) for _ in parts)
+    for dense, (k, c) in zip((xh, yh, h1p, hp, h1m, hm), keyed):
+        dense[np.searchsorted(keys, k)] = c
+    p1, p2, p3 = (modes[:, a, None].astype(float) for a in range(3))
+    xp, yp = (np.where(p1 < n, c, 0.0) for c in (0.5j * (p2 + 1j * p3), 0.5 * (p2 + 1j * p3)))
+    xm, ym = (np.where(p1 > -n, c, 0.0) for c in (0.5j * (p2 - 1j * p3), 0.5 * (-p2 + 1j * p3)))
+    values = ((1j * p1 * xh - (xp * h1p + xm * h1m)) - (yp * hp + ym * hm)) + yh
+    for a, ka in enumerate(_digits(sp, keys).T):
+        values[np.abs(modes[:, a, None] + ka) > n] = 0.0
+    return keys - sp.zero_key, values
+
+
+def _jacobian(box: _RealCoords, s: Section, X: VectorField, Y: VectorField, row_cap: int):
+    """Gauss-Newton Jacobian of the residual at s, dense (row_cap, n), and
+    the coordinates of its rows, in sorted key order.  Columns are the real
+    unknowns of ``box``, the f block then the g block, each in slot order:
+    c E_k + conj(c) E_-k for c = 1, i on the slot pair of a key k != 0, and
+    E_0 on the slot of k = 0.
+
+    With Q the quadratic part, bilinear in (f, g), the column of (phi, 0)
+    is Q(phi, g) + dphi/dx5 and that of (0, psi) is Q(f, psi) - dpsi/dx4 =
+    -Q(psi, f) - dpsi/dx4.  ``_exponential_columns`` gives each Q(E_p, h)
+    in closed form, as (row key, column, value) triplets on the canonical
+    rows; duplicates are summed, each column's quadratic part loses its
+    entries below COLUMN_PRUNE, and the linear part is added after that."""
+    sp, zero = box.space, box.zero
+    qkeys = np.fromiter(box.slots, np.int64, len(box.slots))
+    nq = len(qkeys)
+    # every mode p of the symmetric box, as q or -q for a canonical q
+    pkeys = np.concatenate([qkeys, 2 * zero - qkeys[qkeys != zero]])
+    pq = np.concatenate([np.arange(nq), np.flatnonzero(qkeys != zero)])
+    modes = _digits(sp, pkeys)
+    # per triplet: the quadratic part of the c = 1 and c = i columns, and
+    # the linear part of the c = 1 column
+    row_keys, column, parts = [], [], []
+    for block, jet in enumerate((_jet(s.g, X, Y), _jet(s.f, X, Y))):
+        sign = 1 - 2 * block
+        offsets, values = _exponential_columns(jet, modes, sp)
+        rk = pkeys[:, None] + offsets
+        ip, io = np.nonzero((rk >= zero) & (values != 0))
+        v = sign * values[ip, io]
+        row_keys.append(rk[ip, io])
+        column.append(block * nq + pq[ip])
+        # c = 1 takes E_q + E_-q, c = i takes i E_q - i E_-q
+        parts.append(np.stack([v, np.where(ip < nq, 1j, -1j) * v, np.zeros_like(v)]))
+        # the linear part, dphi/dx5 or -dpsi/dx4, is i q5 or -i q4 on the row of q
+        q_axis = modes[:nq, FIBER_AXES[1 - block]]
+        has = np.flatnonzero(q_axis)
+        row_keys.append(qkeys[has])
+        column.append(block * nq + has)
+        parts.append(np.zeros((3, len(has)), complex))
+        parts[-1][2] = 1j * sign * q_axis[has]
+    row_keys, column = np.concatenate(row_keys), np.concatenate(column)
+    # one entry per row and slot pair; rows by rank, since a key times the
+    # column count can overflow int64 at high truncation orders
+    row_keys, rank = np.unique(row_keys, return_inverse=True)
+    uniq, inv = np.unique(rank * (2 * nq) + column, return_inverse=True)
+    block, qi = divmod(uniq % (2 * nq), nq)
+    *quad, lin = (np.bincount(inv, x.real, len(uniq)) + 1j * np.bincount(inv, x.imag, len(uniq))
+                  for x in np.concatenate(parts, axis=1))
+    rank, (block, qi) = uniq // (2 * nq), divmod(uniq % (2 * nq), nq)
+    for total, c in zip(quad, (1.0, 1j)):
+        total[np.abs(total) < COLUMN_PRUNE] = 0.0
+        total += c * lin
+    quad[1][qkeys[qi] == zero] = 0.0   # E_0 has no c = i column
+    kept = np.unique(rank[(quad[0] != 0) | (quad[1] != 0)])
+    rows = _RealCoords(sp, row_keys[kept].tolist())
+    row_slots = np.fromiter(rows.slots.values(), np.int64, len(kept))
+    slots, nb = np.fromiter(box.slots.values(), np.int64, nq), len(box.weights)
+    A = np.zeros((row_cap, 2 * nb))
+    for part, total in enumerate(quad):
+        nz = np.flatnonzero(total)
+        r = row_slots[np.searchsorted(kept, rank[nz])]
+        col = block[nz] * nb + slots[qi[nz]] + part
+        A[r, col] = total[nz].real
+        im = row_keys[rank[nz]] != zero
+        A[r[im] + 1, col[im]] = total[nz[im]].imag
     return A, rows

@@ -12,6 +12,7 @@ import pytest
 
 from coisolab import fields
 from coisolab.cli import main
+from coisolab.coisotropy import ProlongOptions, Section, prolong
 from coisolab.contact import contact_space
 from coisolab.fields import Field
 
@@ -108,6 +109,17 @@ def test_prolong_oversized_system_exit_two_before_assembly(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: solver system") and err.count("\n") == 1
+
+
+def test_prolong_per_axis_radius(capsys):
+    # five comma-separated radii reach the box the one-integer form cannot
+    code, out, err = run(capsys, "prolong", sect("obstructed.json"), "--radius", "2,1,1,1,1")
+    assert (code, err) == (3, "")
+    with open(sect("obstructed.json")) as fh:
+        direction = Section.from_json_dict(json.load(fh))
+    want = prolong(direction, 0.1, ProlongOptions(solver_radius=(2, 1, 1, 1, 1)))
+    assert json.loads(out) == want.to_json_dict()
+    assert want.iterations == 7
 
 
 # -- leaves / scan ------------------------------------------------------------------
@@ -317,12 +329,21 @@ def test_refused_number_exit_two(capsys, tmp_path, argv):
     ["leaves", "--t", "0.5", "--max-denominator", "0"],
     ["scan", "0.5", "1.5", "--max-denominator", "-3"],
     ["prolong", sect("obstructed.json"), "--radius", "-1"],
+    ["prolong", sect("obstructed.json"), "--radius", "2,1,-1,1,1"],
+    ["prolong", sect("obstructed.json"), "--radius=-1,1,1,1,1"],
+    ["prolong", sect("obstructed.json"), "--radius", "2,1"],
+    ["prolong", sect("obstructed.json"), "--radius", "2,1,1,1,1,1"],
+    ["prolong", sect("obstructed.json"), "--radius", "2,1,x,1,1"],
+    ["prolong", sect("obstructed.json"), "--radius", "1.5"],
+    ["prolong", sect("obstructed.json"), "--radius", "2,,1,1,1"],
     ["prolong", sect("obstructed.json"), "--max-iters", "-2"],
 ], ids=["verify-n-negative", "leaves-denominator-zero", "scan-denominator-negative",
-        "prolong-radius-negative", "prolong-max-iters-negative"])
+        "prolong-radius-negative", "prolong-radii-negative", "prolong-radii-leading-negative",
+        "prolong-radii-two", "prolong-radii-six", "prolong-radii-malformed",
+        "prolong-radius-float", "prolong-radii-empty", "prolong-max-iters-negative"])
 def test_refused_count_exit_two(capsys, argv):
-    # these used to pass vacuously, call 1/2 a cylinder, solve at radius 0
-    # or report max_iters
+    # these used to pass vacuously, call 1/2 a cylinder, solve at radius 0,
+    # report max_iters, or print argparse's usage
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -9,12 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from coisolab import coisotropy
+from coisolab import coisotropy, fields
 from coisolab.cli import main
-from coisolab.coisotropy import (STALL_REL, STALL_WINDOW, PreconditionError,
+from coisolab.coisotropy import (COLUMN_PRUNE, FIBER_AXES, STALL_REL,
+                                 STALL_WINDOW, PreconditionError,
                                  ProlongOptions, Section, _block_steps, _blocks,
-                                 _jacobian, _RealCoords, _unknowns, base_space,
-                                 family_section, kuranishi,
+                                 _jacobian, _jet, _quadratic_form, _RealCoords,
+                                 base_space, family_section, kuranishi,
                                  linearized_residual, prolong, residual,
                                  residual_from_jet, xy_frame)
 from coisolab.fields import Field, canonical_rep
@@ -280,7 +281,6 @@ def test_prolong_refuses_radius_beyond_truncation():
 def test_prolong_rejects_negative_radius_and_max_iters(monkeypatch):
     def no_assembly(*args):
         raise AssertionError("assembled a Jacobian")
-    monkeypatch.setattr(coisotropy, "_unknowns", no_assembly)
     monkeypatch.setattr(coisotropy, "_jacobian", no_assembly)
     for radius in (-1, (1, 1, -1, 1, 1)):
         with pytest.raises(PreconditionError, match="negative entry"):
@@ -392,7 +392,7 @@ def test_jacobian_columns_are_central_differences():
                            if canonical_rep(k)))
     row_cap = 7 * 5 ** 4
     X, Y = xy_frame(SP)
-    A, rows = _jacobian(_unknowns(box, X, Y), s, X, Y, row_cap)
+    A, rows = _jacobian(box, s, X, Y, row_cap)
     nb = len(box.weights)
     assert A.shape == (row_cap, 2 * nb)
     t = 1e-3
@@ -409,6 +409,58 @@ def test_jacobian_columns_are_central_differences():
         col = A[:, block * nb + box.slots[SP.pack(k, ())] + (part == 1j)]
         assert np.max(np.abs(col)) > 0.1
         assert np.max(np.abs(col - want)) < 1e-10
+
+
+def jacobian_by_field_products(box, s, X, Y, row_cap):
+    """The Gauss-Newton Jacobian built one Field column at a time: the jet of
+    each real unknown, the quadratic form against the iterate's jet, pruned
+    at COLUMN_PRUNE, plus the linear part.  Oracle of the closed form."""
+    sp = box.space
+    jets = [_jet(Field.from_modes(sp, {sp.unpack(key): c}), X, Y)
+            for key in box.slots for c in ((1.0, 1j) if key != box.zero else (1.0,))]
+    unknowns = ([(0, jet, jet[0].partial(FIBER_AXES[1])) for jet in jets]
+                + [(1, jet, -jet[0].partial(FIBER_AXES[0])) for jet in jets])
+    jet_f, jet_g = _jet(s.f, X, Y), _jet(s.g, X, Y)
+    rows = _RealCoords(sp)
+    A = np.zeros((row_cap, len(unknowns)))
+    for j, (block, jet, lin) in enumerate(unknowns):
+        quad = _quadratic_form(jet, jet_g) if block == 0 else _quadratic_form(jet_f, jet)
+        rows.add(A[:, j], quad.drop_below(COLUMN_PRUNE) + lin)
+    return A, rows
+
+
+# at trunc 1000 a packed row key times the column count overflows int64
+@pytest.mark.parametrize("trunc, radii, iterations", [
+    (8, (1, 1, 1, 1, 1), 0), (8, (2, 1, 1, 1, 1), 2), (2, (2, 1, 1, 1, 1), 2),
+    (1000, (1, 1, 1, 1, 1), 0)],
+    ids=["radius1-eps-u", "box-iterate", "trunc2-escapes", "trunc1000-wide-keys"])
+def test_jacobian_closed_form_matches_field_products(trunc, radii, iterations):
+    # every Field the oracle builds is checked: the closed form builds none
+    assert fields.STRICT
+    sp = base_space(trunc)
+    u = Section(Field.cos(sp, 1), Field.sin(sp, 1))
+    s = (prolong(u, 0.1, ProlongOptions(solver_radius=radii, max_iters=iterations)).final_section
+         if iterations else Section(u.f * 0.1, u.g * 0.1))
+    assert iterations == 0 or len(s.f.packed) > len(u.f.packed)
+    # at trunc 2 the x1 radius is the truncation order: E_(k +- e1) of the
+    # outer unknowns leaves the box, and so do products with the iterate
+    box = _RealCoords(sp, (sp.pack(k, ()) for k in itertools.product(
+        *(range(-r, r + 1) for r in radii)) if canonical_rep(k)))
+    row_cap = math.prod(2 * min(2 * r + (a == 0), trunc) + 1 for a, r in enumerate(radii))
+    X, Y = xy_frame(sp)
+    A, rows = _jacobian(box, s, X, Y, row_cap)
+    want, want_rows = jacobian_by_field_products(box, s, X, Y, row_cap)
+    assert rows.slots.keys() == want_rows.slots.keys()
+    # the closed form's rows come in sorted key order
+    assert list(rows.slots) == sorted(rows.slots)
+
+    def real_rows(coords):
+        return [coords.slots[key] + i for key in sorted(coords.slots)
+                for i in range(1 if key == sp.zero_key else 2)]
+    here, there = real_rows(rows), real_rows(want_rows)
+    assert np.array_equal(A[here] != 0, want[there] != 0)
+    assert np.max(np.abs(A[here] - want[there])) <= 1e-15
+    assert not A[len(here):].any()
 
 
 def test_prolong_constraint_respected():
