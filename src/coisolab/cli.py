@@ -223,6 +223,11 @@ def cmd_scan(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # one line and exit 2, as for any input error
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # global flags live on a parent so they are accepted before or after the
     # subcommand; SUPPRESS defaults keep subparsers from clobbering values
@@ -241,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         common.add_argument(*args, default=argparse.SUPPRESS, **kw)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coisolab", allow_abbrev=False, parents=[common],
         description="coisotropic-deformation laboratory on T^5 x R^2")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -294,9 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, _cfg(args))
     except BrokenPipeError:
         # nothing to report; stdout goes to devnull so the flush at exit is quiet

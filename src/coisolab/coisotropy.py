@@ -142,7 +142,7 @@ def residual_from_jet(x1: float, f_val: float, g_val: float,
 DAMPING = 0.0          # initial Levenberg parameter
 STALL_WINDOW = 5       # iterations over which a stall is judged
 STALL_REL = 1e-3       # relative decrease below which the norm has stalled
-MAX_DENSE = 3e8        # entries of the largest dense Jacobian the solver assembles
+MAX_DENSE = 3e8        # rows x columns of the largest Jacobian the solver assembles
 # Jacobian columns drop quadratic-part coefficients below this; the solver's
 # iterates depend on it to the last bit
 COLUMN_PRUNE = 2.0 * PRUNE_TOL
@@ -181,30 +181,26 @@ class _RealCoords:
     Canonical keys are those at or above the key of k = 0.  Weights carry
     the Parseval multiplicity, so the weighted Euclidean norm is the
     coefficient norm.  Slots follow the order of the keys given to the
-    constructor; ``slot`` and ``add`` append a slot for any other key."""
+    constructor, and there are no others."""
 
-    def __init__(self, space: Space, keys=()):
+    def __init__(self, space: Space, keys):
         self.space, self.zero = space, space.zero_key
         self.slots = {}
         self.weights = []
         for key in keys:
-            self.slot(key)
-
-    def slot(self, key) -> int:
-        s = self.slots.get(key)
-        if s is None:
-            s = self.slots[key] = len(self.weights)
+            self.slots[key] = len(self.weights)
             self.weights.extend((2.0, 2.0) if key != self.zero else (1.0,))
-        return s
 
-    def add(self, out, h: Field):
-        """Add the coordinates of h into the vector out."""
+    def coords(self, h: Field) -> np.ndarray:
+        """The coordinate vector of h; modes without a slot are left out."""
+        out = np.zeros(len(self.weights))
         for key, c in h.packed.items():
-            if key >= self.zero:
-                s = self.slot(key)
+            s = self.slots.get(key)
+            if s is not None:
                 out[s] += c.real
                 if key != self.zero:
                     out[s + 1] += c.imag
+        return out
 
     def modes(self, v) -> dict:
         """The nonzero coefficients {(k, m): c} held in the vector v."""
@@ -226,15 +222,17 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     coefficient vector equals eps; the constraint is eliminated by working
     in the orthogonal complement.  The Jacobian is assembled in closed form
     from the jets of single exponentials (``_jacobian``), with no Field
-    product per column; its rows come in sorted key order.  The projected
-    Jacobian is block diagonal after a row and column permutation, so each
-    iteration takes one thin SVD per block (``_block_steps``); that one
-    factorization serves the undamped step and every damped retry.
+    product per column, as sparse triplets; its rows come in sorted key
+    order.  Restricting it to the complement changes only the direction's
+    columns, so the projected Jacobian stays sparse.  It is block diagonal
+    after a row and column permutation, so each iteration takes one thin
+    SVD per block (``_block_steps``); that one factorization serves the
+    undamped step and every damped retry.
     Verdicts: ``converged`` when the residual norm drops below tol;
     ``obstructed`` when the norm stalls (relative decrease below STALL_REL
     over STALL_WINDOW iterations) while still above 100*tol; ``max_iters``
-    otherwise.  A system larger than MAX_DENSE entries is refused before
-    any assembly."""
+    otherwise.  A system whose row bound times column count exceeds
+    MAX_DENSE is refused before any assembly."""
     opts = opts or ProlongOptions()
     if not 0.0 < eps <= 0.5:
         raise PreconditionError(f"eps={eps} outside (0, 0.5]")
@@ -268,13 +266,12 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
         return Section(Field.from_modes(sp, box.modes(v[:nb])),
                        Field.from_modes(sp, box.modes(v[nb:])))
 
-    u = np.zeros(n)
-    box.add(u[:nb], direction.f)
-    box.add(u[nb:], direction.g)
+    u = np.concatenate([box.coords(direction.f), box.coords(direction.g)])
     w = np.array(box.weights * 2)
     uu = float(np.dot(w * u, u))
     if uu == 0.0:
         raise PreconditionError("zero direction")
+    supp = np.flatnonzero(u)
 
     def project_complement(z):
         return z - (np.dot(w * z, u) / uu) * u
@@ -301,19 +298,21 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
                               f"below STALL_REL = {STALL_REL:g}")
                 break
 
-        A, rows = _jacobian(box, s, X, Y, row_cap)
-        rvec = np.zeros(row_cap)
-        rows.add(rvec, r_field)
-        m = len(rows.weights)
+        rows, ri, ci, v = _jacobian(box, s, X, Y)
         sw = np.sqrt(rows.weights)
-        AP = A[:m] * sw[:, None]
-        del A   # free the Jacobian before the solve, which needs room of its own
-        # restrict to the constraint's complement: AP (I - u (w u)^T / uu)
-        AP -= np.outer(AP @ u, w * u / uu)
+        v = v * sw[ri]
+        # restrict to the constraint's complement, AP (I - u (w u)^T / uu):
+        # only the columns of u's support change, on one dense slab
+        on_u = np.isin(ci, supp)
+        slab = np.zeros((len(sw), len(supp)))
+        slab[ri[on_u], np.searchsorted(supp, ci[on_u])] = v[on_u]
+        slab -= np.outer(slab @ u[supp], (w * u / uu)[supp])
+        si, sj = np.nonzero(slab)
+        ri, ci, v = (np.concatenate([a[~on_u], b])
+                     for a, b in ((ri, si), (ci, supp[sj]), (v, slab[si, sj])))
         # every attempt of an iteration has the same AP: one factorization
         # serves them all
-        step = _block_steps(AP, rvec[:m] * sw)
-        del AP
+        step = _block_steps(ri, ci, v, rows.coords(r_field) * sw, n)
 
         improved = False
         for attempt in range(12):
@@ -363,15 +362,13 @@ def _solver_radii(direction: Section, radius, trunc_order: int):
     return radii
 
 
-def _blocks(AP) -> list:
-    """The independent blocks of AP: the connected components of its exact
-    nonzero pattern, in which each nonzero entry joins its row and its
-    column.  One (rows, cols) pair of index arrays per block; a row or
-    column without a nonzero entry belongs to no block."""
-    ri, ci = np.nonzero(AP)
+def _blocks(ri, ci, m: int, n: int) -> list:
+    """The independent blocks of the m x n matrix with entries at (ri, ci):
+    the connected components of that pattern, each entry joining its row and
+    its column.  One (rows, cols, entries) triple of ascending index arrays
+    per block; a row or column without an entry belongs to no block."""
     if not ri.size:
         return []
-    m, n = AP.shape
     # label each column with the least column index known to share its
     # block; shortcut label[label] so long chains settle in few sweeps
     label = np.arange(n)
@@ -385,15 +382,17 @@ def _blocks(AP) -> list:
             break
         label = new
     groups = []
-    for idx, lab in ((np.unique(ri), row_label), (np.unique(ci), label)):
+    for idx, lab in ((np.unique(ri), row_label), (np.unique(ci), label),
+                     (np.arange(ri.size), label[ci])):
         idx = idx[np.argsort(lab[idx], kind="stable")]
         groups.append(np.split(idx, np.flatnonzero(np.diff(lab[idx])) + 1))
     return list(zip(*groups))
 
 
-def _block_steps(AP, rvec):
+def _block_steps(ri, ci, v, rvec, n: int):
     """The Gauss-Newton steps for AP d ~ -rvec as a function of the Levenberg
-    parameter lam, from one thin SVD per block of ``_blocks(AP)``.
+    parameter lam, AP the len(rvec) x n matrix with entries v at (ri, ci),
+    from one thin SVD per block of ``_blocks``, scattered into a dense array.
 
     At lam = 0 the step is the minimum-norm least-squares solution, with
     ``numpy.linalg.lstsq``'s default cutoff over the whole system: a
@@ -402,13 +401,15 @@ def _block_steps(AP, rvec):
     lam ||d||^2 = -V diag(s / (s^2 + lam)) U^T rvec, and no singular value is
     cut: near-null ones of order 1e-12 ||AP|| still carry weight s / lam at
     lam = 1e-8.  Columns outside every block get a step of exactly 0."""
-    n = AP.shape[1]
+    m = len(rvec)
     factors = []
-    for rows, cols in _blocks(AP):
-        U, sv, Vt = np.linalg.svd(AP[np.ix_(rows, cols)], full_matrices=False)
+    for rows, cols, entries in _blocks(ri, ci, m, n):
+        B = np.zeros((len(rows), len(cols)))
+        B[np.searchsorted(rows, ri[entries]), np.searchsorted(cols, ci[entries])] = v[entries]
+        U, sv, Vt = np.linalg.svd(B, full_matrices=False)
         factors.append((cols, sv, U.T @ rvec[rows], Vt))
     s_max = max((sv[0] for _, sv, _, _ in factors), default=0.0)
-    cutoff = np.finfo(float).eps * max(AP.shape) * s_max
+    cutoff = np.finfo(float).eps * max(m, n) * s_max
 
     def step(lam):
         delta = np.zeros(n)
@@ -459,10 +460,11 @@ def _exponential_columns(jet, modes, sp: Space):
     return keys - sp.zero_key, values
 
 
-def _jacobian(box: _RealCoords, s: Section, X: VectorField, Y: VectorField, row_cap: int):
-    """Gauss-Newton Jacobian of the residual at s, dense (row_cap, n), and
-    the coordinates of its rows, in sorted key order.  Columns are the real
-    unknowns of ``box``, the f block then the g block, each in slot order:
+def _jacobian(box: _RealCoords, s: Section, X: VectorField, Y: VectorField):
+    """Gauss-Newton Jacobian of the residual at s: the coordinates of its
+    rows, in sorted key order, and its nonzero real entries (row, column,
+    value).  Columns are the real unknowns of ``box``, the f block then the
+    g block, each in slot order:
     c E_k + conj(c) E_-k for c = 1, i on the slot pair of a key k != 0, and
     E_0 on the slot of k = 0.
 
@@ -504,24 +506,22 @@ def _jacobian(box: _RealCoords, s: Section, X: VectorField, Y: VectorField, row_
     # column count can overflow int64 at high truncation orders
     row_keys, rank = np.unique(row_keys, return_inverse=True)
     uniq, inv = np.unique(rank * (2 * nq) + column, return_inverse=True)
-    block, qi = divmod(uniq % (2 * nq), nq)
     *quad, lin = (np.bincount(inv, x.real, len(uniq)) + 1j * np.bincount(inv, x.imag, len(uniq))
                   for x in np.concatenate(parts, axis=1))
     rank, (block, qi) = uniq // (2 * nq), divmod(uniq % (2 * nq), nq)
     for total, c in zip(quad, (1.0, 1j)):
         total[np.abs(total) < COLUMN_PRUNE] = 0.0
         total += c * lin
-    quad[1][qkeys[qi] == zero] = 0.0   # E_0 has no c = i column
-    kept = np.unique(rank[(quad[0] != 0) | (quad[1] != 0)])
+    quad = np.stack(quad)
+    quad[1, qkeys[qi] == zero] = 0.0   # E_0 has no c = i column
+    kept = np.unique(rank[quad.any(axis=0)])
     rows = _RealCoords(sp, row_keys[kept].tolist())
-    row_slots = np.fromiter(rows.slots.values(), np.int64, len(kept))
+    row_slot = np.zeros(len(row_keys), np.int64)
+    row_slot[kept] = list(rows.slots.values())
     slots, nb = np.fromiter(box.slots.values(), np.int64, nq), len(box.weights)
-    A = np.zeros((row_cap, 2 * nb))
-    for part, total in enumerate(quad):
-        nz = np.flatnonzero(total)
-        r = row_slots[np.searchsorted(kept, rank[nz])]
-        col = block[nz] * nb + slots[qi[nz]] + part
-        A[r, col] = total[nz].real
-        im = row_keys[rank[nz]] != zero
-        A[r[im] + 1, col[im]] = total[nz[im]].imag
-    return A, rows
+    # v[part, c, j]: the real (part 0) or imaginary (part 1) part of entry j
+    # of the c = 1 (c = 0) or c = i (c = 1) column, on real row slot + part
+    # and real column slot + c; the row of k = 0 has no imaginary part
+    v = np.stack([quad.real, np.where(row_keys[rank] != zero, quad.imag, 0.0)])
+    part, c, j = np.nonzero(v)
+    return rows, row_slot[rank[j]] + part, block[j] * nb + slots[qi[j]] + c, v[part, c, j]

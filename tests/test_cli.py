@@ -337,13 +337,19 @@ def test_refused_number_exit_two(capsys, tmp_path, argv):
     ["prolong", sect("obstructed.json"), "--radius", "1.5"],
     ["prolong", sect("obstructed.json"), "--radius", "2,,1,1,1"],
     ["prolong", sect("obstructed.json"), "--max-iters", "-2"],
+    ["prolong", sect("obstructed.json"), "--radius", "-1,1,1,1,1"],
+    [],
+    ["verify", "nosuch"],
 ], ids=["verify-n-negative", "leaves-denominator-zero", "scan-denominator-negative",
         "prolong-radius-negative", "prolong-radii-negative", "prolong-radii-leading-negative",
         "prolong-radii-two", "prolong-radii-six", "prolong-radii-malformed",
-        "prolong-radius-float", "prolong-radii-empty", "prolong-max-iters-negative"])
+        "prolong-radius-float", "prolong-radii-empty", "prolong-max-iters-negative",
+        "prolong-radii-leading-negative-apart", "no-subcommand", "verify-unknown-suite"])
 def test_refused_count_exit_two(capsys, argv):
     # these used to pass vacuously, call 1/2 a cylinder, solve at radius 0,
-    # report max_iters, or print argparse's usage
+    # report max_iters, or print argparse's usage (the last three: a
+    # negative comma form taken for an option, no subcommand, an unknown
+    # suite)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -4,7 +4,9 @@ prolongation solver."""
 import itertools
 import json
 import math
+import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from coisolab.fields import Field, canonical_rep
 
 SP = base_space(8)
 TWO_PI = 2 * math.pi
+SECTIONS = os.path.join(os.path.dirname(__file__), os.pardir, "sections")
 
 # regression constant: residual floor of the radius-1 obstructed run
 # (direction (cos x2, sin x2), eps = 0.1, N = 8), measured at first
@@ -310,9 +313,10 @@ def test_block_steps_solve_a_planted_system(shapes):
         planted.add((frozenset(rows.tolist()), frozenset(cols.tolist())))
         i0, j0 = i0 + B.shape[0], j0 + B.shape[1]
     r = rng.normal(size=m)
+    ri, ci = np.nonzero(AP)
     assert {(frozenset(rows.tolist()), frozenset(cols.tolist()))
-            for rows, cols in _blocks(AP)} == planted
-    step = _block_steps(AP, r)
+            for rows, cols, _ in _blocks(ri, ci, m, n)} == planted
+    step = _block_steps(ri, ci, AP[ri, ci], r, n)
     # lam = 0: lstsq's minimum-norm solution with its default cutoff; the
     # zero column gets a step of exactly 0
     want, *_ = np.linalg.lstsq(AP, -r, rcond=None)
@@ -331,8 +335,9 @@ def test_block_steps_solve_a_planted_system(shapes):
         null_part = diff - row_space.T @ (row_space @ diff)
         assert np.linalg.norm(null_part) < 10 * np.finfo(float).eps * sv[0] * np.linalg.norm(r) / lam
     # a matrix without a nonzero entry has no block and a zero step
-    assert _blocks(np.zeros((m, n))) == []
-    assert not np.any(_block_steps(np.zeros((m, n)), r)(0.0))
+    none = np.zeros(0, np.int64)
+    assert _blocks(none, none, m, n) == []
+    assert not np.any(_block_steps(none, none, np.zeros(0), r, n)(0.0))
 
 
 def test_prolong_factors_once_per_rejected_iteration(monkeypatch):
@@ -390,11 +395,10 @@ def test_jacobian_columns_are_central_differences():
                     ((0, 0, 1, 0, 1), ()): 0.15})
     box = _RealCoords(SP, (SP.pack(k, ()) for k in itertools.product(range(-1, 2), repeat=5)
                            if canonical_rep(k)))
-    row_cap = 7 * 5 ** 4
     X, Y = xy_frame(SP)
-    A, rows = _jacobian(box, s, X, Y, row_cap)
+    rows, ri, ci, v = _jacobian(box, s, X, Y)
     nb = len(box.weights)
-    assert A.shape == (row_cap, 2 * nb)
+    assert ri.max() < len(rows.weights) and ci.max() < 2 * nb
     t = 1e-3
     zero = Field.zero(SP)
     for block, k, part in ((0, (0, 1, 0, 0, 0), 1.0), (0, (1, -1, 0, 1, 0), 1j),
@@ -404,29 +408,34 @@ def test_jacobian_columns_are_central_differences():
         d = Section(h, zero) if block == 0 else Section(zero, h)
         plus = residual(Section(s.f + d.f, s.g + d.g))
         minus = residual(Section(s.f - d.f, s.g - d.g))
-        want = np.zeros(row_cap)
-        rows.add(want, (plus - minus) * (0.5 / t))
-        col = A[:, block * nb + box.slots[SP.pack(k, ())] + (part == 1j)]
+        diff = (plus - minus) * (0.5 / t)
+        # no mass outside the Jacobian's rows, which coords leaves out
+        assert max((abs(c) for key, c in diff.packed.items()
+                    if key >= SP.zero_key and key not in rows.slots), default=0.0) < 1e-10
+        on = ci == block * nb + box.slots[SP.pack(k, ())] + (part == 1j)
+        col = np.zeros(len(rows.weights))
+        col[ri[on]] = v[on]
         assert np.max(np.abs(col)) > 0.1
-        assert np.max(np.abs(col - want)) < 1e-10
+        assert np.max(np.abs(col - rows.coords(diff))) < 1e-10
 
 
-def jacobian_by_field_products(box, s, X, Y, row_cap):
+def jacobian_by_field_products(box, s, X, Y):
     """The Gauss-Newton Jacobian built one Field column at a time: the jet of
     each real unknown, the quadratic form against the iterate's jet, pruned
-    at COLUMN_PRUNE, plus the linear part.  Oracle of the closed form."""
+    at COLUMN_PRUNE, plus the linear part.  Dense, with a row for every
+    canonical mode of a column, in sorted key order.  Oracle of the closed
+    form."""
     sp = box.space
     jets = [_jet(Field.from_modes(sp, {sp.unpack(key): c}), X, Y)
             for key in box.slots for c in ((1.0, 1j) if key != box.zero else (1.0,))]
     unknowns = ([(0, jet, jet[0].partial(FIBER_AXES[1])) for jet in jets]
                 + [(1, jet, -jet[0].partial(FIBER_AXES[0])) for jet in jets])
     jet_f, jet_g = _jet(s.f, X, Y), _jet(s.g, X, Y)
-    rows = _RealCoords(sp)
-    A = np.zeros((row_cap, len(unknowns)))
-    for j, (block, jet, lin) in enumerate(unknowns):
-        quad = _quadratic_form(jet, jet_g) if block == 0 else _quadratic_form(jet_f, jet)
-        rows.add(A[:, j], quad.drop_below(COLUMN_PRUNE) + lin)
-    return A, rows
+    columns = [(_quadratic_form(jet, jet_g) if block == 0 else _quadratic_form(jet_f, jet))
+               .drop_below(COLUMN_PRUNE) + lin for block, jet, lin in unknowns]
+    rows = _RealCoords(sp, sorted({key for col in columns for key in col.packed
+                                   if key >= sp.zero_key}))
+    return np.stack([rows.coords(col) for col in columns], axis=1), rows
 
 
 # at trunc 1000 a packed row key times the column count overflows int64
@@ -446,21 +455,78 @@ def test_jacobian_closed_form_matches_field_products(trunc, radii, iterations):
     # outer unknowns leaves the box, and so do products with the iterate
     box = _RealCoords(sp, (sp.pack(k, ()) for k in itertools.product(
         *(range(-r, r + 1) for r in radii)) if canonical_rep(k)))
-    row_cap = math.prod(2 * min(2 * r + (a == 0), trunc) + 1 for a, r in enumerate(radii))
     X, Y = xy_frame(sp)
-    A, rows = _jacobian(box, s, X, Y, row_cap)
-    want, want_rows = jacobian_by_field_products(box, s, X, Y, row_cap)
-    assert rows.slots.keys() == want_rows.slots.keys()
-    # the closed form's rows come in sorted key order
-    assert list(rows.slots) == sorted(rows.slots)
+    rows, ri, ci, v = _jacobian(box, s, X, Y)
+    want, want_rows = jacobian_by_field_products(box, s, X, Y)
+    # the same rows, in sorted key order, so the same real row slots
+    assert list(rows.slots.items()) == list(want_rows.slots.items())
+    # each entry once, none of them 0
+    assert len(set(zip(ri.tolist(), ci.tolist()))) == len(v) and np.all(v != 0)
+    A = np.zeros(want.shape)
+    A[ri, ci] = v
+    assert np.array_equal(A != 0, want != 0)
+    assert np.max(np.abs(A - want)) <= 1e-15
 
-    def real_rows(coords):
-        return [coords.slots[key] + i for key in sorted(coords.slots)
-                for i in range(1 if key == sp.zero_key else 2)]
-    here, there = real_rows(rows), real_rows(want_rows)
-    assert np.array_equal(A[here] != 0, want[there] != 0)
-    assert np.max(np.abs(A[here] - want[there])) <= 1e-15
-    assert not A[len(here):].any()
+
+@pytest.mark.parametrize("name, eps, radii, iterations", [
+    ("obstructed.json", 0.1, 1, 1), ("obstructed.json", 0.1, (2, 1, 1, 1, 1), 3),
+    ("st_sin.json", 0.25, 1, 1)], ids=["radius1-eps-u", "box-iterate", "st-sin-one-coordinate"])
+def test_projected_system_matches_dense_route(monkeypatch, name, eps, radii, iterations):
+    # the dense route the triplets replaced is the oracle: A with one row per
+    # real row slot, AP = A[:m] * sw, AP -= outer(AP @ u, w u / uu) over all
+    # n columns, and np.nonzero(AP); the triplets that reach _block_steps
+    # must be the same entries with bit-identical values
+    with open(os.path.join(SECTIONS, name)) as fh:
+        direction = Section.from_json_dict(json.load(fh))
+    seen = []
+
+    def jacobian(box, s, X, Y, _orig=coisotropy._jacobian):
+        seen.append([box, s, *_orig(box, s, X, Y)])
+        return seen[-1][2:]
+
+    def block_steps(*args, _orig=coisotropy._block_steps):
+        seen[-1].append(args)
+        return _orig(*args)
+    monkeypatch.setattr(coisotropy, "_jacobian", jacobian)
+    monkeypatch.setattr(coisotropy, "_block_steps", block_steps)
+    # tol 0 makes st_sin.json, exactly coisotropic at eps u, assemble once;
+    # the box run's last system is the one at its iterate after 2 iterations
+    prolong(direction, eps, ProlongOptions(tol=0.0, solver_radius=radii, max_iters=iterations))
+    assert len(seen) == iterations
+    box = seen[0][0]
+    u = np.concatenate([box.coords(direction.f), box.coords(direction.g)])
+    w = np.array(box.weights * 2)
+    uu = float(np.dot(w * u, u))
+    assert np.count_nonzero(u) == (1 if name == "st_sin.json" else 2)
+    for _, s, rows, ri, ci, v, (pri, pci, pv, rvec, n) in seen:
+        m = len(rows.weights)
+        A = np.zeros((m, n))
+        A[ri, ci] = v
+        sw = np.sqrt(rows.weights)
+        AP = A[:m] * sw[:, None]
+        AP -= np.outer(AP @ u, w * u / uu)
+        want = dict(zip(zip(*(i.tolist() for i in np.nonzero(AP))), AP[np.nonzero(AP)].tolist()))
+        got = dict(zip(zip(pri.tolist(), pci.tolist()), pv.tolist()))
+        assert len(got) == len(pv) and got == want
+        r, want_r = residual(s), []
+        for key in rows.slots:
+            c = r.packed.get(key, 0j)
+            want_r += [c.real] if key == box.zero else [c.real, c.imag]
+        assert np.array_equal(rvec, np.array(want_r) * sw)
+
+
+def test_prolong_radius1_memory():
+    # the dense route held a 4375 x 486 Jacobian and copies of it: 20 MB of
+    # traced numpy memory at radius 1, where the triplets need about 1 MB
+    assert fields.STRICT
+    tracemalloc.start()
+    try:
+        rep = prolong(obstructed_direction(), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.status == "obstructed"
+    assert peak < 8e6
 
 
 def test_prolong_constraint_respected():
