@@ -2,11 +2,11 @@
 
 Structured results are JSON (sorted keys, so identical seed and config give
 byte-identical reports); trajectories are CSV.  Exit codes: 0 success or
-converged, 1 solver gave up without a verdict, 2 input error (including a
-mistyped or non-finite number, a flow the integrator refuses, a degenerate
-contact pairing, a Hamiltonian field or identity-check evidence truncated by
-the box, and a prolongation system above the solver size guard), 3 obstructed
-verdict, 4 verification failure, 141 standard output closed by its reader.
+converged, 1 solver gave up without a verdict, 2 input error (a mistyped or
+non-finite number, a refused flow, a degenerate contact pairing, evidence that
+lost mass to truncation, an inexact or oversized prolongation box, keys beyond
+int64), 3 obstructed verdict, 4 verification failure, 141 standard output
+closed by its reader.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import contact as ct
 from . import foliation, integrate, verify
 from .coisotropy import (ProlongOptions, Section, family_section, kuranishi,
                          prolong, residual)
-from .fields import Field, json_float, json_int
+from .fields import Field, json_float, json_int, require_exact
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -142,6 +142,7 @@ def cmd_residual(args, cfg: RunConfig) -> int:
 def cmd_kuranishi(args, cfg: RunConfig) -> int:
     s = _load_json(args.section, Section)
     obstruction = kuranishi(s)
+    require_exact("Kuranishi obstruction", obstruction)
     nonzero = obstruction.max_abs() > cfg.tol
     _emit_json({"check": "kuranishi",
                 "norm": obstruction.l2_norm(),

@@ -231,28 +231,28 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     Verdicts: ``converged`` when the residual norm drops below tol;
     ``obstructed`` when the norm stalls (relative decrease below STALL_REL
     over STALL_WINDOW iterations) while still above 100*tol; ``max_iters``
-    otherwise.  A system whose row bound times column count exceeds
-    MAX_DENSE is refused before any assembly."""
+    otherwise.  Boxes that are not exact (``_solver_radii``), keys beyond int64
+    and systems above MAX_DENSE (row bound x columns) are refused before assembly."""
     opts = opts or ProlongOptions()
     if not 0.0 < eps <= 0.5:
         raise PreconditionError(f"eps={eps} outside (0, 0.5]")
     if opts.max_iters < 0:
         raise PreconditionError(f"max_iters={opts.max_iters} is negative")
+    sp = direction.space
+    if sp.radix ** sp.dim - 1 > np.iinfo(np.int64).max:
+        raise PreconditionError(f"truncation order {sp.trunc_order} overflows int64 mode keys")
     lin = linearized_residual(direction)
     if lin.l2_norm() > 1e-10:
         raise PreconditionError(
             "direction is not an infinitesimal deformation "
             f"(linearized residual norm {lin.l2_norm():.3e} > 1e-10)")
 
-    sp = direction.space
     radii = _solver_radii(direction, opts.solver_radius, sp.trunc_order)
     # a real field on a symmetric box of T modes has T real coordinates; the
     # residual and every Jacobian column stay in the box of radius 2 r (and
-    # 2 r1 + 1 on x1, from the frame's cos x1 and sin x1), cut at the
-    # truncation order
+    # 2 r1 + 1 on x1, from the frame's cos x1 and sin x1)
     n = 2 * math.prod(2 * r + 1 for r in radii)
-    row_cap = math.prod(2 * min(2 * r + (a == 0), sp.trunc_order) + 1
-                        for a, r in enumerate(radii))
+    row_cap = math.prod(2 * (2 * r + (a == 0)) + 1 for a, r in enumerate(radii))
     if row_cap * n > MAX_DENSE:
         raise PreconditionError(
             f"solver system of up to {row_cap}x{n} too large for dense assembly; "
@@ -347,6 +347,8 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
 
 
 def _solver_radii(direction: Section, radius, trunc_order: int):
+    """``radius`` per axis, grown to the direction's support, in an exact box: the
+    residual and Jacobian reach 2 r1 + 1 on x1 and 2 r on the other axes, all <= N."""
     radii = [radius] * BASE_TORUS_DIM if isinstance(radius, int) else list(radius)
     if len(radii) != BASE_TORUS_DIM:
         raise PreconditionError("solver_radius needs one entry per torus axis")
@@ -356,9 +358,9 @@ def _solver_radii(direction: Section, radius, trunc_order: int):
         for key in h.packed:
             for a, ka in enumerate(h.space.unpack(key)[0]):
                 radii[a] = max(radii[a], abs(ka))
-    if max(radii) > trunc_order:
-        raise PreconditionError(
-            f"solver radii {radii} exceed the truncation order {trunc_order}")
+    if 2 * radii[0] + 1 > trunc_order or 2 * max(radii[1:]) > trunc_order:
+        raise PreconditionError(f"solver radii {radii} exceed the truncation order {trunc_order}"
+                                " (an exact box needs 2 r1 + 1 <= N, 2 r <= N)")
     return radii
 
 
@@ -424,8 +426,7 @@ def _block_steps(ri, ci, v, rvec, n: int):
 
 
 def _digits(sp: Space, keys) -> np.ndarray:
-    """The torus frequencies of packed keys on a fiber-free space, one row
-    per key; a digit one step outside the box still decodes."""
+    """The torus frequencies of packed keys on a fiber-free space, one row per key."""
     return keys[:, None] // np.array(sp.weights) % sp.radix - 2 * sp.trunc_order
 
 
@@ -438,11 +439,10 @@ def _exponential_columns(jet, modes, sp: Space):
     with X E_p = xp E_{p+e1} + xm E_{p-e1}, Y E_p = yp E_{p+e1} + ym E_{p-e1},
     xp = (i/2)(p2 + i p3), xm = (i/2)(p2 - i p3), yp = (p2 + i p3)/2 and
     ym = (-p2 + i p3)/2.  Returns (offsets, values): E_p times the jet's
-    part at offsets[j] lands on the key of p plus offsets[j], and values[p, j]
-    is 0 where that mode or E_{p +- e1} leaves the truncation box, which the
-    Field products drop."""
+    part at offsets[j] lands on the key of p plus offsets[j], with coefficient
+    values[p, j]; in an exact box (``_solver_radii``) all these modes lie in it."""
     h, h1, Xh, Yh = jet
-    n, e1 = sp.trunc_order, sp.weights[0]
+    e1 = sp.weights[0]
     parts = [(Xh, 0), (Yh, 0), (h1, e1), (h, e1), (h1, -e1), (h, -e1)]
     keyed = [(np.fromiter(f.packed, np.int64, len(f.packed)) + shift,
               np.fromiter(f.packed.values(), complex, len(f.packed)))
@@ -452,11 +452,9 @@ def _exponential_columns(jet, modes, sp: Space):
     for dense, (k, c) in zip((xh, yh, h1p, hp, h1m, hm), keyed):
         dense[np.searchsorted(keys, k)] = c
     p1, p2, p3 = (modes[:, a, None].astype(float) for a in range(3))
-    xp, yp = (np.where(p1 < n, c, 0.0) for c in (0.5j * (p2 + 1j * p3), 0.5 * (p2 + 1j * p3)))
-    xm, ym = (np.where(p1 > -n, c, 0.0) for c in (0.5j * (p2 - 1j * p3), 0.5 * (-p2 + 1j * p3)))
+    xp, yp = 0.5j * (p2 + 1j * p3), 0.5 * (p2 + 1j * p3)
+    xm, ym = 0.5j * (p2 - 1j * p3), 0.5 * (-p2 + 1j * p3)
     values = ((1j * p1 * xh - (xp * h1p + xm * h1m)) - (yp * hp + ym * hm)) + yh
-    for a, ka in enumerate(_digits(sp, keys).T):
-        values[np.abs(modes[:, a, None] + ka) > n] = 0.0
     return keys - sp.zero_key, values
 
 

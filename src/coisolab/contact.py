@@ -27,8 +27,8 @@ import numpy as np
 
 from . import integrate
 from .dercalc import AtiyahForm, Derivation, Form
-from .fields import (Field, ShapeError, Space, VectorField, stacked_evaluator,
-                     wrap_torus)
+from .fields import (Field, ShapeError, Space, VectorField, require_exact,
+                     stacked_evaluator, wrap_torus)
 
 M_TORUS_DIM = 5
 M_FIBER_DIM = 2
@@ -167,9 +167,7 @@ def _hamiltonian(lam: Field) -> Derivation:
         l[3] - a * y4,
         l[4] - a * y5,
     ]
-    loss = max(h.trunc_loss for h in xi + [a])
-    if loss:
-        raise ShapeError(f"Hamiltonian derivation lost mass {loss:.3e} to truncation")
+    require_exact("Hamiltonian derivation", *xi, a)
     return Derivation(VectorField(xi), a)
 
 

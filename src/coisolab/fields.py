@@ -455,6 +455,13 @@ def _mul_into(dst: dict, a: "Field", b: "Field", scale=1) -> float:
     return loss
 
 
+def require_exact(what: str, *evidence):
+    """Refuse evidence (items with ``trunc_loss``) truncated by the box."""
+    loss = sum(e.trunc_loss for e in evidence)
+    if loss:
+        raise ShapeError(f"{what} lost mass {loss:.3e} to truncation")
+
+
 class FieldSum:
     """Signed sum of fields and field products, accumulated into one
     packed coefficient dict; the sum's ``trunc_loss`` adds up the loss of

@@ -46,7 +46,7 @@ class LeafTrace:
 
 @dataclass
 class LeafClass:
-    kind: str               # "torus" | "cylinder" | "plane" | "unknown"
+    kind: str               # "torus" | "cylinder" | "unknown"
     periods: tuple | None = None
     evidence: dict = dc_field(default_factory=dict)
 

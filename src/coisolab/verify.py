@@ -17,7 +17,7 @@ import numpy as np
 from . import contact as ct
 from .dercalc import (AtiyahForm, Derivation, Form, is_basic,
                       pullback_reduction)
-from .fields import Field, ShapeError, Space, VectorField
+from .fields import Field, Space, VectorField, require_exact
 
 IDENTITY_TOL = 1e-9
 POINT_TOL = 1e-6
@@ -134,10 +134,7 @@ def _accumulator(spec):
         if not isinstance(defect, float):
             evidence += (defect,)
             defect = defect.max_abs()
-        loss = sum(e.trunc_loss for e in evidence)
-        if loss:
-            raise ShapeError(f"check {name}: evidence lost mass {loss:.3e} "
-                             "to truncation")
+        require_exact(f"check {name}: evidence", *evidence)
         defects[name] = max(defects[name], defect)
 
     return defects, bump

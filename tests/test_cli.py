@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from coisolab import fields
+from coisolab import coisotropy, fields
 from coisolab.cli import main
 from coisolab.coisotropy import ProlongOptions, Section, prolong
 from coisolab.contact import contact_space
@@ -63,6 +63,19 @@ def test_kuranishi_obstructed(capsys):
     assert field.space.torus_dim == 3
     amp = TWO_PI ** 2 / 2
     assert field.coeffs[((1, 0, 0), ())] == pytest.approx(-1j * amp, abs=1e-10)
+
+
+def test_kuranishi_lossy_obstruction_exit_two(capsys, tmp_path):
+    # f = E_(8,1,0,0,0), g = E_(8,0,1,0,0) at N = 8: the products reach
+    # k1 = 16, and the obstruction loses 6.5 of its mass to the box; its
+    # nonzero verdict would measure the box, so it is refused
+    sp = {"torus_dim": 5, "fiber_dim": 0, "trunc_order": 8, "poly_deg": 0}
+    path = tmp_path / "lossy.json"
+    path.write_text(json.dumps({c: {**sp, "terms": [{"k": k, "m": [], "re": 0.5, "im": 0.0}]}
+                                for c, k in (("f", [8, 1, 0, 0, 0]), ("g", [8, 0, 1, 0, 0]))}))
+    code, out, err = run(capsys, "kuranishi", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: Kuranishi obstruction lost mass 6.500e+00 to truncation\n"
 
 
 def test_kuranishi_constants(capsys):
@@ -120,6 +133,45 @@ def test_prolong_per_axis_radius(capsys):
     want = prolong(direction, 0.1, ProlongOptions(solver_radius=(2, 1, 1, 1, 1)))
     assert json.loads(out) == want.to_json_dict()
     assert want.iterations == 7
+
+
+@pytest.mark.parametrize("radius, k", [("4,4,4,0,0", None), ("8,8,0,0,0", None),
+                                      ("1", [4, 0, 0, 0, 0])],
+                         ids=["radii-444", "radii-88", "own-x1-mode"])
+def test_prolong_inexact_box_exit_two(capsys, tmp_path, monkeypatch, radius, k):
+    # a box whose residual or Jacobian would leave the truncation box is
+    # refused before assembly, also when the direction's own mode forces
+    # r1 = 4 at N = 8
+    def no_assembly(*args):
+        raise AssertionError("assembled a Jacobian")
+    monkeypatch.setattr(coisotropy, "_jacobian", no_assembly)
+    path = sect("obstructed.json")
+    if k is not None:
+        data = json.loads(open(path).read())
+        for c in "fg":
+            data[c]["terms"][0]["k"] = k
+        path = tmp_path / "direction.json"
+        path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "prolong", str(path), "--radius", radius)
+    assert code == 2 and out == ""
+    assert err.startswith("error: solver radii") and err.count("\n") == 1
+    assert "exceed the truncation order 8" in err
+
+
+def test_prolong_key_overflow_exit_two(capsys, tmp_path, monkeypatch):
+    # at trunc_order 1552 the largest packed key, (4 N + 1)^5 - 1, no longer
+    # fits int64: the space is refused before any work
+    def no_work(*args):
+        raise AssertionError("started the solve")
+    monkeypatch.setattr(coisotropy, "linearized_residual", no_work)
+    data = json.loads(open(sect("obstructed.json")).read())
+    for c in "fg":
+        data[c]["trunc_order"] = 1552
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "prolong", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: truncation order 1552 overflows int64") and err.count("\n") == 1
 
 
 # -- leaves / scan ------------------------------------------------------------------

@@ -281,6 +281,36 @@ def test_prolong_refuses_radius_beyond_truncation():
         prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=(9, 0, 0, 0, 0)))
 
 
+@pytest.mark.parametrize("trunc, k, radii", [
+    (8, (0, 1, 0, 0, 0), (4, 4, 4, 0, 0)), (8, (0, 1, 0, 0, 0), (8, 8, 0, 0, 0)),
+    (8, (4, 0, 0, 0, 0), 1), (8, (0, 0, 0, 5, 5), 1), (2, (0, 1, 0, 0, 0), (2, 1, 1, 1, 1))],
+    ids=["444", "88", "own-x1-mode", "own-x45-mode", "trunc2-box"])
+def test_prolong_refuses_inexact_box(monkeypatch, trunc, k, radii):
+    # the residual and the Jacobian columns reach 2 r1 + 1 on x1 and 2 r on
+    # the other axes; a box that would cut them is refused before assembly,
+    # also when the direction's own mode grows the radii.  (E_k, E_k) is an
+    # infinitesimal deformation when k4 = k5
+    def no_assembly(*args):
+        raise AssertionError("assembled a Jacobian")
+    monkeypatch.setattr(coisotropy, "_jacobian", no_assembly)
+    sp = base_space(trunc)
+    e_k = Field.from_modes(sp, {(k, ()): 0.5})
+    u = Section(e_k, e_k)
+    with pytest.raises(PreconditionError, match="exceed the truncation order"):
+        prolong(u, 0.1, ProlongOptions(solver_radius=radii))
+
+
+@pytest.mark.parametrize("radii", [(3, 3, 3, 0, 0), (3, 4, 4, 0, 0), (3, 4, 0, 0, 0)],
+                         ids=["333", "344", "34"])
+def test_prolong_exact_boxes_share_the_stall(radii):
+    # radius 3 is the largest exact x1 radius at N = 8, and 4 the largest on
+    # the other axes: each such box stalls at the (2, 1, 1, 1, 1) floor
+    rep = prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=radii))
+    assert (rep.status, rep.iterations) == ("obstructed", 7)
+    assert rep.residual_norm_history[-1] == pytest.approx(0.163193976536, rel=1e-10)
+    assert rep.truncation_loss == 0.0
+
+
 def test_prolong_rejects_negative_radius_and_max_iters(monkeypatch):
     def no_assembly(*args):
         raise AssertionError("assembled a Jacobian")
@@ -440,9 +470,8 @@ def jacobian_by_field_products(box, s, X, Y):
 
 # at trunc 1000 a packed row key times the column count overflows int64
 @pytest.mark.parametrize("trunc, radii, iterations", [
-    (8, (1, 1, 1, 1, 1), 0), (8, (2, 1, 1, 1, 1), 2), (2, (2, 1, 1, 1, 1), 2),
-    (1000, (1, 1, 1, 1, 1), 0)],
-    ids=["radius1-eps-u", "box-iterate", "trunc2-escapes", "trunc1000-wide-keys"])
+    (8, (1, 1, 1, 1, 1), 0), (8, (2, 1, 1, 1, 1), 2), (1000, (1, 1, 1, 1, 1), 0)],
+    ids=["radius1-eps-u", "box-iterate", "trunc1000-wide-keys"])
 def test_jacobian_closed_form_matches_field_products(trunc, radii, iterations):
     # every Field the oracle builds is checked: the closed form builds none
     assert fields.STRICT
@@ -451,8 +480,6 @@ def test_jacobian_closed_form_matches_field_products(trunc, radii, iterations):
     s = (prolong(u, 0.1, ProlongOptions(solver_radius=radii, max_iters=iterations)).final_section
          if iterations else Section(u.f * 0.1, u.g * 0.1))
     assert iterations == 0 or len(s.f.packed) > len(u.f.packed)
-    # at trunc 2 the x1 radius is the truncation order: E_(k +- e1) of the
-    # outer unknowns leaves the box, and so do products with the iterate
     box = _RealCoords(sp, (sp.pack(k, ()) for k in itertools.product(
         *(range(-r, r + 1) for r in radii)) if canonical_rep(k)))
     X, Y = xy_frame(sp)

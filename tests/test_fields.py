@@ -483,3 +483,21 @@ def test_construction_validates_keys_without_strict(monkeypatch):
         space = T3_EDGE if not key[1] else M_EDGE
         with pytest.raises(ShapeError):
             Field(space, {key: 1.0})
+
+
+def test_strict_check_refuses_planted_violations():
+    # _field takes packed keys as given; under STRICT each result is
+    # re-checked, so a coefficient without its conjugate mate and a
+    # Hermitian pair of keys outside the box are both refused
+    assert fields.STRICT
+    key = T5.pack((1, 2, 0, 0, 0), ())
+    with pytest.raises(ShapeError, match="Hermitian symmetry violated"):
+        fields._field(T5, {key: 0.5 + 0.25j}, 0.0, (2, 0))
+    # the keys of k1 = +-k decode for k = N + 1 too, each the other's mate
+    def pair(k):
+        step = k * T5.weights[0]
+        return {T5.zero_key + step: 0.5j, T5.zero_key - step: -0.5j}
+    n = T5.trunc_order
+    assert fields._field(T5, pair(n), 0.0, (n, 0)).packed == pair(n)
+    with pytest.raises(ShapeError, match="outside truncation box"):
+        fields._field(T5, pair(n + 1), 0.0, (n + 1, 0))
