@@ -203,13 +203,12 @@ def cmd_flow(args, cfg: RunConfig) -> int:
     cd = ct.standard_contact(verify=False)
     p = _parse_point(args.point, cd.space.dim)
     path = ct.flow_contact(cd, lam, p, args.duration, h=args.step)
-    n_full, _ = integrate.split_duration(args.duration, args.step)
     sign = 1 if args.duration >= 0 else -1
     lines = ["step,t,x1,x2,x3,x4,x5,y4,y5"]
     for i, q in enumerate(path):
-        # a row past the full steps ends the tail step, at the duration;
-        # adding 0.0 prints the start of a backward flow as 0.0, not -0.0
-        t = (i * args.step * sign if i <= n_full else args.duration) + 0.0
+        # the last row ends the flow, at the duration; adding 0.0 prints the
+        # start of a backward flow as 0.0, not -0.0
+        t = (args.duration if i == len(path) - 1 else i * args.step * sign) + 0.0
         lines.append(",".join([str(i), repr(float(t))]
                               + [repr(float(v)) for v in q]))
     _emit("\n".join(lines) + "\n", cfg.out)

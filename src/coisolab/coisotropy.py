@@ -18,14 +18,13 @@ to a genuine one.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (PRUNE_TOL, Field, ShapeError, Space, VectorField,
-                     canonical_rep)
+from .fields import (PRUNE_TOL, Field, ShapeError, Space, VectorField, box_keys,
+                     real_coords)
 
 BASE_TORUS_DIM = 5
 FIBER_AXES = (3, 4)  # x4, x5
@@ -173,45 +172,6 @@ class SolverReport:
                 "diagnostic": self.diagnostic}
 
 
-class _RealCoords:
-    """Real coordinates of a real field's coefficients on a fiber-free space.
-
-    Each canonical representative k of a pair {k, -k} owns a slot, keyed by
-    its packed mode key: (re, im) for k != 0, the real part alone for k = 0.
-    Canonical keys are those at or above the key of k = 0.  Weights carry
-    the Parseval multiplicity, so the weighted Euclidean norm is the
-    coefficient norm.  Slots follow the order of the keys given to the
-    constructor, and there are no others."""
-
-    def __init__(self, space: Space, keys):
-        self.space, self.zero = space, space.zero_key
-        self.slots = {}
-        self.weights = []
-        for key in keys:
-            self.slots[key] = len(self.weights)
-            self.weights.extend((2.0, 2.0) if key != self.zero else (1.0,))
-
-    def coords(self, h: Field) -> np.ndarray:
-        """The coordinate vector of h; modes without a slot are left out."""
-        out = np.zeros(len(self.weights))
-        for key, c in h.packed.items():
-            s = self.slots.get(key)
-            if s is not None:
-                out[s] += c.real
-                if key != self.zero:
-                    out[s + 1] += c.imag
-        return out
-
-    def modes(self, v) -> dict:
-        """The nonzero coefficients {(k, m): c} held in the vector v."""
-        out = {}
-        for key, s in self.slots.items():
-            c = complex(v[s], v[s + 1] if key != self.zero else 0.0)
-            if c:
-                out[self.space.unpack(key)] = c
-        return out
-
-
 def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) -> SolverReport:
     """Try to extend an infinitesimal deformation to a genuine coisotropic
     section of size eps, in the direction's truncation box.
@@ -220,14 +180,17 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     of the residual, subject to the one-dimensional affine constraint that
     the orthogonal projection of (f, g) onto the span of the direction's
     coefficient vector equals eps; the constraint is eliminated by working
-    in the orthogonal complement.  The Jacobian is assembled in closed form
-    from the jets of single exponentials (``_jacobian``), with no Field
-    product per column, as sparse triplets; its rows come in sorted key
-    order.  Restricting it to the complement changes only the direction's
-    columns, so the projected Jacobian stays sparse.  It is block diagonal
-    after a row and column permutation, so each iteration takes one thin
-    SVD per block (``_block_steps``); that one factorization serves the
-    undamped step and every damped retry.
+    in the orthogonal complement.  The unknowns, the direction and the
+    residual rows are real coordinates (``fields.real_coords``) on
+    ascending canonical key arrays, the unknowns' from ``box_keys``.  The
+    Jacobian is assembled in closed form from the jets of single
+    exponentials (``_jacobian``), with no Field product per column, as
+    sparse triplets; its rows come in sorted key order.  Restricting it to
+    the complement changes only the direction's columns, so the projected
+    Jacobian stays sparse.  It is block diagonal after a row and column
+    permutation, so each iteration takes one thin SVD per block
+    (``_block_steps``); that one factorization serves the undamped step
+    and every damped retry.
     Verdicts: ``converged`` when the residual norm drops below tol;
     ``obstructed`` when the norm stalls (relative decrease below STALL_REL
     over STALL_WINDOW iterations) while still above 100*tol; ``max_iters``
@@ -239,7 +202,8 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     if opts.max_iters < 0:
         raise PreconditionError(f"max_iters={opts.max_iters} is negative")
     sp = direction.space
-    if sp.radix ** sp.dim - 1 > np.iinfo(np.int64).max:
+    # 2 zero_key is the key of (2N, ..., 2N), the largest sum of two in-box modes
+    if 2 * sp.zero_key > np.iinfo(np.int64).max:
         raise PreconditionError(f"truncation order {sp.trunc_order} overflows int64 mode keys")
     lin = linearized_residual(direction)
     if lin.l2_norm() > 1e-10:
@@ -247,7 +211,7 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
             "direction is not an infinitesimal deformation "
             f"(linearized residual norm {lin.l2_norm():.3e} > 1e-10)")
 
-    radii = _solver_radii(direction, opts.solver_radius, sp.trunc_order)
+    radii = _solver_radii(direction, opts.solver_radius, sp)
     # a real field on a symmetric box of T modes has T real coordinates; the
     # residual and every Jacobian column stay in the box of radius 2 r (and
     # 2 r1 + 1 on x1, from the frame's cos x1 and sin x1)
@@ -257,17 +221,14 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
         raise PreconditionError(
             f"solver system of up to {row_cap}x{n} too large for dense assembly; "
             "reduce solver_radius (per-axis radii are accepted)")
-    box = _RealCoords(sp, (sp.pack(k, ()) for k in itertools.product(
-        *(range(-r, r + 1) for r in radii)) if canonical_rep(k)))
-    nb = len(box.weights)
+    box, nb = box_keys(sp, radii), n // 2
     X, Y = xy_frame(sp)
 
     def section_of(v):
-        return Section(Field.from_modes(sp, box.modes(v[:nb])),
-                       Field.from_modes(sp, box.modes(v[nb:])))
+        return Section(Field.from_coords(sp, box, v[:nb]), Field.from_coords(sp, box, v[nb:]))
 
-    u = np.concatenate([box.coords(direction.f), box.coords(direction.g)])
-    w = np.array(box.weights * 2)
+    u = np.concatenate([direction.f.coords(box), direction.g.coords(box)])
+    w = np.tile(real_coords(sp, box)[1], 2)
     uu = float(np.dot(w * u, u))
     if uu == 0.0:
         raise PreconditionError("zero direction")
@@ -299,7 +260,7 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
                 break
 
         rows, ri, ci, v = _jacobian(box, s, X, Y)
-        sw = np.sqrt(rows.weights)
+        sw = np.sqrt(real_coords(sp, rows)[1])
         v = v * sw[ri]
         # restrict to the constraint's complement, AP (I - u (w u)^T / uu):
         # only the columns of u's support change, on one dense slab
@@ -312,7 +273,7 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
                      for a, b in ((ri, si), (ci, supp[sj]), (v, slab[si, sj])))
         # every attempt of an iteration has the same AP: one factorization
         # serves them all
-        step = _block_steps(ri, ci, v, rows.coords(r_field) * sw, n)
+        step = _block_steps(ri, ci, v, r_field.coords(rows) * sw, n)
 
         improved = False
         for attempt in range(12):
@@ -346,7 +307,7 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
                         final_section=s, diagnostic=diagnostic)
 
 
-def _solver_radii(direction: Section, radius, trunc_order: int):
+def _solver_radii(direction: Section, radius, sp: Space):
     """``radius`` per axis, grown to the direction's support, in an exact box: the
     residual and Jacobian reach 2 r1 + 1 on x1 and 2 r on the other axes, all <= N."""
     radii = [radius] * BASE_TORUS_DIM if isinstance(radius, int) else list(radius)
@@ -354,13 +315,11 @@ def _solver_radii(direction: Section, radius, trunc_order: int):
         raise PreconditionError("solver_radius needs one entry per torus axis")
     if min(radii) < 0:
         raise PreconditionError(f"solver radii {radii} have a negative entry")
-    for h in (direction.f, direction.g):
-        for key in h.packed:
-            for a, ka in enumerate(h.space.unpack(key)[0]):
-                radii[a] = max(radii[a], abs(ka))
-    if 2 * radii[0] + 1 > trunc_order or 2 * max(radii[1:]) > trunc_order:
-        raise PreconditionError(f"solver radii {radii} exceed the truncation order {trunc_order}"
-                                " (an exact box needs 2 r1 + 1 <= N, 2 r <= N)")
+    support = np.fromiter([*direction.f.packed, *direction.g.packed], np.int64)
+    radii = list(map(max, radii, abs(sp.digits(support)).max(axis=0, initial=0).tolist()))
+    if 2 * radii[0] + 1 > sp.trunc_order or 2 * max(radii[1:]) > sp.trunc_order:
+        raise PreconditionError(f"solver radii {radii} exceed the truncation order "
+                                f"{sp.trunc_order} (an exact box needs 2 r1 + 1 <= N, 2 r <= N)")
     return radii
 
 
@@ -425,11 +384,6 @@ def _block_steps(ri, ci, v, rvec, n: int):
     return step
 
 
-def _digits(sp: Space, keys) -> np.ndarray:
-    """The torus frequencies of packed keys on a fiber-free space, one row per key."""
-    return keys[:, None] // np.array(sp.weights) % sp.radix - 2 * sp.trunc_order
-
-
 def _exponential_columns(jet, modes, sp: Space):
     """Q(E_p, h) for every frequency p in the rows of ``modes``, in closed
     form from the first jet (h, h1, Xh, Yh) of h:
@@ -458,11 +412,11 @@ def _exponential_columns(jet, modes, sp: Space):
     return keys - sp.zero_key, values
 
 
-def _jacobian(box: _RealCoords, s: Section, X: VectorField, Y: VectorField):
-    """Gauss-Newton Jacobian of the residual at s: the coordinates of its
-    rows, in sorted key order, and its nonzero real entries (row, column,
-    value).  Columns are the real unknowns of ``box``, the f block then the
-    g block, each in slot order:
+def _jacobian(box, s: Section, X: VectorField, Y: VectorField):
+    """Gauss-Newton Jacobian of the residual at s: the ascending canonical
+    keys of its rows and its nonzero real entries (row, column, value), on
+    the real coordinates (``real_coords``) of those keys.  Columns are the
+    real unknowns on the canonical keys ``box``, the f block then the g block:
     c E_k + conj(c) E_-k for c = 1, i on the slot pair of a key k != 0, and
     E_0 on the slot of k = 0.
 
@@ -472,13 +426,11 @@ def _jacobian(box: _RealCoords, s: Section, X: VectorField, Y: VectorField):
     in closed form, as (row key, column, value) triplets on the canonical
     rows; duplicates are summed, each column's quadratic part loses its
     entries below COLUMN_PRUNE, and the linear part is added after that."""
-    sp, zero = box.space, box.zero
-    qkeys = np.fromiter(box.slots, np.int64, len(box.slots))
-    nq = len(qkeys)
+    sp, nq, zero = s.space, len(box), s.space.zero_key
     # every mode p of the symmetric box, as q or -q for a canonical q
-    pkeys = np.concatenate([qkeys, 2 * zero - qkeys[qkeys != zero]])
-    pq = np.concatenate([np.arange(nq), np.flatnonzero(qkeys != zero)])
-    modes = _digits(sp, pkeys)
+    pkeys = np.concatenate([box, sp.mate(box[box != zero])])
+    pq = np.concatenate([np.arange(nq), np.flatnonzero(box != zero)])
+    modes = sp.digits(pkeys)
     # per triplet: the quadratic part of the c = 1 and c = i columns, and
     # the linear part of the c = 1 column
     row_keys, column, parts = [], [], []
@@ -495,7 +447,7 @@ def _jacobian(box: _RealCoords, s: Section, X: VectorField, Y: VectorField):
         # the linear part, dphi/dx5 or -dpsi/dx4, is i q5 or -i q4 on the row of q
         q_axis = modes[:nq, FIBER_AXES[1 - block]]
         has = np.flatnonzero(q_axis)
-        row_keys.append(qkeys[has])
+        row_keys.append(box[has])
         column.append(block * nq + has)
         parts.append(np.zeros((3, len(has)), complex))
         parts[-1][2] = 1j * sign * q_axis[has]
@@ -511,15 +463,15 @@ def _jacobian(box: _RealCoords, s: Section, X: VectorField, Y: VectorField):
         total[np.abs(total) < COLUMN_PRUNE] = 0.0
         total += c * lin
     quad = np.stack(quad)
-    quad[1, qkeys[qi] == zero] = 0.0   # E_0 has no c = i column
+    quad[1, box[qi] == zero] = 0.0   # E_0 has no c = i column
     kept = np.unique(rank[quad.any(axis=0)])
-    rows = _RealCoords(sp, row_keys[kept].tolist())
     row_slot = np.zeros(len(row_keys), np.int64)
-    row_slot[kept] = list(rows.slots.values())
-    slots, nb = np.fromiter(box.slots.values(), np.int64, nq), len(box.weights)
+    row_slot[kept] = real_coords(sp, row_keys[kept])[0]
+    slots, weights = real_coords(sp, box)
     # v[part, c, j]: the real (part 0) or imaginary (part 1) part of entry j
     # of the c = 1 (c = 0) or c = i (c = 1) column, on real row slot + part
     # and real column slot + c; the row of k = 0 has no imaginary part
     v = np.stack([quad.real, np.where(row_keys[rank] != zero, quad.imag, 0.0)])
     part, c, j = np.nonzero(v)
-    return rows, row_slot[rank[j]] + part, block[j] * nb + slots[qi[j]] + c, v[part, c, j]
+    return (row_keys[kept], row_slot[rank[j]] + part,
+            block[j] * len(weights) + slots[qi[j]] + c, v[part, c, j])

@@ -16,9 +16,14 @@ order.  ``Space.pack`` builds it from mixed-radix digits ``k_i + 2N`` (torus
 axes) then ``m_j`` (fiber axes), axis 0 most significant: integer order is
 ``(k, m)`` order, and two in-box keys sum to the summed mode's key plus
 ``Space.zero_key``.  ``Field.coeffs`` is a read-only ``{(k, m): c}`` view,
-decoded on access.  Public constructions validate keys and compute
-``bounds`` (max |k_i|, max fiber degree); operations propagate them, so a
-product tests the box per term pair only when its bounds allow an escape.
+decoded on access.  On int64 key arrays, ``Space.digits`` decodes and
+``Space.mate`` gives the key of ``(-k, m)``; the keys at or above
+``zero_key`` are canonical, one of each pair.  ``real_coords`` lays a real
+field out as real coordinates on ascending canonical keys, which
+``Field.coords`` and ``Field.from_coords`` read and write.  Public
+constructions validate keys and compute ``bounds`` (max |k_i|, max fiber
+degree); operations propagate them, so a product tests the box per term
+pair only when its bounds allow an escape.
 
 Differentiation is exact (mode-wise).  Products are exact while the combined
 frequencies stay inside the truncation box; escaping modes are dropped and
@@ -100,20 +105,31 @@ class Space:
         n, off = self.torus_dim, 2 * self.trunc_order
         return tuple(a - off for a in digits[:n]), tuple(digits[n:])
 
+    def digits(self, keys) -> np.ndarray:
+        """The modes of an int64 key array, one row (k, m) per key."""
+        off = np.repeat([2 * self.trunc_order, 0], [self.torus_dim, self.fiber_dim])
+        return np.asarray(keys)[:, None] // np.array(self.weights, np.int64) % self.radix - off
 
-def _neg(k: tuple) -> tuple:
-    return tuple(-a for a in k)
+    def mate(self, keys):
+        """The key of (-k, m) for the key of (k, m); an int or an int64 array."""
+        return 2 * self.zero_key - keys + 2 * (keys % self.radix ** self.fiber_dim)
 
 
-def canonical_rep(k: tuple) -> bool:
-    """True if k is the stored representative of the pair {k, -k}:
-    all zero, or first non-zero component positive."""
-    for a in k:
-        if a > 0:
-            return True
-        if a < 0:
-            return False
-    return True
+def real_coords(space: Space, keys):
+    """Real coordinates of a real field on ascending canonical keys: the slot
+    offset of each key, whose (re, im) pair starts there (its real part alone
+    if the key is its own mate), and the Parseval weight of each slot, so the
+    weighted Euclidean norm of the coordinates is the coefficient norm."""
+    pair = keys != space.mate(keys)
+    return np.cumsum(1 + pair) - 1 - pair, np.repeat(1.0 + pair, 1 + pair)
+
+
+def box_keys(space: Space, radii) -> np.ndarray:
+    """The ascending canonical keys of the modes (k, 0) with |k_a| <= radii[a]."""
+    keys = np.array([space.zero_key])
+    for w, r in zip(space.weights, radii):
+        keys = (keys[:, None] + w * np.arange(-r, r + 1)).ravel()
+    return keys[keys >= space.zero_key]
 
 
 class Field:
@@ -147,7 +163,7 @@ class Field:
     def _check(self):
         sp = self.space
         for (k, m), c in self._modes():
-            mate = self.packed.get(sp.pack(_neg(k), m), 0.0)   # pack checks the box
+            mate = self.packed.get(sp.pack([-a for a in k], m), 0.0)   # pack checks the box
             if abs(mate - c.conjugate()) > 1e-12 * max(1.0, abs(c)):
                 raise ShapeError(f"Hermitian symmetry violated at {k},{m}")
 
@@ -202,11 +218,38 @@ class Field:
             k, m, c = tuple(k), tuple(m), complex(c)
             out[(k, m)] = out.get((k, m), 0.0) + c
             if any(k):
-                nk = _neg(k)
+                nk = tuple(-a for a in k)
                 out[(nk, m)] = out.get((nk, m), 0.0) + c.conjugate()
             elif abs(c.imag) > PRUNE_TOL:
                 raise ShapeError("zero-frequency coefficient must be real")
         return cls(space, out)
+
+    @classmethod
+    def from_coords(cls, space: Space, keys, v) -> "Field":
+        """The real field with coordinates v on ascending canonical keys
+        (``real_coords``), built as ``from_modes`` builds it from the nonzero
+        coefficients: each key, then its mate, both at 0.0 + c."""
+        off, _ = real_coords(space, keys)
+        pair = keys != space.mate(keys)
+        re, im = v[off], np.where(pair, v[off + pair], 0.0)
+        at = ((re != 0) | (im != 0))[:, None] & np.stack([np.ones_like(pair), pair], axis=1)
+        c = np.empty(at.shape, complex)
+        c.real, c.imag = re[:, None] + 0.0, np.stack([im, -im], axis=1) + 0.0
+        d = space.digits(keys[at[:, 0]])
+        bounds = (int(abs(d[:, :space.torus_dim]).max(initial=0)),
+                  int(d[:, space.torus_dim:].sum(axis=1).max(initial=0)))
+        packed = np.stack([keys, space.mate(keys)], axis=1)[at].tolist()
+        return _field(space, dict(zip(packed, c[at].tolist())), 0.0, bounds)
+
+    def coords(self, keys) -> np.ndarray:
+        """The coordinates (``real_coords``) of this real field on ascending
+        canonical keys; its modes off the keys are left out."""
+        own = np.fromiter(self.packed, np.int64, len(self.packed))
+        on = np.isin(own, keys)
+        c = np.zeros(len(keys), complex)
+        c[np.searchsorted(keys, own[on])] += np.fromiter(self.packed.values(), complex)[on]
+        pair = keys != self.space.mate(keys)
+        return np.stack([c.real, c.imag], axis=1)[np.stack([np.ones_like(pair), pair], axis=1)]
 
     # -- predicates and norms ----------------------------------------------
 
@@ -362,10 +405,9 @@ class Field:
     def to_json_dict(self) -> dict:
         """One representative per +/-k pair; the reader restores conjugates."""
         sp = self.space
-        terms = []
-        for (k, m), c in sorted(self._modes()):
-            if canonical_rep(k):
-                terms.append({"k": list(k), "m": list(m), "re": c.real, "im": c.imag})
+        canonical = sorted(key for key in self.packed if key >= sp.zero_key)
+        terms = [{"k": list(k), "m": list(m), "re": c.real, "im": c.imag}
+                 for (k, m), c in zip(map(sp.unpack, canonical), map(self.packed.get, canonical))]
         return {"torus_dim": sp.torus_dim, "fiber_dim": sp.fiber_dim,
                 "trunc_order": sp.trunc_order, "poly_deg": sp.poly_deg,
                 "terms": terms}

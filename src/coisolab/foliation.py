@@ -23,7 +23,7 @@ import numpy as np
 
 from . import integrate
 from .coisotropy import Section, xy_frame
-from .fields import VectorField, stacked_evaluator, wrap_torus
+from .fields import VectorField, require_exact, stacked_evaluator, wrap_torus
 
 MAX_CF_TERMS = 64     # partial quotients computed at most
 CLOSURE_TOL = 1e-6    # lattice distance at which a traced leaf counts as closed
@@ -82,7 +82,9 @@ def involutivity_defect(frame: CharFrame, p) -> float:
 
 def trace_leaf(frame: CharFrame, start, duration: float, h: float = 1e-3) -> LeafTrace:
     """Integrate V1 from start, recording wrapped and lifted samples (the
-    lift makes closure detection robust against dense windings)."""
+    lift makes closure detection robust against dense windings).  A frame
+    that lost mass to truncation is refused: its leaf would be the box's."""
+    require_exact("characteristic frame", frame.v1, frame.v2)
     rhs = stacked_evaluator(frame.v1.components)
     lifted = integrate.rk4_flow(rhs, np.asarray(start, dtype=float), duration, h)
     return LeafTrace(points=wrap_torus(lifted, 5), lifted=lifted)

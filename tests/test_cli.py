@@ -207,6 +207,21 @@ def test_leaves_section_trace(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "unknown"
 
 
+@pytest.mark.parametrize("route", ["section", "t-trace"])
+def test_leaves_refuses_a_lossy_frame(capsys, tmp_path, route):
+    # the frame's cos x1 and sin x1 carry a k1 = 8 mode of f out of the box
+    # at N = 8, and the family's sin x1 out of the box at N = 1
+    sp = coisotropy.base_space(8)
+    f = Field.from_modes(sp, {((8, 0, 0, 0, 0), ()): 0.5})
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(Section(f, Field.zero(sp)).to_json_dict()))
+    argv = (["leaves", "--section", str(path)] if route == "section"
+            else ["--trunc", "1", "leaves", "--t", "0.5", "--trace"])
+    code, out, err = run(capsys, *argv, "--duration", "1.0", "--step", "0.01")
+    assert code == 2 and out == ""
+    assert err.startswith("error: characteristic frame lost mass") and err.count("\n") == 1
+
+
 def test_leaves_requires_exactly_one_input(capsys):
     code, _, err = run(capsys, "leaves")
     assert code == 2 and "exactly one" in err
@@ -335,14 +350,18 @@ def test_flow_tail_row_ends_at_duration(capsys, tmp_path):
     lam_path = tmp_path / "unit.json"
     lam_path.write_text(json.dumps(
         Field.constant(contact_space(), 1.0).to_json_dict()))
-    for duration, tail_t in (("1", 1.0), ("-1", -1.0)):
+    # the last row is the duration also when the full steps reach the end,
+    # where 3 * 0.1 is 0.30000000000000004 and 7 * 0.1 is 0.7000000000000001
+    for duration, step, n_steps in (("1", 0.3, 4), ("-1", 0.3, 4), ("0.3", 0.1, 3),
+                                    ("0.7", 0.1, 7)):
         code, out, _ = run(capsys, "flow", str(lam_path), "--point", "0,0,0,0,0,0,0",
-                           "--duration", duration, "--step", "0.3")
+                           "--duration", duration, "--step", str(step))
         assert code == 0
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-        sign = math.copysign(1, tail_t)
-        assert [r[1] for r in rows] == (["0.0"] + [repr(i * 0.3 * sign) for i in range(1, 4)]
-                                        + [repr(tail_t)])
+        sign = math.copysign(1, float(duration))
+        assert [r[1] for r in rows] == (["0.0"]
+                                        + [repr(i * step * sign) for i in range(1, n_steps)]
+                                        + [repr(float(duration))])
 
 
 def test_flow_rejected_step_exit_two(capsys, tmp_path):

@@ -16,11 +16,12 @@ from coisolab.cli import main
 from coisolab.coisotropy import (COLUMN_PRUNE, FIBER_AXES, STALL_REL,
                                  STALL_WINDOW, PreconditionError,
                                  ProlongOptions, Section, _block_steps, _blocks,
-                                 _jacobian, _jet, _quadratic_form, _RealCoords,
-                                 base_space, family_section, kuranishi,
+                                 _jacobian, _jet, _quadratic_form, base_space,
+                                 family_section, kuranishi,
                                  linearized_residual, prolong, residual,
                                  residual_from_jet, xy_frame)
-from coisolab.fields import Field, canonical_rep
+from coisolab.contact import contact_space
+from coisolab.fields import Field, Space, box_keys, real_coords
 
 SP = base_space(8)
 TWO_PI = 2 * math.pi
@@ -416,6 +417,99 @@ def test_prolong_box_floor_matches_dense_solve(eps, floor):
     assert rep.residual_norm_history[-1] == pytest.approx(floor, rel=1e-10)
 
 
+class DictCoords:
+    """Real coordinates of a real field's coefficients on a fiber-free space,
+    one dict slot per key: the dict codec that ``fields.real_coords``,
+    ``Field.coords`` and ``Field.from_coords`` replaced, kept as their oracle.
+
+    Each canonical representative k of a pair {k, -k} owns a slot, keyed by
+    its packed mode key: (re, im) for k != 0, the real part alone for k = 0.
+    Canonical keys are those at or above the key of k = 0.  Weights carry
+    the Parseval multiplicity, so the weighted Euclidean norm is the
+    coefficient norm.  Slots follow the order of the keys given to the
+    constructor, and there are no others."""
+
+    def __init__(self, space, keys):
+        self.space, self.zero = space, space.zero_key
+        self.slots = {}
+        self.weights = []
+        for key in keys:
+            self.slots[key] = len(self.weights)
+            self.weights.extend((2.0, 2.0) if key != self.zero else (1.0,))
+
+    def coords(self, h):
+        """The coordinate vector of h; modes without a slot are left out."""
+        out = np.zeros(len(self.weights))
+        for key, c in h.packed.items():
+            s = self.slots.get(key)
+            if s is not None:
+                out[s] += c.real
+                if key != self.zero:
+                    out[s + 1] += c.imag
+        return out
+
+    def modes(self, v):
+        """The nonzero coefficients {(k, m): c} held in the vector v."""
+        out = {}
+        for key, s in self.slots.items():
+            c = complex(v[s], v[s + 1] if key != self.zero else 0.0)
+            if c:
+                out[self.space.unpack(key)] = c
+        return out
+
+
+def dict_box(sp, radii):
+    """The oracle's box: the modes |k_a| <= radii[a] whose first nonzero
+    frequency is positive, and k = 0, in itertools order."""
+    return DictCoords(sp, [sp.pack(k, ()) for k in itertools.product(
+        *(range(-r, r + 1) for r in radii)) if next((a > 0 for a in k if a), True)])
+
+
+# T^5 at trunc 1000 has 2001^5 keys: its grid takes every frequency where a
+# digit carries or borrows, the box edges and the neighbours of 0
+@pytest.mark.parametrize("sp, freqs", [
+    (Space(3, 0, 8, 0), range(-8, 9)),
+    (base_space(1000), (-1000, -999, -1, 0, 1, 999, 1000)),
+    (contact_space(2), range(-2, 3))], ids=["T3", "T5-trunc1000", "T5xR2"])
+def test_digits_and_mate_agree_with_pack(sp, freqs):
+    modes = [(k, m) for k in itertools.product(freqs, repeat=sp.torus_dim)
+             for m in itertools.product(range(sp.poly_deg + 1), repeat=sp.fiber_dim)
+             if sum(m) <= sp.poly_deg]
+    keys = np.array([sp.pack(k, m) for k, m in modes])
+    assert keys.dtype == np.int64
+    assert sp.digits(keys).tolist() == [list(k + m) for k, m in map(sp.unpack, keys.tolist())]
+    want = [sp.pack(tuple(-a for a in k), m) for k, m in modes]
+    assert sp.mate(keys).tolist() == want
+    assert [sp.mate(key) for key in keys.tolist()] == want
+
+
+def exact_items(h):
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in h.packed.items()]
+
+
+@pytest.mark.parametrize("trunc", [8, 1000])
+@pytest.mark.parametrize("radii", [(0,) * 5, (1,) * 5, (2, 1, 1, 1, 1), (3, 4, 0, 0, 0)],
+                         ids=["radius0", "radius1", "21111", "34"])
+def test_real_coords_codec_matches_dict_oracle(trunc, radii):
+    sp = base_space(trunc)
+    keys, oracle = box_keys(sp, radii), dict_box(sp, radii)
+    assert keys.tolist() == list(oracle.slots)
+    offsets, weights = real_coords(sp, keys)
+    assert offsets.tolist() == list(oracle.slots.values()) and weights.tolist() == oracle.weights
+    # a field with modes off the keys: those coordinates are left out
+    wide = Field.from_modes(sp, {((radii[0] + 1, 0, 0, 0, -1), ()): 0.5 - 0.25j})
+    rng = np.random.default_rng([trunc, *radii])
+    for _ in range(15):
+        # signed zeros are skipped and sub-PRUNE_TOL entries pruned after
+        # they count towards the bounds, as the dict route has it
+        v = rng.normal(size=len(weights)) * rng.choice([1.0, 0.0, -0.0, 1e-15], size=len(weights))
+        got, want = Field.from_coords(sp, keys, v), Field.from_modes(sp, oracle.modes(v))
+        assert exact_items(got) == exact_items(want)
+        assert (got.bounds, got.trunc_loss) == (want.bounds, want.trunc_loss)
+        for h in (got, -got, got + wide):
+            assert [x.hex() for x in h.coords(keys)] == [x.hex() for x in oracle.coords(h)]
+
+
 def test_jacobian_columns_are_central_differences():
     # the residual is quadratic, so (R(s + t d) - R(s - t d)) / 2t is its
     # derivative along d up to roundoff
@@ -423,10 +517,9 @@ def test_jacobian_columns_are_central_differences():
                     ((0, 0, 0, 1, -1), ()): 0.25},
                    {((1, 1, 0, 0, 0), ()): -0.4 + 0.1j, ((0, 0, 0, 0, 0), ()): 0.2,
                     ((0, 0, 1, 0, 1), ()): 0.15})
-    box = _RealCoords(SP, (SP.pack(k, ()) for k in itertools.product(range(-1, 2), repeat=5)
-                           if canonical_rep(k)))
     X, Y = xy_frame(SP)
-    rows, ri, ci, v = _jacobian(box, s, X, Y)
+    rows, ri, ci, v = _jacobian(box_keys(SP, (1,) * 5), s, X, Y)
+    box, rows = dict_box(SP, (1,) * 5), DictCoords(SP, rows.tolist())
     nb = len(box.weights)
     assert ri.max() < len(rows.weights) and ci.max() < 2 * nb
     t = 1e-3
@@ -463,7 +556,7 @@ def jacobian_by_field_products(box, s, X, Y):
     jet_f, jet_g = _jet(s.f, X, Y), _jet(s.g, X, Y)
     columns = [(_quadratic_form(jet, jet_g) if block == 0 else _quadratic_form(jet_f, jet))
                .drop_below(COLUMN_PRUNE) + lin for block, jet, lin in unknowns]
-    rows = _RealCoords(sp, sorted({key for col in columns for key in col.packed
+    rows = DictCoords(sp, sorted({key for col in columns for key in col.packed
                                    if key >= sp.zero_key}))
     return np.stack([rows.coords(col) for col in columns], axis=1), rows
 
@@ -480,13 +573,12 @@ def test_jacobian_closed_form_matches_field_products(trunc, radii, iterations):
     s = (prolong(u, 0.1, ProlongOptions(solver_radius=radii, max_iters=iterations)).final_section
          if iterations else Section(u.f * 0.1, u.g * 0.1))
     assert iterations == 0 or len(s.f.packed) > len(u.f.packed)
-    box = _RealCoords(sp, (sp.pack(k, ()) for k in itertools.product(
-        *(range(-r, r + 1) for r in radii)) if canonical_rep(k)))
     X, Y = xy_frame(sp)
-    rows, ri, ci, v = _jacobian(box, s, X, Y)
-    want, want_rows = jacobian_by_field_products(box, s, X, Y)
+    rows, ri, ci, v = _jacobian(box_keys(sp, radii), s, X, Y)
+    want, want_rows = jacobian_by_field_products(dict_box(sp, radii), s, X, Y)
     # the same rows, in sorted key order, so the same real row slots
-    assert list(rows.slots.items()) == list(want_rows.slots.items())
+    assert list(zip(rows.tolist(), real_coords(sp, rows)[0].tolist())) == list(
+        want_rows.slots.items())
     # each entry once, none of them 0
     assert len(set(zip(ri.tolist(), ci.tolist()))) == len(v) and np.all(v != 0)
     A = np.zeros(want.shape)
@@ -520,12 +612,13 @@ def test_projected_system_matches_dense_route(monkeypatch, name, eps, radii, ite
     # the box run's last system is the one at its iterate after 2 iterations
     prolong(direction, eps, ProlongOptions(tol=0.0, solver_radius=radii, max_iters=iterations))
     assert len(seen) == iterations
-    box = seen[0][0]
+    box = DictCoords(direction.space, seen[0][0].tolist())
     u = np.concatenate([box.coords(direction.f), box.coords(direction.g)])
     w = np.array(box.weights * 2)
     uu = float(np.dot(w * u, u))
     assert np.count_nonzero(u) == (1 if name == "st_sin.json" else 2)
     for _, s, rows, ri, ci, v, (pri, pci, pv, rvec, n) in seen:
+        rows = DictCoords(direction.space, rows.tolist())
         m = len(rows.weights)
         A = np.zeros((m, n))
         A[ri, ci] = v
