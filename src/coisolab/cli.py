@@ -173,14 +173,15 @@ def cmd_leaves(args, cfg: RunConfig) -> int:
             frame = foliation.characteristic_frame(
                 family_section(args.t, cfg.trunc_order))
             duration = args.duration
-            if duration is None and verdict.kind == "torus":
-                duration = verdict.periods[0]
+            if duration is None:
+                duration = verdict.periods[0] if verdict.kind == "torus" else 2.0 * math.pi
             trace = foliation.trace_leaf(frame, _parse_point(args.start, 5),
-                                         duration or 2.0 * math.pi, h=args.step)
+                                         duration, h=args.step)
     else:
         s = _load_json(args.section, Section)
         verdict, trace = foliation.classify_section_leaf(
-            s, _parse_point(args.start, 5), args.duration or 2.0 * math.pi,
+            s, _parse_point(args.start, 5),
+            2.0 * math.pi if args.duration is None else args.duration,
             h=args.step)
         payload = verdict.to_json_dict()
     _emit_json(payload, cfg.out)

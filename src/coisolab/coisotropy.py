@@ -141,7 +141,9 @@ def residual_from_jet(x1: float, f_val: float, g_val: float,
 DAMPING = 0.0          # initial Levenberg parameter
 STALL_WINDOW = 5       # iterations over which a stall is judged
 STALL_REL = 1e-3       # relative decrease below which the norm has stalled
-MAX_DENSE = 3e8        # rows x columns of the largest Jacobian the solver assembles
+# row bound x columns of the largest box solved: the Jacobian's triplets are
+# assembled over the whole box, and their count and memory grow with it
+MAX_DENSE = 3e8
 # Jacobian columns drop quadratic-part coefficients below this; the solver's
 # iterates depend on it to the last bit
 COLUMN_PRUNE = 2.0 * PRUNE_TOL
@@ -187,15 +189,17 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     exponentials (``_jacobian``), with no Field product per column, as
     sparse triplets; its rows come in sorted key order.  Restricting it to
     the complement changes only the direction's columns, so the projected
-    Jacobian stays sparse.  It is block diagonal after a row and column
-    permutation, so each iteration takes one thin SVD per block
-    (``_block_steps``); that one factorization serves the undamped step
+    Jacobian stays sparse.  Only the residual's sector, the rows and
+    columns that a chain of entries joins to a nonzero residual row, gets a
+    step, so each iteration takes one thin SVD of that sector
+    (``_sector_steps``); that one factorization serves the undamped step
     and every damped retry.
     Verdicts: ``converged`` when the residual norm drops below tol;
     ``obstructed`` when the norm stalls (relative decrease below STALL_REL
     over STALL_WINDOW iterations) while still above 100*tol; ``max_iters``
     otherwise.  Boxes that are not exact (``_solver_radii``), keys beyond int64
-    and systems above MAX_DENSE (row bound x columns) are refused before assembly."""
+    and boxes above MAX_DENSE (row bound x columns, a cap on the whole-box
+    triplet assembly) are refused before assembly."""
     opts = opts or ProlongOptions()
     if not 0.0 < eps <= 0.5:
         raise PreconditionError(f"eps={eps} outside (0, 0.5]")
@@ -273,7 +277,7 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
                      for a, b in ((ri, si), (ci, supp[sj]), (v, slab[si, sj])))
         # every attempt of an iteration has the same AP: one factorization
         # serves them all
-        step = _block_steps(ri, ci, v, r_field.coords(rows) * sw, n)
+        step = _sector_steps(ri, ci, v, r_field.coords(rows) * sw, n)
 
         improved = False
         for attempt in range(12):
@@ -323,63 +327,45 @@ def _solver_radii(direction: Section, radius, sp: Space):
     return radii
 
 
-def _blocks(ri, ci, m: int, n: int) -> list:
-    """The independent blocks of the m x n matrix with entries at (ri, ci):
-    the connected components of that pattern, each entry joining its row and
-    its column.  One (rows, cols, entries) triple of ascending index arrays
-    per block; a row or column without an entry belongs to no block."""
-    if not ri.size:
-        return []
-    # label each column with the least column index known to share its
-    # block; shortcut label[label] so long chains settle in few sweeps
-    label = np.arange(n)
-    while True:
-        row_label = np.full(m, n)
-        np.minimum.at(row_label, ri, label[ci])
-        new = label.copy()
-        np.minimum.at(new, ci, row_label[ri])
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    groups = []
-    for idx, lab in ((np.unique(ri), row_label), (np.unique(ci), label),
-                     (np.arange(ri.size), label[ci])):
-        idx = idx[np.argsort(lab[idx], kind="stable")]
-        groups.append(np.split(idx, np.flatnonzero(np.diff(lab[idx])) + 1))
-    return list(zip(*groups))
-
-
-def _block_steps(ri, ci, v, rvec, n: int):
+def _sector_steps(ri, ci, v, rvec, n: int):
     """The Gauss-Newton steps for AP d ~ -rvec as a function of the Levenberg
     parameter lam, AP the len(rvec) x n matrix with entries v at (ri, ci),
-    from one thin SVD per block of ``_blocks``, scattered into a dense array.
+    from one thin SVD of the residual's sector: the rows and columns that a
+    chain of entries joins to a row where rvec is nonzero.  Every other
+    column meets only rows where rvec is 0, so its step is exactly 0.
 
     At lam = 0 the step is the minimum-norm least-squares solution, with
-    ``numpy.linalg.lstsq``'s default cutoff over the whole system: a
-    singular value at or below eps_mach max(m, n) s_max counts as zero, s_max
-    the largest over all blocks.  At lam > 0 it is argmin ||AP d + rvec||^2 +
-    lam ||d||^2 = -V diag(s / (s^2 + lam)) U^T rvec, and no singular value is
-    cut: near-null ones of order 1e-12 ||AP|| still carry weight s / lam at
-    lam = 1e-8.  Columns outside every block get a step of exactly 0."""
+    ``numpy.linalg.lstsq``'s default cutoff: a singular value at or below
+    eps_mach max(m, n) s_max counts as zero, s_max the sector's largest.  At
+    lam > 0 it is argmin ||AP d + rvec||^2 + lam ||d||^2 = -V diag(s / (s^2 +
+    lam)) U^T rvec, and no singular value is cut: near-null ones of order
+    1e-12 ||AP|| still carry weight s / lam at lam = 1e-8."""
     m = len(rvec)
-    factors = []
-    for rows, cols, entries in _blocks(ri, ci, m, n):
-        B = np.zeros((len(rows), len(cols)))
-        B[np.searchsorted(rows, ri[entries]), np.searchsorted(cols, ci[entries])] = v[entries]
-        U, sv, Vt = np.linalg.svd(B, full_matrices=False)
-        factors.append((cols, sv, U.T @ rvec[rows], Vt))
-    s_max = max((sv[0] for _, sv, _, _ in factors), default=0.0)
-    cutoff = np.finfo(float).eps * max(m, n) * s_max
+    in_row, in_col = rvec != 0, np.zeros(n, bool)
+    while True:
+        in_col[ci[in_row[ri]]] = True
+        grown = np.zeros(m, bool)
+        grown[ri[in_col[ci]]] = True
+        if np.array_equal(grown, in_row):
+            break
+        in_row = grown
+    rows, cols = np.flatnonzero(in_row), np.flatnonzero(in_col)
+    if not cols.size:
+        return lambda lam: np.zeros(n)
+    entries = in_col[ci]
+    B = np.zeros((len(rows), len(cols)))
+    B[np.searchsorted(rows, ri[entries]), np.searchsorted(cols, ci[entries])] = v[entries]
+    U, sv, Vt = np.linalg.svd(B, full_matrices=False)
+    c = U.T @ rvec[rows]
+    cutoff = np.finfo(float).eps * max(m, n) * sv[0]
 
     def step(lam):
+        if lam > 0:
+            gain = sv / (sv * sv + lam)
+        else:
+            gain = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cutoff)
         delta = np.zeros(n)
-        for cols, sv, c, Vt in factors:
-            if lam > 0:
-                gain = sv / (sv * sv + lam)
-            else:
-                gain = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cutoff)
-            delta[cols] = -(Vt.T @ (gain * c))
+        delta[cols] = -(Vt.T @ (gain * c))
         return delta
     return step
 

@@ -207,6 +207,20 @@ def test_leaves_section_trace(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "unknown"
 
 
+@pytest.mark.parametrize("argv", [("--t", "0.5", "--trace"),
+                                  ("--section", sect("st_sin.json"), "--step", "0.1")],
+                         ids=["t-trace", "section"])
+def test_leaves_zero_duration_traces_the_start_point(capsys, tmp_path, argv):
+    # an explicit --duration 0 is honoured: only an absent one takes the
+    # default (the torus period or 2 pi)
+    csv_path = tmp_path / "trace.csv"
+    code, out, _ = run(capsys, "leaves", *argv, "--duration", "0", "--csv", str(csv_path))
+    assert code == 0
+    assert csv_path.read_text().strip().splitlines()[1:] == ["0," + ",".join(["0.0"] * 10)]
+    if argv[0] == "--section":
+        assert json.loads(out)["evidence"]["closure_hits"] == []
+
+
 @pytest.mark.parametrize("route", ["section", "t-trace"])
 def test_leaves_refuses_a_lossy_frame(capsys, tmp_path, route):
     # the frame's cos x1 and sin x1 carry a k1 = 8 mode of f out of the box

@@ -15,8 +15,8 @@ from coisolab import coisotropy, fields
 from coisolab.cli import main
 from coisolab.coisotropy import (COLUMN_PRUNE, FIBER_AXES, STALL_REL,
                                  STALL_WINDOW, PreconditionError,
-                                 ProlongOptions, Section, _block_steps, _blocks,
-                                 _jacobian, _jet, _quadratic_form, base_space,
+                                 ProlongOptions, Section, _jacobian, _jet,
+                                 _quadratic_form, _sector_steps, base_space,
                                  family_section, kuranishi,
                                  linearized_residual, prolong, residual,
                                  residual_from_jet, xy_frame)
@@ -323,12 +323,69 @@ def test_prolong_rejects_negative_radius_and_max_iters(monkeypatch):
         prolong(obstructed_direction(), 0.1, ProlongOptions(max_iters=-2))
 
 
+def blocks_of(ri, ci, m, n):
+    """The independent blocks of the m x n matrix with entries at (ri, ci):
+    the connected components of that pattern, each entry joining its row and
+    its column.  One (rows, cols, entries) triple of ascending index arrays
+    per block; a row or column without an entry belongs to no block.  The
+    whole-box block finder that the sector solve replaced, kept as the
+    oracle of ``block_steps``."""
+    if not ri.size:
+        return []
+    # label each column with the least column index known to share its
+    # block; shortcut label[label] so long chains settle in few sweeps
+    label = np.arange(n)
+    while True:
+        row_label = np.full(m, n)
+        np.minimum.at(row_label, ri, label[ci])
+        new = label.copy()
+        np.minimum.at(new, ci, row_label[ri])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    groups = []
+    for idx, lab in ((np.unique(ri), row_label), (np.unique(ci), label),
+                     (np.arange(ri.size), label[ci])):
+        idx = idx[np.argsort(lab[idx], kind="stable")]
+        groups.append(np.split(idx, np.flatnonzero(np.diff(lab[idx])) + 1))
+    return list(zip(*groups))
+
+
+def block_steps(ri, ci, v, rvec, n):
+    """The steps of ``_sector_steps`` by the per-block route it replaced: one
+    thin SVD per block of ``blocks_of``, touched by the residual or not, and
+    at lam = 0 the cutoff eps_mach max(m, n) s_max with s_max the largest
+    singular value over every block."""
+    m = len(rvec)
+    factors = []
+    for rows, cols, entries in blocks_of(ri, ci, m, n):
+        B = np.zeros((len(rows), len(cols)))
+        B[np.searchsorted(rows, ri[entries]), np.searchsorted(cols, ci[entries])] = v[entries]
+        U, sv, Vt = np.linalg.svd(B, full_matrices=False)
+        factors.append((cols, sv, U.T @ rvec[rows], Vt))
+    s_max = max((sv[0] for _, sv, _, _ in factors), default=0.0)
+    cutoff = np.finfo(float).eps * max(m, n) * s_max
+
+    def step(lam):
+        delta = np.zeros(n)
+        for cols, sv, c, Vt in factors:
+            if lam > 0:
+                gain = sv / (sv * sv + lam)
+            else:
+                gain = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cutoff)
+            delta[cols] = -(Vt.T @ (gain * c))
+        return delta
+    return step
+
+
 @pytest.mark.parametrize("shapes", [((9, 5, 3), (6, 4, 2), (12, 8, 6)),
                                     ((5, 9, 3), (4, 6, 2), (8, 12, 6))], ids=["tall", "wide"])
 def test_block_steps_solve_a_planted_system(shapes):
     # random rank-deficient blocks and one well-conditioned bidiagonal block
-    # (a chain, which takes the block finder several sweeps), rows and
-    # columns permuted, one all-zero row and one all-zero column
+    # (a chain, which takes the block finder and the sector closure several
+    # sweeps), rows and columns permuted, one all-zero row and one all-zero
+    # column
     rng = np.random.default_rng(shapes[0])
     blocks = [rng.normal(size=(bm, rank)) @ rng.normal(size=(rank, bn))
               for bm, bn, rank in shapes]
@@ -343,52 +400,92 @@ def test_block_steps_solve_a_planted_system(shapes):
         AP[np.ix_(rows, cols)] = B
         planted.add((frozenset(rows.tolist()), frozenset(cols.tolist())))
         i0, j0 = i0 + B.shape[0], j0 + B.shape[1]
+    chain_rows, chain_cols = rows, cols   # the last block placed
     r = rng.normal(size=m)
     ri, ci = np.nonzero(AP)
     assert {(frozenset(rows.tolist()), frozenset(cols.tolist()))
-            for rows, cols, _ in _blocks(ri, ci, m, n)} == planted
-    step = _block_steps(ri, ci, AP[ri, ci], r, n)
-    # lam = 0: lstsq's minimum-norm solution with its default cutoff; the
-    # zero column gets a step of exactly 0
-    want, *_ = np.linalg.lstsq(AP, -r, rcond=None)
-    assert np.linalg.norm(step(0.0) - want) < 1e-10 * np.linalg.norm(want)
-    assert step(0.0)[col_perm[-1]] == 0.0
-    # lam > 0: the stacked damped system agrees in AP's row space.  In its
-    # null space the damped minimiser is ill-conditioned: each route is off a
-    # 60-digit reference by about eps ||AP|| ||r|| / lam
+            for rows, cols, _ in blocks_of(ri, ci, m, n)} == planted
     _, sv, Vt = np.linalg.svd(AP)
     row_space = Vt[:sum(s[2] for s in shapes) + 12]
-    for lam in (1e-8, 1e-4, 1.0):
-        stacked, *_ = np.linalg.lstsq(np.vstack([AP, math.sqrt(lam) * np.eye(n)]),
-                                      np.concatenate([-r, np.zeros(n)]), rcond=None)
-        diff = step(lam) - stacked
-        assert np.linalg.norm(row_space @ diff) < 1e-10 * np.linalg.norm(stacked)
-        null_part = diff - row_space.T @ (row_space @ diff)
-        assert np.linalg.norm(null_part) < 10 * np.finfo(float).eps * sv[0] * np.linalg.norm(r) / lam
+    # the second right-hand side is zero on the chain's rows, which puts the
+    # chain outside the sector: its columns get a step of exactly 0
+    r_off_chain = r.copy()
+    r_off_chain[chain_rows] = 0.0
+    for rhs in (r, r_off_chain):
+        step = _sector_steps(ri, ci, AP[ri, ci], rhs, n)
+        # lam = 0: lstsq's minimum-norm solution with its default cutoff; the
+        # zero column gets a step of exactly 0
+        want, *_ = np.linalg.lstsq(AP, -rhs, rcond=None)
+        assert np.linalg.norm(step(0.0) - want) < 1e-10 * np.linalg.norm(want)
+        assert step(0.0)[col_perm[-1]] == 0.0
+        # lam > 0: the stacked damped system agrees in AP's row space.  In its
+        # null space the damped minimiser is ill-conditioned: each route is off a
+        # 60-digit reference by about eps ||AP|| ||r|| / lam
+        for lam in (1e-8, 1e-4, 1.0):
+            stacked, *_ = np.linalg.lstsq(np.vstack([AP, math.sqrt(lam) * np.eye(n)]),
+                                          np.concatenate([-rhs, np.zeros(n)]), rcond=None)
+            diff = step(lam) - stacked
+            assert np.linalg.norm(row_space @ diff) < 1e-10 * np.linalg.norm(stacked)
+            null_part = diff - row_space.T @ (row_space @ diff)
+            assert (np.linalg.norm(null_part)
+                    < 10 * np.finfo(float).eps * sv[0] * np.linalg.norm(rhs) / lam)
+        for lam in (0.0, 1e-8, 1e-4, 1.0):
+            assert np.any(step(lam)[chain_cols]) == (rhs is r)
     # a matrix without a nonzero entry has no block and a zero step
     none = np.zeros(0, np.int64)
-    assert _blocks(none, none, m, n) == []
-    assert not np.any(_block_steps(none, none, np.zeros(0), r, n)(0.0))
+    assert blocks_of(none, none, m, n) == []
+    assert not np.any(_sector_steps(none, none, np.zeros(0), r, n)(0.0))
+
+
+def control_direction():
+    """f = sin(x4+x5), g = sin(x4+x5) + cos(x2): unobstructed, with a nonzero
+    quadratic residual."""
+    f = Field.from_modes(SP, {((0, 0, 0, 1, 1), ()): -0.5j})
+    return Section(f, f + Field.cos(SP, 1))
+
+
+@pytest.mark.parametrize("direction, radii", [
+    (obstructed_direction, 1), (obstructed_direction, (2, 1, 1, 1, 1)),
+    (obstructed_direction, (3, 4, 4, 0, 0)), (control_direction, 1),
+    (control_direction, (2, 1, 1, 1, 1))],
+    ids=["radius1", "box", "box344", "control-radius1", "control-box"])
+def test_sector_steps_match_the_block_route(monkeypatch, direction, radii):
+    # on every system prolong builds, the one sector SVD gives the per-block
+    # route's steps bit for bit: the residual touches at most one block
+    systems = []
+
+    def recorded(*args, _orig=_sector_steps):
+        systems.append((args, _orig(*args)))
+        return systems[-1][1]
+    monkeypatch.setattr(coisotropy, "_sector_steps", recorded)
+    rep = prolong(direction(), 0.1, ProlongOptions(solver_radius=radii))
+    assert len(systems) == rep.iterations > 0
+    for args, step in systems:
+        oracle = block_steps(*args)
+        for lam in (0.0, 1e-8, 1e-4, 1.0):
+            assert np.array_equal(step(lam), oracle(lam))
 
 
 def test_prolong_factors_once_per_rejected_iteration(monkeypatch):
-    calls = {"lstsq": 0, "factor": 0}
-    for name, owner, attr in (("lstsq", np.linalg, "lstsq"),
-                              ("factor", coisotropy, "_block_steps")):
+    calls = {"lstsq": 0, "svd": 0, "factor": 0}
+    for name, owner, attr in (("lstsq", np.linalg, "lstsq"), ("svd", np.linalg, "svd"),
+                              ("factor", coisotropy, "_sector_steps")):
         def counted(*args, _orig=getattr(owner, attr), _name=name, **kw):
             calls[_name] += 1
             return _orig(*args, **kw)
         monkeypatch.setattr(owner, attr, counted)
-    # radius 1: the first attempt and 11 damped retries are all rejected
+    # radius 1: the first attempt and 11 damped retries are all rejected; no
+    # column reaches the residual, so the sector is empty and takes no SVD
     rep = prolong(obstructed_direction(), 0.1)
     assert (rep.status, rep.iterations) == ("obstructed", 1)
     assert rep.diagnostic == "no descent direction found (damping exhausted)"
-    assert calls == {"lstsq": 0, "factor": 1}
-    # the box solve accepts every first attempt: one factorization per iteration
-    calls.update(lstsq=0, factor=0)
+    assert calls == {"lstsq": 0, "svd": 0, "factor": 1}
+    # the box solve accepts every first attempt: one factorization, one SVD,
+    # per iteration
+    calls.update(lstsq=0, svd=0, factor=0)
     rep = prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=(2, 1, 1, 1, 1)))
     assert (rep.status, rep.iterations) == ("obstructed", 7)
-    assert calls == {"lstsq": 0, "factor": 7}
+    assert calls == {"lstsq": 0, "svd": 7, "factor": 7}
 
 
 def test_prolong_radius1_first_step_is_exactly_zero(monkeypatch):
@@ -396,10 +493,10 @@ def test_prolong_radius1_first_step_is_exactly_zero(monkeypatch):
     # complement reaches, so every step of the one iteration is exactly 0
     steps = []
 
-    def recorded(*args, _orig=coisotropy._block_steps):
+    def recorded(*args, _orig=coisotropy._sector_steps):
         steps.append(_orig(*args))
         return steps[-1]
-    monkeypatch.setattr(coisotropy, "_block_steps", recorded)
+    monkeypatch.setattr(coisotropy, "_sector_steps", recorded)
     rep = prolong(obstructed_direction(), 0.1)
     assert (rep.status, rep.iterations) == ("obstructed", 1)
     assert len(steps) == 1
@@ -593,7 +690,7 @@ def test_jacobian_closed_form_matches_field_products(trunc, radii, iterations):
 def test_projected_system_matches_dense_route(monkeypatch, name, eps, radii, iterations):
     # the dense route the triplets replaced is the oracle: A with one row per
     # real row slot, AP = A[:m] * sw, AP -= outer(AP @ u, w u / uu) over all
-    # n columns, and np.nonzero(AP); the triplets that reach _block_steps
+    # n columns, and np.nonzero(AP); the triplets that reach _sector_steps
     # must be the same entries with bit-identical values
     with open(os.path.join(SECTIONS, name)) as fh:
         direction = Section.from_json_dict(json.load(fh))
@@ -603,11 +700,11 @@ def test_projected_system_matches_dense_route(monkeypatch, name, eps, radii, ite
         seen.append([box, s, *_orig(box, s, X, Y)])
         return seen[-1][2:]
 
-    def block_steps(*args, _orig=coisotropy._block_steps):
+    def sector_steps(*args, _orig=coisotropy._sector_steps):
         seen[-1].append(args)
         return _orig(*args)
     monkeypatch.setattr(coisotropy, "_jacobian", jacobian)
-    monkeypatch.setattr(coisotropy, "_block_steps", block_steps)
+    monkeypatch.setattr(coisotropy, "_sector_steps", sector_steps)
     # tol 0 makes st_sin.json, exactly coisotropic at eps u, assemble once;
     # the box run's last system is the one at its iterate after 2 iterations
     prolong(direction, eps, ProlongOptions(tol=0.0, solver_radius=radii, max_iters=iterations))
