@@ -3,7 +3,8 @@
 Structured results are JSON (sorted keys, so identical seed and config give
 byte-identical reports); trajectories are CSV.  Exit codes: 0 success or
 converged, 1 solver gave up without a verdict, 2 input error (a mistyped or
-non-finite number, a refused flow, a degenerate contact pairing, evidence that
+non-finite number, a refused flow, a trajectory too large to allocate,
+``leaves --csv`` without ``--trace``, a degenerate contact pairing, evidence that
 lost mass to truncation, an inexact or oversized prolongation box, keys beyond
 int64), 3 obstructed verdict, 4 verification failure, 141 standard output
 closed by its reader.
@@ -117,12 +118,11 @@ def _parse_radius(text: str):
     return radii if len(radii) == 5 else radii[0]
 
 
-def _trace_csv(trace: foliation.LeafTrace) -> str:
-    lines = ["step,x1,x2,x3,x4,x5,u1,u2,u3,u4,u5"]
-    for i, (w, u) in enumerate(zip(trace.points, trace.lifted)):
-        vals = [repr(float(v)) for v in list(w) + list(u)]
-        lines.append(",".join([str(i)] + vals))
-    return "\n".join(lines) + "\n"
+def _csv(header: str, table) -> str:
+    """A trajectory as CSV: the header, then one line per row of the table,
+    the row index followed by every value."""
+    rows = (f"{i},{','.join(map(repr, row))}\n" for i, row in enumerate(table.tolist()))
+    return header + "\n" + "".join(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +165,11 @@ def cmd_leaves(args, cfg: RunConfig) -> int:
     if (args.t is None) == (args.section is None):
         raise ValueError("choose exactly one of --t or --section")
     if args.t is not None:
+        if args.csv and not args.trace:
+            raise ValueError("--csv needs --trace")
         verdict = foliation.classify_leaf_linear(args.t, tol=cfg.tol,
                                                  max_denominator=args.max_denominator)
         payload = {"t": args.t, **verdict.to_json_dict()}
-        trace = None
         if args.trace:
             frame = foliation.characteristic_frame(
                 family_section(args.t, cfg.trunc_order))
@@ -185,8 +186,9 @@ def cmd_leaves(args, cfg: RunConfig) -> int:
             h=args.step)
         payload = verdict.to_json_dict()
     _emit_json(payload, cfg.out)
-    if trace is not None and args.csv:
-        _emit(_trace_csv(trace), args.csv)
+    if args.csv:   # every route that takes --csv traces
+        _emit(_csv("step,x1,x2,x3,x4,x5,u1,u2,u3,u4,u5",
+                   np.hstack([trace.points, trace.lifted])), args.csv)
     return EXIT_OK
 
 
@@ -204,15 +206,11 @@ def cmd_flow(args, cfg: RunConfig) -> int:
     cd = ct.standard_contact(verify=False)
     p = _parse_point(args.point, cd.space.dim)
     path = ct.flow_contact(cd, lam, p, args.duration, h=args.step)
-    sign = 1 if args.duration >= 0 else -1
-    lines = ["step,t,x1,x2,x3,x4,x5,y4,y5"]
-    for i, q in enumerate(path):
-        # the last row ends the flow, at the duration; adding 0.0 prints the
-        # start of a backward flow as 0.0, not -0.0
-        t = (args.duration if i == len(path) - 1 else i * args.step * sign) + 0.0
-        lines.append(",".join([str(i), repr(float(t))]
-                              + [repr(float(v)) for v in q]))
-    _emit("\n".join(lines) + "\n", cfg.out)
+    # the last row ends the flow, at the duration; adding 0.0 prints the
+    # start of a backward flow as 0.0, not -0.0
+    t = np.arange(len(path)) * args.step * (1 if args.duration >= 0 else -1)
+    t[-1] = args.duration
+    _emit(_csv("step,t,x1,x2,x3,x4,x5,y4,y5", np.column_stack([t + 0.0, path])), cfg.out)
     return EXIT_OK
 
 
@@ -307,9 +305,10 @@ def main(argv=None) -> int:
         # nothing to report; stdout goes to devnull so the flush at exit is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except (ValueError, OSError, integrate.StepSizeError,
+    except (ValueError, OSError, MemoryError, integrate.StepSizeError,
             ct.NondegeneracyError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # a bare MemoryError() has no message: name the exception instead
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return EXIT_INPUT
 
 

@@ -19,6 +19,7 @@ to a genuine one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,7 +315,11 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
 def _solver_radii(direction: Section, radius, sp: Space):
     """``radius`` per axis, grown to the direction's support, in an exact box: the
     residual and Jacobian reach 2 r1 + 1 on x1 and 2 r on the other axes, all <= N."""
-    radii = [radius] * BASE_TORUS_DIM if isinstance(radius, int) else list(radius)
+    try:
+        radii = [operator.index(r) for r in
+                 (radius if np.iterable(radius) else [radius] * BASE_TORUS_DIM)]
+    except TypeError:
+        raise PreconditionError(f"solver_radius must be integers, got {radius!r}") from None
     if len(radii) != BASE_TORUS_DIM:
         raise PreconditionError("solver_radius needs one entry per torus axis")
     if min(radii) < 0:

@@ -5,7 +5,8 @@ we sample, so no adaptive machinery: a fixed step plus a per-step comparison
 against two half steps.  The full step and the first half step start from
 the same point and share their first stage, so a step costs 11 right-hand
 side evaluations.  A step whose doubling estimate exceeds the bound is
-rejected by raising, telling the caller to shrink h.
+rejected by raising, telling the caller to shrink h.  The path is one array,
+filled row by row.
 """
 
 from __future__ import annotations
@@ -44,23 +45,19 @@ def rk4_flow(rhs, y0, duration: float, h: float) -> np.ndarray:
     """Integrate y' = rhs(y) for the signed duration, returning the full
     sample path (n_steps+1, dim) including the start point.
 
-    Each macro step is advanced with two half steps; the discrepancy against
-    the single full step is the local error estimate."""
+    The path is allocated before the first step: one too large to hold raises
+    MemoryError or ValueError before rhs is called."""
     # refused before any step: the step count must be finite and fit an index
     if not 0 < h < math.inf:
         raise ValueError(f"step size must be finite and positive, got {h!r}")
     if not abs(duration) / h <= sys.maxsize:   # false for NaN too
         raise ValueError(f"duration {duration!r} does not split into at most "
                          f"{sys.maxsize} steps of {h!r}")
-    y = np.array(y0, dtype=float)
-    sign = 1.0 if duration > 0 else -1.0
     n_full, tail = split_duration(duration, h)
-    steps = [h] * n_full
-    if tail:
-        steps.append(tail)
-    path = [y.copy()]
-    for dt in steps:
-        hs = sign * dt
+    path = np.empty((n_full + (tail > 0) + 1, *np.shape(y0)))
+    y = path[0] = np.array(y0, dtype=float)
+    for i in range(1, len(path)):
+        hs = math.copysign(tail if i > n_full else h, duration)
         k1 = rhs(y)
         full = _rk4_step(rhs, y, hs, k1)
         mid = _rk4_step(rhs, y, hs / 2.0, k1)
@@ -69,6 +66,5 @@ def rk4_flow(rhs, y0, duration: float, h: float) -> np.ndarray:
         if not err <= ERR_TOL:   # NaN fails this test too
             raise StepSizeError(
                 f"local error {err:.3e} exceeds {ERR_TOL:.1e}; reduce h={h:g}")
-        y = half
-        path.append(y.copy())
-    return np.array(path)
+        y = path[i] = half
+    return path

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from coisolab import coisotropy, fields
+from coisolab import cli, coisotropy, fields
 from coisolab.cli import main
 from coisolab.coisotropy import ProlongOptions, Section, prolong
 from coisolab.contact import contact_space
@@ -158,6 +158,19 @@ def test_prolong_inexact_box_exit_two(capsys, tmp_path, monkeypatch, radius, k):
     assert "exceed the truncation order 8" in err
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 9 GiB")],
+                         ids=["bare", "with-message"])
+def test_memory_error_exit_two(capsys, monkeypatch, exc):
+    # an allocation that fails under main is one input error line, never a
+    # traceback or a bare "error:"
+    def out_of_memory(*args):
+        raise exc
+    monkeypatch.setattr(cli, "prolong", out_of_memory)
+    code, out, err = run(capsys, "prolong", sect("obstructed.json"))
+    assert code == 2 and out == ""
+    assert err == f"error: {str(exc) or 'MemoryError'}\n"
+
+
 def test_prolong_key_overflow_exit_two(capsys, tmp_path, monkeypatch):
     # at trunc_order 1552 the largest packed key, (4 N + 1)^5 - 1, no longer
     # fits int64: the space is refused before any work
@@ -198,6 +211,15 @@ def test_leaves_trace_csv(capsys, tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "step,x1,x2,x3,x4,x5,u1,u2,u3,u4,u5"
     assert len(lines) > 100
+
+
+def test_leaves_csv_needs_trace(capsys, tmp_path):
+    # without --trace there is no trajectory: --csv used to write nothing
+    # and exit 0
+    csv_path = tmp_path / "trace.csv"
+    code, out, err = run(capsys, "leaves", "--t", "0.5", "--csv", str(csv_path))
+    assert code == 2 and out == "" and not csv_path.exists()
+    assert err == "error: --csv needs --trace\n"
 
 
 def test_leaves_section_trace(capsys, tmp_path):
@@ -397,8 +419,9 @@ def test_flow_rejected_step_exit_two(capsys, tmp_path):
     ["flow", "UNIT", "--point", "nan,0,0,0,0,0,0", "--duration", "1"],
     ["flow", "UNIT", "--point", "0,0,0,0,0,0", "--duration", "1"],
     ["leaves", "--t", "0.5", "--trace", "--duration", "inf"],
+    ["flow", "UNIT", "--point", "0,0,0,0,0,0,0", "--duration", "1e18", "--step", "1"],
 ], ids=["tol-nan", "tol-zero", "duration-inf", "duration-1e300", "step-inf",
-        "point-nan", "point-short", "leaf-duration-inf"])
+        "point-nan", "point-short", "leaf-duration-inf", "duration-1e18-unallocatable"])
 def test_refused_number_exit_two(capsys, tmp_path, argv):
     # these used to report a verdict for tol nan, print NaN rows, or die with
     # an OverflowError traceback

@@ -323,6 +323,26 @@ def test_prolong_rejects_negative_radius_and_max_iters(monkeypatch):
         prolong(obstructed_direction(), 0.1, ProlongOptions(max_iters=-2))
 
 
+@pytest.mark.parametrize("radius", [np.int64(1), (np.int64(1),) * 5, np.ones(5, dtype=int)],
+                         ids=["int64", "int64-tuple", "int-array"])
+def test_prolong_accepts_numpy_integer_radius(radius):
+    want = prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=1))
+    got = prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=radius))
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+@pytest.mark.parametrize("radius", [(1, 1, 1, 1, 1.5), (1, 1, 1, 1, 1.0), 1.0, "1", None],
+                         ids=["half-entry", "float-entry", "float", "string", "none"])
+def test_prolong_refuses_non_integer_radius(monkeypatch, radius):
+    # these used to fail later: "zero direction", a slice TypeError, or
+    # "not iterable"
+    def no_assembly(*args):
+        raise AssertionError("assembled a Jacobian")
+    monkeypatch.setattr(coisotropy, "_jacobian", no_assembly)
+    with pytest.raises(PreconditionError, match="solver_radius must be integers"):
+        prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=radius))
+
+
 def blocks_of(ri, ci, m, n):
     """The independent blocks of the m x n matrix with entries at (ri, ci):
     the connected components of that pattern, each entry joining its row and

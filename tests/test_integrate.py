@@ -53,8 +53,11 @@ def test_path_is_step_doubled_rk4(duration):
 
 
 @pytest.mark.parametrize("duration, h", [(1.0, 0.0), (1.0, -0.1), (1.0, np.inf), (1.0, np.nan),
-                                         (np.inf, 0.1), (np.nan, 0.1), (1e300, 1e-3)])
+                                         (np.inf, 0.1), (np.nan, 0.1), (1e300, 1e-3),
+                                         (1e18, 1.0)])
 def test_refused_before_any_step(duration, h):
+    # 1e18 steps fit an index, but their path exceeds any 64-bit address
+    # space: it is refused when the path is allocated, before the first step
     def never(y):
         raise AssertionError("rhs called for a refused step count")
 
