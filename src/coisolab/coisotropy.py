@@ -139,7 +139,6 @@ def residual_from_jet(x1: float, f_val: float, g_val: float,
 # Prolongation solver
 # ---------------------------------------------------------------------------
 
-DAMPING = 0.0          # initial Levenberg parameter
 STALL_WINDOW = 5       # iterations over which a stall is judged
 STALL_REL = 1e-3       # relative decrease below which the norm has stalled
 # row bound x columns of the largest box solved: the Jacobian's triplets are
@@ -195,12 +194,13 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     step, so each iteration takes one thin SVD of that sector
     (``_sector_steps``); that one factorization serves the undamped step
     and every damped retry.
-    Verdicts: ``converged`` when the residual norm drops below tol;
-    ``obstructed`` when the norm stalls (relative decrease below STALL_REL
-    over STALL_WINDOW iterations) while still above 100*tol; ``max_iters``
-    otherwise.  Boxes that are not exact (``_solver_radii``), keys beyond int64
-    and boxes above MAX_DENSE (row bound x columns, a cap on the whole-box
-    triplet assembly) are refused before assembly."""
+    The verdict is decided once, after the loop, from the history's last
+    norm: ``converged`` below tol; else ``obstructed`` if the loop stopped on
+    the stall window (relative decrease below STALL_REL over STALL_WINDOW
+    iterations) or on damping exhaustion (12 rejected attempts) and the norm
+    is above 100*tol; else ``max_iters``.  Inexact boxes (``_solver_radii``),
+    keys beyond int64 and boxes above MAX_DENSE (row bound x columns, a cap
+    on the whole-box triplet assembly) are refused before assembly."""
     opts = opts or ProlongOptions()
     if not 0.0 < eps <= 0.5:
         raise PreconditionError(f"eps={eps} outside (0, 0.5]")
@@ -246,19 +246,16 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     s = section_of(x)
     r_field = residual(s)
     norm = r_field.l2_norm()
-    history = [norm]
-    lam = DAMPING
-    status, diagnostic = "max_iters", ""
-    iters_done = 0
+    history, lam, diagnostic = [norm], 0.0, ""
 
-    for it in range(opts.max_iters):
+    # the loop only iterates; a diagnostic records that it stopped on the stall
+    # window or on damping exhaustion
+    for _ in range(opts.max_iters):
         if norm < opts.tol:
-            status = "converged"
             break
         if len(history) > STALL_WINDOW and norm > 100.0 * opts.tol:
             prev = history[-1 - STALL_WINDOW]
             if prev > 0 and (prev - norm) / prev < STALL_REL:
-                status = "obstructed"
                 diagnostic = (f"stalled: residual norm fell by {(prev - norm) / prev:.3e} "
                               f"(relative) over the last {STALL_WINDOW} iterations, "
                               f"below STALL_REL = {STALL_REL:g}")
@@ -280,33 +277,29 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
         # serves them all
         step = _sector_steps(ri, ci, v, r_field.coords(rows) * sw, n)
 
-        improved = False
-        for attempt in range(12):
+        for _ in range(12):
             delta = project_complement(step(lam))
             x_new = eps * u + project_complement(x + delta - eps * u)
             s_new = section_of(x_new)
             r_new = residual(s_new)
             norm_new = r_new.l2_norm()
-            if norm_new < norm or norm_new < opts.tol:
+            if norm_new < norm:
                 x, s, r_field, norm = x_new, s_new, r_new, norm_new
                 lam = lam / 10.0 if lam > 1e-12 else 0.0
-                improved = True
                 break
             lam = max(lam * 10.0, 1e-8)
-        iters_done = it + 1
+        else:
+            diagnostic = ("no descent direction found (damping exhausted)"
+                          if norm > 100.0 * opts.tol else
+                          "stalled near the tolerance without a usable Gauss-Newton direction")
         history.append(norm)
-        if not improved:
-            if norm > 100.0 * opts.tol:
-                status = "obstructed"
-                diagnostic = "no descent direction found (damping exhausted)"
-            else:
-                diagnostic = ("stalled near the tolerance without a usable "
-                              "Gauss-Newton direction")
+        if diagnostic:
             break
 
-    if status == "max_iters" and norm < opts.tol:
-        status = "converged"
-    return SolverReport(status=status, iterations=iters_done,
+    # norm is history[-1]
+    status = ("converged" if norm < opts.tol else
+              "obstructed" if diagnostic and norm > 100.0 * opts.tol else "max_iters")
+    return SolverReport(status=status, iterations=len(history) - 1,
                         residual_norm_history=history,
                         truncation_loss=r_field.trunc_loss,
                         final_section=s, diagnostic=diagnostic)

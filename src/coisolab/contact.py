@@ -178,7 +178,8 @@ def contact_vector_field(cd: ContactData, lam: Field) -> VectorField:
     and y5.  Raises ShapeError rather than return truncated components."""
     sp = lam.space
     if (sp.torus_dim, sp.fiber_dim) != (cd.space.torus_dim, cd.space.fiber_dim):
-        raise ShapeError("section space mismatch")
+        raise ShapeError(f"Hamiltonian lives over T^{sp.torus_dim} x R^{sp.fiber_dim}, "
+                         f"expected T^{cd.space.torus_dim} x R^{cd.space.fiber_dim}")
     roomy = Space(sp.torus_dim, sp.fiber_dim, sp.trunc_order + 1, sp.poly_deg + 1)
     return _hamiltonian(lam.promote(roomy)).symbol
 

@@ -419,6 +419,8 @@ class Field:
         modes = {}
         for t in data["terms"]:
             k, m = (tuple(json_int(a, f"{key} entry") for a in t[key]) for key in "km")
+            if (k, m) in modes:
+                raise ValueError(f"repeated term at k={list(k)}, m={list(m)}")
             modes[(k, m)] = complex(json_float(t["re"], "re"), json_float(t["im"], "im"))
         return cls.from_modes(sp, modes)
 
@@ -678,5 +680,5 @@ def json_float(value, name: str) -> float:
 def wrap_torus(point, torus_dim: int):
     """Wrap the torus coordinates of a point, or of each path row, to [0, 2*pi)."""
     p = np.array(point, dtype=float)
-    p[..., :torus_dim] = np.mod(p[..., :torus_dim], TWO_PI)
+    np.mod(p[..., :torus_dim], TWO_PI, out=p[..., :torus_dim])
     return p

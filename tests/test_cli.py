@@ -400,6 +400,17 @@ def test_flow_tail_row_ends_at_duration(capsys, tmp_path):
                                         + [repr(float(duration))])
 
 
+def test_flow_hamiltonian_off_contact_space_exit_two(capsys, tmp_path):
+    # a Hamiltonian over T^3 x R^2 used to be refused as a "section space
+    # mismatch"; the message now names the Hamiltonian and the space it needs
+    lam_path = tmp_path / "t3.json"
+    lam_path.write_text(json.dumps(Field.constant(fields.Space(3, 2, 8, 2), 1.0).to_json_dict()))
+    code, out, err = run(capsys, "flow", str(lam_path), "--point", "0,0,0,0,0,0,0",
+                         "--duration", "0.1", "--step", "0.01")
+    assert code == 2 and out == ""
+    assert err == "error: Hamiltonian lives over T^3 x R^2, expected T^5 x R^2\n"
+
+
 def test_flow_rejected_step_exit_two(capsys, tmp_path):
     lam_path = tmp_path / "curved.json"
     lam_path.write_text(json.dumps(
@@ -498,6 +509,12 @@ def test_bad_payload_exit_two(capsys, tmp_path):
         data = json.loads(open(sect("obstructed.json")).read())
         data["f"]["terms"][0].update(term)
         payloads.append((data, "must be a finite number"))
+    # a component off T^5, and components over different spaces
+    for key, value, why in (("torus_dim", 3, "scalar fields on T^5"),
+                            ("trunc_order", 6, "live over different spaces")):
+        data = json.loads(open(sect("obstructed.json")).read())
+        data["g"].update({key: value, "terms": []})
+        payloads.append((data, why))
     for data, why in payloads:
         bad.write_text(json.dumps(data))
         for command in ("residual", "kuranishi", "prolong"):
@@ -509,11 +526,13 @@ def test_bad_payload_exit_two(capsys, tmp_path):
 @pytest.mark.parametrize("command", ["residual", "kuranishi", "prolong"])
 @pytest.mark.parametrize("k, why", [([9, 0, 0, 0, 0], "outside truncation box"),
                                     ([1, 0, 0], "does not match space"),
-                                    ([0, 1.5, 0, 0, 0], "k entry must be an integer")])
+                                    ([0, 1.5, 0, 0, 0], "k entry must be an integer"),
+                                    ([0, 1, 0, 0, 0], "repeated")])
 def test_mode_outside_box_exit_two(capsys, tmp_path, monkeypatch, command, k, why):
     # keys are validated at every construction, not only with STRICT on: a
     # mode at k1 = 9 (trunc_order 8) or a 3-component key on T^5 would
-    # alias another mode's packed key, and k2 = 1.5 would be read as 1
+    # alias another mode's packed key, and k2 = 1.5 would be read as 1; a
+    # second term at a mode the file already has used to replace the first
     monkeypatch.setattr(fields, "STRICT", False)
     data = json.loads(open(sect("obstructed.json")).read())
     data["f"]["terms"].append({"k": k, "m": [], "re": 0.5, "im": 0.0})

@@ -280,6 +280,8 @@ def test_prolong_refuses_oversized_system_before_assembly():
 def test_prolong_refuses_radius_beyond_truncation():
     with pytest.raises(PreconditionError, match="exceed the truncation order"):
         prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=(9, 0, 0, 0, 0)))
+    with pytest.raises(PreconditionError, match="one entry per torus axis"):
+        prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=(1, 1)))
 
 
 @pytest.mark.parametrize("trunc, k, radii", [
