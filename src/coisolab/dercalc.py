@@ -52,22 +52,24 @@ class Form:
     __slots__ = ("space", "degree", "comps")
 
     def __init__(self, space: Space, degree: int, comps: Mapping | None = None):
-        cleaned = {}
-        if comps:
-            for idx, f in comps.items():
-                idx = tuple(idx)
-                if len(idx) != degree or any(i < 0 or i >= space.dim for i in idx):
-                    raise ShapeError(f"bad index tuple {idx} for degree {degree}")
-                if list(idx) != sorted(set(idx)):
-                    raise ShapeError(f"index tuple {idx} not strictly increasing")
-                if f.space != space:
-                    raise ShapeError("component space mismatch")
-                # a zero component is kept while it carries truncation loss
-                if f.packed or f.trunc_loss:
-                    cleaned[idx] = f
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "comps", cleaned)
+        checked = {}
+        for idx, f in (comps or {}).items():
+            idx = tuple(idx)
+            if len(idx) != degree or any(i < 0 or i >= space.dim for i in idx):
+                raise ShapeError(f"bad index tuple {idx} for degree {degree}")
+            if list(idx) != sorted(set(idx)):
+                raise ShapeError(f"index tuple {idx} not strictly increasing")
+            if f.space != space:
+                raise ShapeError("component space mismatch")
+            checked[idx] = f
+        self._set(space, degree, checked)
+
+    def _set(self, space: Space, degree: int, comps: dict):
+        setattr_ = object.__setattr__
+        setattr_(self, "space", space)
+        setattr_(self, "degree", degree)
+        # a zero component is kept while it carries truncation loss
+        setattr_(self, "comps", {idx: f for idx, f in comps.items() if f.packed or f.trunc_loss})
 
     def __setattr__(self, name, value):
         raise AttributeError("Form is immutable")
@@ -95,18 +97,23 @@ class Form:
         out = dict(self.comps)
         for idx, f in other.comps.items():
             out[idx] = out[idx] + f if idx in out else f
-        return Form(self.space, self.degree, out)
+        return _form(self.space, self.degree, out)
 
     def __neg__(self) -> "Form":
-        return Form(self.space, self.degree, {i: -f for i, f in self.comps.items()})
+        return _form(self.space, self.degree, {i: -f for i, f in self.comps.items()})
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
+        if other.space != self.space or other.degree != self.degree:
+            raise ShapeError("form mismatch in subtraction")
+        out = dict(self.comps)
+        for idx, f in other.comps.items():
+            out[idx] = out[idx] - f if idx in out else -f
+        return _form(self.space, self.degree, out)
 
     def __mul__(self, factor) -> "Form":
         """Scale by a number or a scalar Field."""
-        return Form(self.space, self.degree,
-                    {i: f * factor for i, f in self.comps.items()})
+        return _form(self.space, self.degree,
+                     {i: f * factor for i, f in self.comps.items()})
 
     __rmul__ = __mul__
 
@@ -121,8 +128,8 @@ class Form:
                 term = f.partial(axis)
                 if term.packed or term.trunc_loss:
                     acc[new_idx].add(term, sign)
-        return Form(self.space, self.degree + 1,
-                    {i: s.field(self.space) for i, s in acc.items()})
+        return _form(self.space, self.degree + 1,
+                     {i: s.field(self.space) for i, s in acc.items()})
 
     def contract(self, vf: VectorField) -> "Form":
         """Interior product iota_V (zero on a 0-form)."""
@@ -134,8 +141,8 @@ class Form:
                 comp = vf.components[axis]
                 if comp.packed or comp.trunc_loss or f.trunc_loss:
                     acc[idx[:pos] + idx[pos + 1:]].add_product(comp, f, (-1) ** pos)
-        return Form(self.space, self.degree - 1,
-                    {i: s.field(self.space) for i, s in acc.items()})
+        return _form(self.space, self.degree - 1,
+                     {i: s.field(self.space) for i, s in acc.items()})
 
     def __call__(self, *vfs: VectorField) -> Field:
         """Full evaluation on degree-many vector fields."""
@@ -148,6 +155,14 @@ class Form:
 
     def __repr__(self):
         return f"Form(deg={self.degree}, {len(self.comps)} comps)"
+
+
+def _form(space: Space, degree: int, comps: dict) -> Form:
+    """A Form that takes over comps (valid index tuples, fields over space):
+    zero components dropped as in Form, nothing re-validated."""
+    form = object.__new__(Form)
+    form._set(space, degree, comps)
+    return form
 
 
 class Derivation:
@@ -232,7 +247,7 @@ class AtiyahForm:
         return AtiyahForm(-self.alpha, -self.beta)
 
     def __sub__(self, other: "AtiyahForm") -> "AtiyahForm":
-        return self + (-other)
+        return AtiyahForm(self.alpha - other.alpha, self.beta - other.beta)
 
     # -- structural operators ------------------------------------------------
 

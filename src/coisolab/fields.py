@@ -161,7 +161,22 @@ class Field:
         raise AttributeError("Field is immutable")
 
     def _check(self):
-        sp = self.space
+        sp, packed = self.space, self.packed
+        end = sp.radix ** sp.dim
+        # on int64 key arrays when every key of the space fits; a violation,
+        # or a space with wider keys, goes to the scalar scan, which reports it
+        if packed and end <= 2 ** 63:
+            keys = np.fromiter(packed, np.int64, len(packed))
+            coef = np.fromiter(packed.values(), complex, len(packed))
+            d, mates, order = sp.digits(keys), sp.mate(keys), np.argsort(keys)
+            at = order[np.searchsorted(keys, mates, sorter=order) % len(keys)]
+            mate_coef = np.where(keys[at] == mates, coef[at], 0.0)
+            bad = ((keys < 0) | (keys >= end)
+                   | (abs(d[:, :sp.torus_dim]) > sp.trunc_order).any(axis=1)
+                   | (d[:, sp.torus_dim:].sum(axis=1) > sp.poly_deg)
+                   | (abs(mate_coef - coef.conj()) > 1e-12 * np.maximum(1.0, abs(coef))))
+            if not bad.any():
+                return
         for (k, m), c in self._modes():
             mate = self.packed.get(sp.pack([-a for a in k], m), 0.0)   # pack checks the box
             if abs(mate - c.conjugate()) > 1e-12 * max(1.0, abs(c)):
@@ -292,7 +307,15 @@ class Field:
                       self.trunc_loss, self.bounds)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Field) else -float(other))
+        if not isinstance(other, Field):
+            return self + -float(other)
+        # one pass, bit for bit self + (-other): IEEE x - y is x + (-y)
+        self._require_same_space(other)
+        out = dict(self.packed)
+        for key, c in other.packed.items():
+            out[key] = out.get(key, 0.0) - c
+        return _field(self.space, out, self.trunc_loss + other.trunc_loss,
+                      tuple(map(max, self.bounds, other.bounds)))
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):

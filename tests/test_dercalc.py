@@ -314,3 +314,75 @@ def test_contract_keeps_loss_of_zero_component():
     V = VectorField([Field(T3, None, trunc_loss=0.5), z, z])
     got = Form(T3, 1, {(0,): Field.sin(T3, 0)}).contract(V)
     assert got.is_zero() and got.trunc_loss == 0.5
+
+
+# -- subtraction and internally built forms -----------------------------------------
+
+def field_bits(f):
+    """A field to the bit: keys in order, each coefficient's parts as
+    float.hex (signed zeros included), its loss and its bounds."""
+    return ([(key, c.real.hex(), c.imag.hex()) for key, c in f.packed.items()],
+            f.trunc_loss.hex(), f.bounds)
+
+
+def form_bits(form):
+    return form.space, form.degree, [(idx, field_bits(f)) for idx, f in form.comps.items()]
+
+
+def atiyah_bits(eta):
+    return form_bits(eta.alpha), form_bits(eta.beta)
+
+
+def signed_zero_fields(space=T3):
+    """Two fields whose coefficients have signed-zero parts, sharing one
+    mode pair and each with a pair of its own."""
+    k, l, n = ((1, 0, 0), ()), ((-1, 0, 0), ()), ((0, 1, 0), ())
+    nl = ((0, -1, 0), ())
+    a = Field(space, {k: complex(-0.0, 0.5), l: complex(-0.0, -0.5),
+                      n: complex(0.25, 0.0), nl: complex(0.25, -0.0)})
+    b = Field(space, {k: complex(0.0, 0.5), l: complex(0.0, -0.5),
+                      ((0, 0, 1), ()): complex(-0.0, 0.75), ((0, 0, -1), ()): complex(-0.0, -0.75)},
+              trunc_loss=0.125)
+    return a, b
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fused_subtraction_matches_adding_the_negation(seed):
+    # rand_field draws 4 of T^3's 27 unit modes, so operands share some
+    # keys and own others
+    rng = np.random.default_rng(seed)
+    f, g = (rand_field(rng, T3, n_modes=4) for _ in range(2))
+    lossy = Field(T3, f.coeffs, trunc_loss=0.25)
+    zero = Field.zero(T3)
+    pairs = [(f, g), (g, f), (f, f), (lossy, g), (lossy, lossy), (f, zero), (zero, g),
+             signed_zero_fields(), signed_zero_fields()[::-1]]
+    for a, b in pairs:
+        assert field_bits(a - b) == field_bits(a + (-b))
+    for deg in range(4):
+        x, y = (rand_atiyah(rng, T3, deg) for _ in range(2))
+        for a, b in ((x, y), (y, x), (x, x), (x, AtiyahForm(Form(T3, deg)))):
+            assert atiyah_bits(a - b) == atiyah_bits(a + (-b))
+            assert form_bits(a.alpha - b.alpha) == form_bits(a.alpha + (-b.alpha))
+
+
+def test_form_subtraction_rejects_mismatch():
+    with pytest.raises(ShapeError):
+        Form(T3, 1) - Form(T3, 2)
+    with pytest.raises(ShapeError):
+        Form(T3, 1) - Form(T5, 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_internal_forms_equal_validated_forms(seed):
+    # the operators build their results without re-validating index
+    # tuples; Form(...) validates and must keep the very same components
+    rng = np.random.default_rng(seed)
+    for deg in range(4):
+        x, y = (rand_atiyah(rng, T3, deg) for _ in range(2))
+        box = rand_derivation(rng, T3)
+        a, b = x.alpha, y.alpha
+        for form in (a.d(), a.contract(box.symbol), a + b, a - b, a - a, -a,
+                     a * 2.5, a * box.scalar, x.d().alpha, x.contract(box).beta,
+                     x.lie(box).alpha):
+            validated = Form(form.space, form.degree, form.comps)
+            assert form_bits(validated) == form_bits(form)

@@ -501,3 +501,30 @@ def test_strict_check_refuses_planted_violations():
     assert fields._field(T5, pair(n), 0.0, (n, 0)).packed == pair(n)
     with pytest.raises(ShapeError, match="outside truncation box"):
         fields._field(T5, pair(n + 1), 0.0, (n + 1, 0))
+
+
+@pytest.mark.parametrize("nudge, refused", [(1e-9, True), (1e-13, False)])
+def test_strict_check_tolerance_inside_a_large_field(nudge, refused):
+    # the int64 check scans every key at once; one coefficient off its
+    # mate's conjugate by more than 1e-12 * max(1, |c|) is still refused
+    rng = np.random.default_rng(5)
+    f = rand_field(rng, M, n_modes=6, max_freq=2, fiber_deg=2)
+    f = f * f
+    packed = dict(f.packed)
+    key = next(key for key in packed if key != M.mate(key))
+    packed[key] += nudge
+    if refused:
+        with pytest.raises(ShapeError, match="Hermitian symmetry violated"):
+            fields._field(M, packed, 0.0, f.bounds)
+    else:
+        assert fields._field(M, packed, 0.0, f.bounds).packed == packed
+
+
+def test_strict_check_on_keys_beyond_int64():
+    # the keys of this space exceed int64, so the scalar scan checks them
+    wide = Space(5, 0, 2000, 0)
+    assert wide.zero_key >= 2 ** 63
+    assert (Field.sin(wide, 0) * Field.cos(wide, 1)).max_abs() == 0.25
+    key = wide.pack((1, 2, 0, 0, 0), ())
+    with pytest.raises(ShapeError, match="Hermitian symmetry violated"):
+        fields._field(wide, {key: 0.5 + 0.25j}, 0.0, (2, 0))
