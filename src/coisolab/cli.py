@@ -3,16 +3,17 @@
 Structured results are JSON (sorted keys, so identical seed and config give
 byte-identical reports); trajectories are CSV.  Exit codes: 0 success or
 converged, 1 solver gave up without a verdict, 2 input error (a mistyped or
-non-finite number, a refused flow, a trajectory too large to allocate,
-``leaves --csv`` without ``--trace``, a degenerate contact pairing, evidence that
-lost mass to truncation, an inexact or oversized prolongation box, keys beyond
-int64), 3 obstructed verdict, 4 verification failure, 141 standard output
-closed by its reader.
+non-finite number, an output path that cannot be opened, found before any
+work, a refused flow, a trajectory too large to allocate, a degenerate contact
+pairing, evidence that lost mass to truncation, an inexact or oversized
+prolongation box, keys beyond int64), 3 obstructed verdict, 4 verification
+failure, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -69,19 +70,13 @@ def _cfg(args) -> RunConfig:
     return cfg
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        sys.stdout.flush()   # a closed reader shows here, inside main
+def _emit(text: str, stream):
+    stream.write(text)
+    stream.flush()   # a closed reader shows here, inside main
 
 
-def _emit_json(payload, out_path: str | None):
-    _emit(json.dumps(payload, sort_keys=True, indent=2), out_path)
+def _emit_json(payload, stream):
+    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", stream)
 
 
 def _load_json(path: str, cls):
@@ -129,17 +124,17 @@ def _csv(header: str, table) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_residual(args, cfg: RunConfig) -> int:
+def cmd_residual(args, cfg: RunConfig, out) -> int:
     s = _load_json(args.section, Section)
     r = residual(s)
     _emit_json({"check": "residual",
                 "residual_norm": r.l2_norm(),
                 "max_abs": r.max_abs(),
-                "truncation_loss": r.trunc_loss}, cfg.out)
+                "truncation_loss": r.trunc_loss}, out)
     return EXIT_OK
 
 
-def cmd_kuranishi(args, cfg: RunConfig) -> int:
+def cmd_kuranishi(args, cfg: RunConfig, out) -> int:
     s = _load_json(args.section, Section)
     obstruction = kuranishi(s)
     require_exact("Kuranishi obstruction", obstruction)
@@ -148,29 +143,27 @@ def cmd_kuranishi(args, cfg: RunConfig) -> int:
                 "norm": obstruction.l2_norm(),
                 "max_abs": obstruction.max_abs(),
                 "nonzero": bool(nonzero),
-                "field": obstruction.to_json_dict()}, cfg.out)
+                "field": obstruction.to_json_dict()}, out)
     return EXIT_OK
 
 
-def cmd_prolong(args, cfg: RunConfig) -> int:
+def cmd_prolong(args, cfg: RunConfig, out) -> int:
     direction = _load_json(args.section, Section)
     opts = ProlongOptions(tol=cfg.tol, max_iters=args.max_iters,
                           solver_radius=_parse_radius(args.radius))
     report = prolong(direction, args.eps, opts)
-    _emit_json(report.to_json_dict(), cfg.out)
+    _emit_json(report.to_json_dict(), out)
     return {"converged": EXIT_OK, "obstructed": EXIT_OBSTRUCTED}.get(report.status, EXIT_FAIL)
 
 
-def cmd_leaves(args, cfg: RunConfig) -> int:
+def cmd_leaves(args, cfg: RunConfig, out) -> int:
     if (args.t is None) == (args.section is None):
         raise ValueError("choose exactly one of --t or --section")
     if args.t is not None:
-        if args.csv and not args.trace:
-            raise ValueError("--csv needs --trace")
         verdict = foliation.classify_leaf_linear(args.t, tol=cfg.tol,
                                                  max_denominator=args.max_denominator)
         payload = {"t": args.t, **verdict.to_json_dict()}
-        if args.trace:
+        if args.csv:   # the verdict is closed-form: a trace is only written
             frame = foliation.characteristic_frame(
                 family_section(args.t, cfg.trunc_order))
             duration = args.duration
@@ -185,23 +178,23 @@ def cmd_leaves(args, cfg: RunConfig) -> int:
             2.0 * math.pi if args.duration is None else args.duration,
             h=args.step)
         payload = verdict.to_json_dict()
-    _emit_json(payload, cfg.out)
-    if args.csv:   # every route that takes --csv traces
+    _emit_json(payload, out)
+    if args.csv:
         _emit(_csv("step,x1,x2,x3,x4,x5,u1,u2,u3,u4,u5",
                    np.hstack([trace.points, trace.lifted])), args.csv)
     return EXIT_OK
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args, cfg: RunConfig, out) -> int:
     report = verify.run_suites(args.suite, seed=cfg.seed, n=args.n,
                                trunc_order=cfg.trunc_order)
     if args.n == 0:
         sys.stderr.write("warning: --n 0 requested, suites pass vacuously\n")
-    _emit_json(report, cfg.out)
+    _emit_json(report, out)
     return EXIT_OK if report["pass"] else EXIT_VERIFY
 
 
-def cmd_flow(args, cfg: RunConfig) -> int:
+def cmd_flow(args, cfg: RunConfig, out) -> int:
     lam = _load_json(args.hamiltonian, Field)
     cd = ct.standard_contact(verify=False)
     p = _parse_point(args.point, cd.space.dim)
@@ -210,15 +203,15 @@ def cmd_flow(args, cfg: RunConfig) -> int:
     # start of a backward flow as 0.0, not -0.0
     t = np.arange(len(path)) * args.step * (1 if args.duration >= 0 else -1)
     t[-1] = args.duration
-    _emit(_csv("step,t,x1,x2,x3,x4,x5,y4,y5", np.column_stack([t + 0.0, path])), cfg.out)
+    _emit(_csv("step,t,x1,x2,x3,x4,x5,y4,y5", np.column_stack([t + 0.0, path])), out)
     return EXIT_OK
 
 
-def cmd_scan(args, cfg: RunConfig) -> int:
+def cmd_scan(args, cfg: RunConfig, out) -> int:
     values = [float(v) for v in args.values]
     report = foliation.integrality_scan(values, tol=cfg.tol,
                                         max_denominator=args.max_denominator)
-    _emit_json(report, cfg.out)
+    _emit_json(report, out)
     return EXIT_OK
 
 
@@ -277,8 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float)
     p.add_argument("--step", type=float, default=1e-2)
     p.add_argument("--max-denominator", type=int, default=10 ** 6)
-    p.add_argument("--trace", action="store_true", help="also integrate a trace")
-    p.add_argument("--csv", help="write the trace CSV here")
+    p.add_argument("--csv", help="trace the leaf and write its CSV here")
 
     p = add("scan", cmd_scan, help="integrality scan over family parameters")
     p.add_argument("values", nargs="*")
@@ -300,7 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args, _cfg(args))
+        cfg = _cfg(args)
+        with contextlib.ExitStack() as stack:
+            # each destination is opened once, before the work: a path that
+            # cannot be opened is refused before it costs anything
+            out = stack.enter_context(open(cfg.out, "w")) if cfg.out else sys.stdout
+            if getattr(args, "csv", None):
+                args.csv = stack.enter_context(open(args.csv, "w"))
+            return args.func(args, cfg, out)
     except BrokenPipeError:
         # nothing to report; stdout goes to devnull so the flush at exit is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -40,8 +40,11 @@ class CharFrame:
 
 @dataclass(frozen=True)
 class LeafTrace:
-    points: np.ndarray      # wrapped samples on T^5
-    lifted: np.ndarray      # unwrapped lift in R^5
+    lifted: np.ndarray      # unwrapped lift in R^5, the one held copy
+
+    @property
+    def points(self) -> np.ndarray:   # wrapped to T^5, a new array per access
+        return wrap_torus(self.lifted, 5)
 
 
 @dataclass
@@ -81,13 +84,13 @@ def involutivity_defect(frame: CharFrame, p) -> float:
 
 
 def trace_leaf(frame: CharFrame, start, duration: float, h: float = 1e-3) -> LeafTrace:
-    """Integrate V1 from start, recording wrapped and lifted samples (the
-    lift makes closure detection robust against dense windings).  A frame
-    that lost mass to truncation is refused: its leaf would be the box's."""
+    """Integrate V1 from start, recording the lifted samples (the lift makes
+    closure detection robust against dense windings).  A frame that lost mass
+    to truncation is refused: its leaf would be the box's."""
     require_exact("characteristic frame", frame.v1, frame.v2)
     rhs = stacked_evaluator(frame.v1.components)
     lifted = integrate.rk4_flow(rhs, np.asarray(start, dtype=float), duration, h)
-    return LeafTrace(points=wrap_torus(lifted, 5), lifted=lifted)
+    return LeafTrace(lifted)
 
 
 def continued_fraction_convergents(t: float, max_denominator: int = 10 ** 6):

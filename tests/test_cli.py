@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from coisolab import cli, coisotropy, fields
+from coisolab import cli, coisotropy, contact, fields, foliation, verify
 from coisolab.cli import main
 from coisolab.coisotropy import ProlongOptions, Section, prolong
 from coisolab.contact import contact_space
@@ -205,7 +205,7 @@ def test_leaves_irrational(capsys):
 
 def test_leaves_trace_csv(capsys, tmp_path):
     csv_path = tmp_path / "trace.csv"
-    code, out, _ = run(capsys, "leaves", "--t", "0.5", "--trace",
+    code, out, _ = run(capsys, "leaves", "--t", "0.5",
                        "--csv", str(csv_path), "--step", "0.01")
     assert code == 0
     lines = csv_path.read_text().strip().splitlines()
@@ -213,13 +213,28 @@ def test_leaves_trace_csv(capsys, tmp_path):
     assert len(lines) > 100
 
 
-def test_leaves_csv_needs_trace(capsys, tmp_path):
-    # without --trace there is no trajectory: --csv used to write nothing
-    # and exit 0
-    csv_path = tmp_path / "trace.csv"
-    code, out, err = run(capsys, "leaves", "--t", "0.5", "--csv", str(csv_path))
-    assert code == 2 and out == "" and not csv_path.exists()
-    assert err == "error: --csv needs --trace\n"
+def test_leaves_traces_only_into_its_csv(capsys, tmp_path, monkeypatch):
+    # the --t verdict is closed-form: a trace is integrated only to be
+    # written, once; --trace used to integrate one and drop it
+    calls = []
+    real_trace = foliation.trace_leaf
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return real_trace(*a, **kw)
+
+    def refused(*a, **kw):
+        raise AssertionError("trace_leaf called without --csv")
+
+    monkeypatch.setattr(foliation, "trace_leaf", refused)
+    code, out, _ = run(capsys, "leaves", "--t", "0.5")
+    assert code == 0 and json.loads(out)["verdict"] == "torus"
+    monkeypatch.setattr(foliation, "trace_leaf", counted)
+    code, _, _ = run(capsys, "leaves", "--t", "0.5", "--csv", str(tmp_path / "trace.csv"))
+    assert code == 0 and len(calls) == 1
+    code, out, err = run(capsys, "leaves", "--t", "0.5", "--trace")
+    assert code == 2 and out == ""
+    assert err == "error: unrecognized arguments: --trace\n"
 
 
 def test_leaves_section_trace(capsys, tmp_path):
@@ -229,7 +244,7 @@ def test_leaves_section_trace(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "unknown"
 
 
-@pytest.mark.parametrize("argv", [("--t", "0.5", "--trace"),
+@pytest.mark.parametrize("argv", [("--t", "0.5"),
                                   ("--section", sect("st_sin.json"), "--step", "0.1")],
                          ids=["t-trace", "section"])
 def test_leaves_zero_duration_traces_the_start_point(capsys, tmp_path, argv):
@@ -252,7 +267,7 @@ def test_leaves_refuses_a_lossy_frame(capsys, tmp_path, route):
     path = tmp_path / "edge.json"
     path.write_text(json.dumps(Section(f, Field.zero(sp)).to_json_dict()))
     argv = (["leaves", "--section", str(path)] if route == "section"
-            else ["--trunc", "1", "leaves", "--t", "0.5", "--trace"])
+            else ["--trunc", "1", "leaves", "--t", "0.5", "--csv", str(tmp_path / "trace.csv")])
     code, out, err = run(capsys, *argv, "--duration", "1.0", "--step", "0.01")
     assert code == 2 and out == ""
     assert err.startswith("error: characteristic frame lost mass") and err.count("\n") == 1
@@ -329,7 +344,7 @@ REPORT_DIGESTS = {
         "956b6d7693979b2513a7dd35de1096051c32db3e447c7056eacaa04a44537061",
     "kuranishi zero.json":
         "956b6d7693979b2513a7dd35de1096051c32db3e447c7056eacaa04a44537061",
-    "leaves --t 0.5 --trace":
+    "leaves --t 0.5 --csv":
         "f0bb73cbef055011068b8b6f7dbd07fe3f60679505ff3e6846f36f76fb46acfe",
     # every one of these solves converges at iteration 0, rejects every step
     # or fails its precondition, so the bytes do not depend on the BLAS build
@@ -358,8 +373,8 @@ def test_default_report_bytes_pinned(capsys, tmp_path):
     csv = tmp_path / "trace.csv"
     for command, digest in REPORT_DIGESTS.items():
         argv = [sect(a) if a.endswith(".json") else a for a in command.split()]
-        if "--trace" in argv:
-            argv += ["--csv", str(csv)]
+        if "--csv" in argv:
+            argv += [str(csv)]
         code, out, _ = run(capsys, *argv)
         assert (code, sha256(out)) == (REPORT_EXIT_CODES.get(command, 0), digest), command
     assert sha256(csv.read_text()) == LEAF_TRACE_CSV_DIGEST
@@ -429,7 +444,7 @@ def test_flow_rejected_step_exit_two(capsys, tmp_path):
     ["flow", "UNIT", "--point", "0,0,0,0,0,0,0", "--duration", "1", "--step", "inf"],
     ["flow", "UNIT", "--point", "nan,0,0,0,0,0,0", "--duration", "1"],
     ["flow", "UNIT", "--point", "0,0,0,0,0,0", "--duration", "1"],
-    ["leaves", "--t", "0.5", "--trace", "--duration", "inf"],
+    ["leaves", "--t", "0.5", "--csv", os.devnull, "--duration", "inf"],
     ["flow", "UNIT", "--point", "0,0,0,0,0,0,0", "--duration", "1e18", "--step", "1"],
 ], ids=["tol-nan", "tol-zero", "duration-inf", "duration-1e300", "step-inf",
         "point-nan", "point-short", "leaf-duration-inf", "duration-1e18-unallocatable"])
@@ -549,6 +564,49 @@ def test_out_flag_writes_file(capsys, tmp_path):
                        "residual", sect("zero.json"))
     assert code == 0 and out == ""
     assert json.loads(out_path.read_text())["residual_norm"] == 0.0
+
+
+def write_unit(tmp_path):
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(Field.constant(contact_space(), 1.0).to_json_dict()))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["residual", sect("obstructed.json")],
+    ["verify", "reduction", "--n", "2"],
+    ["flow", "UNIT", "--point", "0,0,0,0,0,0,0", "--duration", "0.05", "--step", "0.01"],
+], ids=["residual", "verify-reduction", "flow"])
+def test_out_file_gets_the_bytes_of_stdout(capsys, tmp_path, argv):
+    # a JSON report written with --out used to lack stdout's final newline
+    argv = [write_unit(tmp_path) if a == "UNIT" else a for a in argv]
+    out_path = tmp_path / "report.out"
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0 and stdout.endswith("\n")
+    code, out, _ = run(capsys, "--out", str(out_path), *argv)
+    assert code == 0 and out == ""
+    assert out_path.read_bytes() == stdout.encode()
+
+
+@pytest.mark.parametrize("work, argv", [
+    ((verify, "run_suites"), ["--out", "MISSING", "verify", "cartan", "--n", "20"]),
+    ((contact, "flow_contact"), ["flow", "UNIT", "--point", "0,0,0,0,0,0,0",
+                                 "--duration", "1", "--out", "MISSING"]),
+    ((foliation, "trace_leaf"), ["leaves", "--t", "0.5", "--csv", "MISSING"]),
+], ids=["verify-out", "flow-out", "leaves-csv"])
+def test_unopenable_destination_refused_before_the_work(capsys, tmp_path, monkeypatch,
+                                                        work, argv):
+    # the suite, the flow and the trace used to run (and leaves to print its
+    # report) before the path was found to be missing
+    def refused(*a, **kw):
+        raise AssertionError(f"{work[1]} ran before its destination was opened")
+
+    monkeypatch.setattr(*work, refused)
+    missing = str(tmp_path / "no-such-dir" / "out")
+    argv = [{"UNIT": write_unit(tmp_path), "MISSING": missing}.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
 
 
 def test_config_file_and_env(capsys, tmp_path, monkeypatch):

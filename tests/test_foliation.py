@@ -2,11 +2,13 @@
 the linear family."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from coisolab import integrate
 from coisolab.coisotropy import Section, base_space, family_section, residual
 from coisolab.fields import Field
 from coisolab.foliation import (characteristic_frame, classify_leaf_linear,
@@ -146,6 +148,25 @@ def test_trace_wrapped_is_lift_mod_2pi():
     fr = characteristic_frame(family_section(0.3))
     tr = trace_leaf(fr, np.array([0.1, 5.9, 0.0, 3.0, 1.0]), 9.0, h=1e-2)
     assert np.max(np.abs(np.mod(tr.lifted, TWO_PI) - tr.points)) < 1e-12
+
+
+def test_held_trace_is_one_copy_of_its_path(monkeypatch):
+    # a trace holds its lifted path alone, 40 bytes a step; a wrapped copy
+    # beside it made 80.  The integrator returns a path of the shape it would
+    # allocate (its loop would take seconds under tracemalloc): what is
+    # measured is what trace_leaf keeps of it
+    steps = 20_000
+    fr = characteristic_frame(family_section(0.5))
+    monkeypatch.setattr(integrate, "rk4_flow",
+                        lambda rhs, y0, duration, h: np.tile(y0, (steps + 1, 1)))
+    tracemalloc.start()
+    try:
+        tr = trace_leaf(fr, np.zeros(5), steps * 0.05, h=0.05)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert tr.lifted.shape == (steps + 1, 5)
+    assert held <= 48 * steps
 
 
 def test_theta_vanishes_on_graph_lifted_frame():
