@@ -113,11 +113,18 @@ def _parse_radius(text: str):
     return radii if len(radii) == 5 else radii[0]
 
 
-def _csv(header: str, table) -> str:
+CSV_CHUNK = 256   # table rows formatted and written at a time
+
+
+def _emit_csv(header: str, table, stream):
     """A trajectory as CSV: the header, then one line per row of the table,
-    the row index followed by every value."""
-    rows = (f"{i},{','.join(map(repr, row))}\n" for i, row in enumerate(table.tolist()))
-    return header + "\n" + "".join(rows)
+    the row index followed by every value.  The rows go to the stream
+    CSV_CHUNK at a time, so the text is never held whole."""
+    stream.write(header + "\n")
+    for start in range(0, len(table), CSV_CHUNK):
+        rows = enumerate(table[start:start + CSV_CHUNK].tolist(), start)
+        stream.write("".join(f"{i},{','.join(map(repr, row))}\n" for i, row in rows))
+    stream.flush()   # a closed reader shows here, inside main
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +170,16 @@ def cmd_leaves(args, cfg: RunConfig, out) -> int:
         verdict = foliation.classify_leaf_linear(args.t, tol=cfg.tol,
                                                  max_denominator=args.max_denominator)
         payload = {"t": args.t, **verdict.to_json_dict()}
-        if args.csv:   # the verdict is closed-form: a trace is only written
+        start, duration = _parse_point(args.start, 5), args.duration
+        if duration is None:
+            duration = verdict.periods[0] if verdict.kind == "torus" else 2.0 * math.pi
+        # the verdict is closed-form: a trace is only written, but the trace
+        # flags are refused on either route as the integrator refuses them
+        integrate.check_span(duration, args.step)
+        if args.csv:
             frame = foliation.characteristic_frame(
                 family_section(args.t, cfg.trunc_order))
-            duration = args.duration
-            if duration is None:
-                duration = verdict.periods[0] if verdict.kind == "torus" else 2.0 * math.pi
-            trace = foliation.trace_leaf(frame, _parse_point(args.start, 5),
-                                         duration, h=args.step)
+            trace = foliation.trace_leaf(frame, start, duration, h=args.step)
     else:
         s = _load_json(args.section, Section)
         verdict, trace = foliation.classify_section_leaf(
@@ -180,8 +189,8 @@ def cmd_leaves(args, cfg: RunConfig, out) -> int:
         payload = verdict.to_json_dict()
     _emit_json(payload, out)
     if args.csv:
-        _emit(_csv("step,x1,x2,x3,x4,x5,u1,u2,u3,u4,u5",
-                   np.hstack([trace.points, trace.lifted])), args.csv)
+        _emit_csv("step,x1,x2,x3,x4,x5,u1,u2,u3,u4,u5",
+                  np.hstack([trace.points, trace.lifted]), args.csv)
     return EXIT_OK
 
 
@@ -203,7 +212,7 @@ def cmd_flow(args, cfg: RunConfig, out) -> int:
     # start of a backward flow as 0.0, not -0.0
     t = np.arange(len(path)) * args.step * (1 if args.duration >= 0 else -1)
     t[-1] = args.duration
-    _emit(_csv("step,t,x1,x2,x3,x4,x5,y4,y5", np.column_stack([t + 0.0, path])), out)
+    _emit_csv("step,t,x1,x2,x3,x4,x5,y4,y5", np.column_stack([t + 0.0, path]), out)
     return EXIT_OK
 
 

@@ -141,9 +141,12 @@ def residual_from_jet(x1: float, f_val: float, g_val: float,
 
 STALL_WINDOW = 5       # iterations over which a stall is judged
 STALL_REL = 1e-3       # relative decrease below which the norm has stalled
-# row bound x columns of the largest box solved: the Jacobian's triplets are
-# assembled over the whole box, and their count and memory grow with it
-MAX_DENSE = 3e8
+# real unknowns of the solver box: every iterate, step and direction vector is
+# this long, and box_keys builds half as many keys
+MAX_UNKNOWNS = 4e6
+# real rows x columns of the residual's sector, the dense matrix of its SVD;
+# the closure that finds it checks this as it grows, before any assembly
+MAX_SECTOR = 1e7
 # Jacobian columns drop quadratic-part coefficients below this; the solver's
 # iterates depend on it to the last bit
 COLUMN_PRUNE = 2.0 * PRUNE_TOL
@@ -191,16 +194,19 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     the complement changes only the direction's columns, so the projected
     Jacobian stays sparse.  Only the residual's sector, the rows and
     columns that a chain of entries joins to a nonzero residual row, gets a
-    step, so each iteration takes one thin SVD of that sector
+    step.  So each iteration assembles only the columns of a key-space
+    closure that contains the sector (``_sector_keys``), maps them back to
+    the box's real slots, and takes one thin SVD of the sector
     (``_sector_steps``); that one factorization serves the undamped step
-    and every damped retry.
+    and every damped retry.  Every other unknown's step is exactly 0.
     The verdict is decided once, after the loop, from the history's last
     norm: ``converged`` below tol; else ``obstructed`` if the loop stopped on
     the stall window (relative decrease below STALL_REL over STALL_WINDOW
     iterations) or on damping exhaustion (12 rejected attempts) and the norm
     is above 100*tol; else ``max_iters``.  Inexact boxes (``_solver_radii``),
-    keys beyond int64 and boxes above MAX_DENSE (row bound x columns, a cap
-    on the whole-box triplet assembly) are refused before assembly."""
+    keys beyond int64 and boxes of more than MAX_UNKNOWNS real unknowns are
+    refused before any work on the box; a sector closure that grows past
+    MAX_SECTOR is refused before its assembly."""
     opts = opts or ProlongOptions()
     if not 0.0 < eps <= 0.5:
         raise PreconditionError(f"eps={eps} outside (0, 0.5]")
@@ -217,27 +223,27 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
             f"(linearized residual norm {lin.l2_norm():.3e} > 1e-10)")
 
     radii = _solver_radii(direction, opts.solver_radius, sp)
-    # a real field on a symmetric box of T modes has T real coordinates; the
-    # residual and every Jacobian column stay in the box of radius 2 r (and
-    # 2 r1 + 1 on x1, from the frame's cos x1 and sin x1)
+    # a real field on a symmetric box of T modes has T real coordinates
     n = 2 * math.prod(2 * r + 1 for r in radii)
-    row_cap = math.prod(2 * (2 * r + (a == 0)) + 1 for a, r in enumerate(radii))
-    if row_cap * n > MAX_DENSE:
-        raise PreconditionError(
-            f"solver system of up to {row_cap}x{n} too large for dense assembly; "
-            "reduce solver_radius (per-axis radii are accepted)")
+    if n > MAX_UNKNOWNS:
+        raise PreconditionError(f"solver box of {n} unknowns exceeds MAX_UNKNOWNS = "
+                                f"{MAX_UNKNOWNS:g}; reduce solver_radius "
+                                "(per-axis radii are accepted)")
     box, nb = box_keys(sp, radii), n // 2
     X, Y = xy_frame(sp)
 
     def section_of(v):
         return Section(Field.from_coords(sp, box, v[:nb]), Field.from_coords(sp, box, v[nb:]))
 
+    slot, weight = real_coords(sp, box)
     u = np.concatenate([direction.f.coords(box), direction.g.coords(box)])
-    w = np.tile(real_coords(sp, box)[1], 2)
+    w = np.tile(weight, 2)
     uu = float(np.dot(w * u, u))
     if uu == 0.0:
         raise PreconditionError("zero direction")
     supp = np.flatnonzero(u)
+    on_supp = u != 0
+    supp_keys = np.intersect1d(box, [*direction.f.packed, *direction.g.packed])
 
     def project_complement(z):
         return z - (np.dot(w * z, u) / uu) * u
@@ -261,12 +267,18 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
                               f"below STALL_REL = {STALL_REL:g}")
                 break
 
-        rows, ri, ci, v = _jacobian(box, s, X, Y)
+        keys = _sector_keys(box, s, r_field, supp_keys)
+        rows, ri, ci, v = _jacobian(keys, s, X, Y)
+        # _jacobian's columns are the real slots of keys; map them to the box's
+        own, own_w = real_coords(sp, keys)
+        shift = np.repeat(slot[np.searchsorted(box, keys)] - own, np.diff(own, append=len(own_w)))
+        to_box = np.arange(len(own_w)) + shift
+        ci = np.concatenate([to_box, to_box + nb])[ci]
         sw = np.sqrt(real_coords(sp, rows)[1])
         v = v * sw[ri]
         # restrict to the constraint's complement, AP (I - u (w u)^T / uu):
         # only the columns of u's support change, on one dense slab
-        on_u = np.isin(ci, supp)
+        on_u = on_supp[ci]
         slab = np.zeros((len(sw), len(supp)))
         slab[ri[on_u], np.searchsorted(supp, ci[on_u])] = v[on_u]
         slab -= np.outer(slab @ u[supp], (w * u / uu)[supp])
@@ -325,6 +337,55 @@ def _solver_radii(direction: Section, radius, sp: Space):
     return radii
 
 
+def _sector_keys(box, s: Section, r_field: Field, support):
+    """The keys of ``box`` whose columns ``prolong`` assembles: a closure in
+    key space, found before any assembly, that contains the residual's sector.
+
+    A column q can hold entries only on the canonical keys among +-q + o and
+    on q itself (its linear part), o an offset of ``_exponential_columns``:
+    the iterate's keys shifted by +-e1, a set closed under mates.  So a row r
+    can meet only the box's columns among +-r + o, and r.  The closure starts
+    from the residual's nonzero rows and from ``support``, the keys of the
+    direction's support, which the constraint projection couples through
+    A u, and alternates the two reaches until neither grows.  It is refused
+    when its real rows x columns, or the key sums of a reach, pass MAX_SECTOR."""
+    sp, zero = s.space, s.space.zero_key
+    own = np.fromiter([*s.f.packed, *s.g.packed], np.int64) - zero
+    offsets = np.unique(np.concatenate([own - sp.weights[0], own + sp.weights[0]]))
+
+    def reach(keys):   # either way: rows to columns, columns to rows
+        both = np.concatenate([keys, sp.mate(keys)])
+        return np.concatenate([(both[:, None] + offsets).ravel(), keys])
+
+    def real(keys):
+        return 2 * len(keys) - (keys[:1] == zero).sum()
+
+    rows = cols = np.zeros(0, np.int64)
+    new_rows = np.fromiter([k for k in r_field.packed if k >= zero], np.int64)
+    new_cols = support
+    while new_rows.size or new_cols.size:
+        rows, cols = np.union1d(rows, new_rows), np.union1d(cols, new_cols)
+        sums = 2 * (len(new_rows) + len(new_cols)) * len(offsets)
+        if max(real(rows) * real(cols), sums) > MAX_SECTOR:
+            raise PreconditionError(
+                f"solver sector grows past MAX_SECTOR = {MAX_SECTOR:g}: {real(rows)}x"
+                f"{real(cols)} real rows x columns so far, {sums} key sums to grow it; "
+                "reduce solver_radius (per-axis radii are accepted)")
+        reached_cols, reached_rows = reach(new_rows), reach(new_cols)
+        new_cols = np.unique(reached_cols[_in_sorted(reached_cols, box)
+                                          & ~_in_sorted(reached_cols, cols)])
+        new_rows = np.unique(reached_rows[(reached_rows >= zero)
+                                          & ~_in_sorted(reached_rows, rows)])
+    return cols
+
+
+def _in_sorted(x, keys):
+    """The entries of x that the ascending array keys holds, as a mask."""
+    if not len(keys):
+        return np.zeros(len(x), bool)
+    return keys[np.searchsorted(keys, x) % len(keys)] == x
+
+
 def _sector_steps(ri, ci, v, rvec, n: int):
     """The Gauss-Newton steps for AP d ~ -rvec as a function of the Levenberg
     parameter lam, AP the len(rvec) x n matrix with entries v at (ri, ci),
@@ -333,8 +394,11 @@ def _sector_steps(ri, ci, v, rvec, n: int):
     column meets only rows where rvec is 0, so its step is exactly 0.
 
     At lam = 0 the step is the minimum-norm least-squares solution, with
-    ``numpy.linalg.lstsq``'s default cutoff: a singular value at or below
-    eps_mach max(m, n) s_max counts as zero, s_max the sector's largest.  At
+    ``numpy.linalg.lstsq``'s default cutoff for the m x n system: a singular
+    value at or below eps_mach max(m, n) s_max counts as zero, s_max the
+    sector's largest.  ``prolong`` passes the rows it assembled, so m counts
+    the rows of the sector's closure, not of the whole box; n is the box's
+    unknowns.  At
     lam > 0 it is argmin ||AP d + rvec||^2 + lam ||d||^2 = -V diag(s / (s^2 +
     lam)) U^T rvec, and no singular value is cut: near-null ones of order
     1e-12 ||AP|| still carry weight s / lam at lam = 1e-8."""
@@ -400,7 +464,8 @@ def _jacobian(box, s: Section, X: VectorField, Y: VectorField):
     """Gauss-Newton Jacobian of the residual at s: the ascending canonical
     keys of its rows and its nonzero real entries (row, column, value), on
     the real coordinates (``real_coords``) of those keys.  Columns are the
-    real unknowns on the canonical keys ``box``, the f block then the g block:
+    real unknowns on the ascending canonical keys ``box``, a whole solver box
+    or any part of one, the f block then the g block:
     c E_k + conj(c) E_-k for c = 1, i on the slot pair of a key k != 0, and
     E_0 on the slot of k = 0.
 

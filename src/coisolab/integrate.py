@@ -41,18 +41,24 @@ def split_duration(duration: float, h: float) -> tuple[int, float]:
     return n_full, tail
 
 
-def rk4_flow(rhs, y0, duration: float, h: float) -> np.ndarray:
-    """Integrate y' = rhs(y) for the signed duration, returning the full
-    sample path (n_steps+1, dim) including the start point.
-
-    The path is allocated before the first step: one too large to hold raises
-    MemoryError or ValueError before rhs is called."""
-    # refused before any step: the step count must be finite and fit an index
+def check_span(duration: float, h: float):
+    """Refuse a step that is not finite and positive, and a duration whose
+    step count is not finite or does not fit an index."""
     if not 0 < h < math.inf:
         raise ValueError(f"step size must be finite and positive, got {h!r}")
     if not abs(duration) / h <= sys.maxsize:   # false for NaN too
         raise ValueError(f"duration {duration!r} does not split into at most "
                          f"{sys.maxsize} steps of {h!r}")
+
+
+def rk4_flow(rhs, y0, duration: float, h: float) -> np.ndarray:
+    """Integrate y' = rhs(y) for the signed duration, returning the full
+    sample path (n_steps+1, dim) including the start point.
+
+    The span is checked (``check_span``) and the path allocated before the
+    first step: one too large to hold raises MemoryError or ValueError before
+    rhs is called."""
+    check_span(duration, h)
     n_full, tail = split_duration(duration, h)
     path = np.empty((n_full + (tail > 0) + 1, *np.shape(y0)))
     y = path[0] = np.array(y0, dtype=float)

@@ -6,8 +6,9 @@ import math
 import os
 import subprocess
 import sys
-import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from coisolab import cli, coisotropy, contact, fields, foliation, verify
@@ -116,12 +117,20 @@ def test_prolong_invalid_direction_exit_two(capsys, tmp_path):
     assert "infinitesimal" in err
 
 
-def test_prolong_oversized_system_exit_two_before_assembly(capsys):
-    t0 = time.perf_counter()
-    code, out, err = run(capsys, "prolong", sect("obstructed.json"), "--radius", "2")
-    assert time.perf_counter() - t0 < 1.0
-    assert code == 2 and out == ""
-    assert err.startswith("error: solver system") and err.count("\n") == 1
+def test_prolong_oversized_system_exit_two_before_assembly(capsys, monkeypatch):
+    # radius 2 is accepted at the shipped bounds; set below its 6250 unknowns
+    # or its first closure, either bound refuses it with one line
+    def no_assembly(*args):
+        raise AssertionError("assembled a Jacobian")
+    monkeypatch.setattr(coisotropy, "_jacobian", no_assembly)
+    for bound, value, start in (
+            ("MAX_UNKNOWNS", 6249, "error: solver box of 6250 unknowns exceeds MAX_UNKNOWNS"),
+            ("MAX_SECTOR", 40, "error: solver sector grows past MAX_SECTOR = 40")):
+        with monkeypatch.context() as patch:
+            patch.setattr(coisotropy, bound, value)
+            code, out, err = run(capsys, "prolong", sect("obstructed.json"), "--radius", "2")
+        assert code == 2 and out == ""
+        assert err.startswith(start) and err.count("\n") == 1
 
 
 def test_prolong_per_axis_radius(capsys):
@@ -235,6 +244,41 @@ def test_leaves_traces_only_into_its_csv(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "leaves", "--t", "0.5", "--trace")
     assert code == 2 and out == ""
     assert err == "error: unrecognized arguments: --trace\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ("--duration", "inf", "--step", "nan"), ("--duration", "inf"), ("--duration", "nan"),
+    ("--duration", "1e300"), ("--step", "0"), ("--step", "-0.1"), ("--step", "inf"),
+    ("--start", "0,0,0,0,nan"), ("--start", "0,0")],
+    ids=["inf-nan", "inf-duration", "nan-duration", "huge-duration", "zero-step",
+         "negative-step", "inf-step", "nan-start", "short-start"])
+def test_leaves_t_refuses_bad_trace_flags_on_both_routes(capsys, tmp_path, flags):
+    # without --csv the trace flags used to be accepted and ignored, so
+    # --duration inf --step nan exited 0: both routes refuse them alike
+    code, out, err = run(capsys, "leaves", "--t", "0.5", *flags)
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    csv_path = tmp_path / "trace.csv"
+    assert run(capsys, "leaves", "--t", "0.5", *flags, "--csv", str(csv_path)) == (2, "", err)
+    assert csv_path.read_text() == ""
+
+
+def test_csv_writer_holds_a_chunk_not_the_text(tmp_path):
+    # the writer formats CSV_CHUNK rows at a time: its traced peak is a small
+    # part of the text it writes, where joining the whole text held several
+    # times the file (3.5 MB for these 5000 rows)
+    table = np.random.default_rng(0).normal(size=(5000, 11))
+    path = tmp_path / "table.csv"
+    with open(path, "w") as fh:
+        tracemalloc.start()
+        try:
+            cli._emit_csv("h", table, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    lines = path.read_text().splitlines()
+    assert len(lines) == 5001 and lines[5000].startswith("4999,")
+    assert lines[1] == "0," + ",".join(map(repr, table[0].tolist()))
+    assert peak < path.stat().st_size / 3
 
 
 def test_leaves_section_trace(capsys, tmp_path):

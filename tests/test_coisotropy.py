@@ -270,11 +270,40 @@ def test_prolong_rejects_bad_eps():
             prolong(good, eps)
 
 
-def test_prolong_refuses_oversized_system_before_assembly():
+def test_prolong_refuses_oversized_system_before_assembly(monkeypatch):
+    # radius 2 has 6250 unknowns; the first closure starts from the 2 real
+    # rows of eps^2 sin x1 and the 2 real columns of the direction's key, and
+    # its second round reaches 8 x 8.  Either bound, set below these, refuses
+    # before any Jacobian is assembled
+    def no_assembly(*args):
+        raise AssertionError("assembled a Jacobian")
+    monkeypatch.setattr(coisotropy, "_jacobian", no_assembly)
+    for bound, value, match in (
+            ("MAX_UNKNOWNS", 6249, "solver box of 6250 unknowns exceeds MAX_UNKNOWNS = 6249"),
+            ("MAX_SECTOR", 40, "solver sector grows past MAX_SECTOR = 40: 8x8 real rows x columns")):
+        with monkeypatch.context() as patch:
+            patch.setattr(coisotropy, bound, value)
+            with pytest.raises(PreconditionError, match=match):
+                prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=2))
+
+
+@pytest.mark.parametrize("radii", [2, 3, (3, 4, 4, 4, 4)], ids=["radius2", "radius3", "34444"])
+def test_prolong_accepts_every_exact_radius(radii):
+    # with only the sector's closure assembled, every exact box at N = 8 is
+    # cheap: these reach the (2, 1, 1, 1, 1) floor in 7 iterations, each in
+    # well under a second (2 s leaves room for a slow host)
     t0 = time.perf_counter()
-    with pytest.raises(PreconditionError, match="too large for dense assembly"):
-        prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=2))
-    assert time.perf_counter() - t0 < 1.0
+    rep = prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=radii))
+    assert time.perf_counter() - t0 < 2.0
+    assert (rep.status, rep.iterations) == ("obstructed", 7)
+    assert rep.residual_norm_history[-1] == pytest.approx(0.163193976536, rel=1e-10)
+    assert rep.truncation_loss == 0.0
+
+
+def test_prolong_control_direction_converges_at_radius_2():
+    rep = prolong(control_direction(), 0.1, ProlongOptions(solver_radius=2))
+    assert rep.status == "converged" and rep.iterations <= 10
+    assert residual(rep.final_section).l2_norm() < 1e-9
 
 
 def test_prolong_refuses_radius_beyond_truncation():
@@ -486,6 +515,74 @@ def test_sector_steps_match_the_block_route(monkeypatch, direction, radii):
         oracle = block_steps(*args)
         for lam in (0.0, 1e-8, 1e-4, 1.0):
             assert np.array_equal(step(lam), oracle(lam))
+
+
+def st_sin_direction():
+    with open(os.path.join(SECTIONS, "st_sin.json")) as fh:
+        return Section.from_json_dict(json.load(fh))
+
+
+def recorded_solve(monkeypatch, direction, opts):
+    """prolong's report, and per iteration the keys it assembled, its iterate
+    and its steps."""
+    calls = []
+
+    def jacobian(box, s, X, Y, _orig=_jacobian):
+        calls.append([box, s])
+        return _orig(box, s, X, Y)
+
+    def sector_steps(*args, _orig=_sector_steps):
+        calls[-1].append(_orig(*args))
+        return calls[-1][-1]
+    monkeypatch.setattr(coisotropy, "_jacobian", jacobian)
+    monkeypatch.setattr(coisotropy, "_sector_steps", sector_steps)
+    return prolong(direction(), 0.1, opts), calls
+
+
+# tol 0 makes st_sin.json, exactly coisotropic at eps u, build one system
+@pytest.mark.parametrize("direction, opts", [
+    (obstructed_direction, ProlongOptions()),
+    (obstructed_direction, ProlongOptions(solver_radius=(2, 1, 1, 1, 1))),
+    (obstructed_direction, ProlongOptions(solver_radius=(3, 4, 4, 0, 0))),
+    (control_direction, ProlongOptions()),
+    (control_direction, ProlongOptions(solver_radius=(2, 1, 1, 1, 1))),
+    (st_sin_direction, ProlongOptions(tol=0.0, max_iters=1))],
+    ids=["radius1", "box", "box344", "control-radius1", "control-box", "st-sin"])
+def test_sector_assembly_matches_the_whole_box_route(monkeypatch, direction, opts):
+    # the whole-box route, _jacobian(box_keys(...)) and _sector_steps on all
+    # its rows and columns, is the oracle: on every system prolong builds,
+    # assembling only the closure's columns gives its steps bit for bit,
+    # although the lam = 0 cutoff counts only the assembled rows
+    rep, sector = recorded_solve(monkeypatch, direction, opts)
+    sp = direction().space
+    box = box_keys(sp, coisotropy._solver_radii(direction(), opts.solver_radius, sp))
+    monkeypatch.setattr(coisotropy, "_sector_keys", lambda box, *args: box)
+    want, whole = recorded_solve(monkeypatch, direction, opts)
+    assert rep.to_json_dict() == want.to_json_dict()
+    assert len(sector) == len(whole) == rep.iterations
+    for (keys, s, step), (all_keys, s_all, oracle) in zip(sector, whole):
+        assert np.array_equal(all_keys, box) and len(keys) < len(box)
+        assert np.all(np.isin(keys, box))
+        assert (s.f.packed, s.g.packed) == (s_all.f.packed, s_all.g.packed)
+        for lam in (0.0, 1e-8, 1e-4, 1.0):
+            assert np.array_equal(step(lam), oracle(lam))
+
+
+def test_jacobian_assembles_only_the_closure(monkeypatch):
+    # at (2, 1, 1, 1, 1) the box has 203 canonical keys; each iteration's
+    # closure holds the direction's key and the few its sector reaches
+    rep, calls = recorded_solve(monkeypatch, obstructed_direction,
+                                ProlongOptions(solver_radius=(2, 1, 1, 1, 1)))
+    assert len(box_keys(SP, (2, 1, 1, 1, 1))) == 203
+    assert len(calls) == rep.iterations == 7
+    assert all(SP.pack((0, 1, 0, 0, 0), ()) in keys and len(keys) <= 12
+               for keys, *_ in calls)
+    # the projection couples the support's columns through A u, so the
+    # closure holds them even where no residual row reaches them
+    support = np.array([SP.pack((0, 1, 0, 0, 0), ()), SP.pack((0, 0, 0, 1, 1), ())])
+    keys = coisotropy._sector_keys(box_keys(SP, (2, 1, 1, 1, 1)), calls[0][1], Field.zero(SP),
+                                   support)
+    assert np.all(np.isin(support, keys))
 
 
 def test_prolong_factors_once_per_rejected_iteration(monkeypatch):
@@ -706,20 +803,27 @@ def test_jacobian_closed_form_matches_field_products(trunc, radii, iterations):
     assert np.max(np.abs(A - want)) <= 1e-15
 
 
+def real_slots(coords, keys):
+    """The real slots of keys in a DictCoords, in the order of keys."""
+    return [coords.slots[k] + i for k in keys for i in range(1 if k == coords.zero else 2)]
+
+
 @pytest.mark.parametrize("name, eps, radii, iterations", [
     ("obstructed.json", 0.1, 1, 1), ("obstructed.json", 0.1, (2, 1, 1, 1, 1), 3),
     ("st_sin.json", 0.25, 1, 1)], ids=["radius1-eps-u", "box-iterate", "st-sin-one-coordinate"])
 def test_projected_system_matches_dense_route(monkeypatch, name, eps, radii, iterations):
-    # the dense route the triplets replaced is the oracle: A with one row per
-    # real row slot, AP = A[:m] * sw, AP -= outer(AP @ u, w u / uu) over all
-    # n columns, and np.nonzero(AP); the triplets that reach _sector_steps
-    # must be the same entries with bit-identical values
+    # the dense whole-box route is the oracle: A with one row per real row
+    # slot and a column per unknown of the box, AP = A * sw, AP -= outer(AP @
+    # u, w u / uu) over all n columns.  Restricted to the rows and columns
+    # prolong assembled, np.nonzero(AP) must be the triplets that reach
+    # _sector_steps, with bit-identical values, and those rows must have no
+    # entry in any other column
     with open(os.path.join(SECTIONS, name)) as fh:
         direction = Section.from_json_dict(json.load(fh))
-    seen = []
+    sp, seen = direction.space, []
 
-    def jacobian(box, s, X, Y, _orig=coisotropy._jacobian):
-        seen.append([box, s, *_orig(box, s, X, Y)])
+    def jacobian(keys, s, X, Y, _orig=coisotropy._jacobian):
+        seen.append([keys, s, *_orig(keys, s, X, Y)])
         return seen[-1][2:]
 
     def sector_steps(*args, _orig=coisotropy._sector_steps):
@@ -731,27 +835,35 @@ def test_projected_system_matches_dense_route(monkeypatch, name, eps, radii, ite
     # the box run's last system is the one at its iterate after 2 iterations
     prolong(direction, eps, ProlongOptions(tol=0.0, solver_radius=radii, max_iters=iterations))
     assert len(seen) == iterations
-    box = DictCoords(direction.space, seen[0][0].tolist())
+    box_array = box_keys(sp, coisotropy._solver_radii(direction, radii, sp))
+    box = DictCoords(sp, box_array.tolist())
     u = np.concatenate([box.coords(direction.f), box.coords(direction.g)])
     w = np.array(box.weights * 2)
     uu = float(np.dot(w * u, u))
+    nb = len(box.weights)
     assert np.count_nonzero(u) == (1 if name == "st_sin.json" else 2)
-    for _, s, rows, ri, ci, v, (pri, pci, pv, rvec, n) in seen:
-        rows = DictCoords(direction.space, rows.tolist())
-        m = len(rows.weights)
-        A = np.zeros((m, n))
+    X, Y = xy_frame(sp)
+    for keys, s, rows, _, _, _, (pri, pci, pv, rvec, n) in seen:
+        assert n == 2 * nb
+        all_rows, ri, ci, v = _jacobian(box_array, s, X, Y)
+        all_rows = DictCoords(sp, all_rows.tolist())
+        A = np.zeros((len(all_rows.weights), n))
         A[ri, ci] = v
-        sw = np.sqrt(rows.weights)
-        AP = A[:m] * sw[:, None]
+        AP = A * np.sqrt(all_rows.weights)[:, None]
         AP -= np.outer(AP @ u, w * u / uu)
-        want = dict(zip(zip(*(i.tolist() for i in np.nonzero(AP))), AP[np.nonzero(AP)].tolist()))
+        rows = DictCoords(sp, rows.tolist())
+        AP = AP[real_slots(all_rows, rows.slots)]
+        cols = real_slots(box, keys.tolist())
+        cols += [nb + c for c in cols]
+        assert not np.any(np.delete(AP, cols, axis=1))
+        want = {(i, j): AP[i, j] for i, j in zip(*np.nonzero(AP))}
         got = dict(zip(zip(pri.tolist(), pci.tolist()), pv.tolist()))
         assert len(got) == len(pv) and got == want
         r, want_r = residual(s), []
         for key in rows.slots:
             c = r.packed.get(key, 0j)
             want_r += [c.real] if key == box.zero else [c.real, c.imag]
-        assert np.array_equal(rvec, np.array(want_r) * sw)
+        assert np.array_equal(rvec, np.array(want_r) * np.sqrt(rows.weights))
 
 
 def test_prolong_radius1_memory():
