@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -229,7 +230,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process on first use
+    and shared: each ``parse_args`` call fills a fresh namespace."""
     # global flags live on a parent so they are accepted before or after the
     # subcommand; SUPPRESS defaults keep subparsers from clobbering values
     # parsed at the top level

@@ -18,14 +18,15 @@ to a genuine one.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (PRUNE_TOL, Field, ShapeError, Space, VectorField, box_keys,
-                     real_coords)
+from .fields import (PRUNE_TOL, CoordLayout, Field, ShapeError, Space, VectorField,
+                     box_keys, in_sorted, real_coords)
 
 BASE_TORUS_DIM = 5
 FIBER_AXES = (3, 4)  # x4, x5
@@ -39,9 +40,11 @@ def base_space(trunc_order: int = 8) -> Space:
     return Space(BASE_TORUS_DIM, 0, trunc_order, 0)
 
 
+@functools.cache
 def xy_frame(space: Space):
     """The rotating horizontal frame (X, Y) on any space with >= 3 torus
-    axes: X = cos x1 d2 - sin x1 d3, Y = sin x1 d2 + cos x1 d3."""
+    axes: X = cos x1 d2 - sin x1 d3, Y = sin x1 d2 + cos x1 d3.  Built once
+    per space and shared by every caller, so its fields are read-only."""
     if space.torus_dim < 3:
         raise ShapeError("frame needs at least three torus axes")
     z = Field.zero(space)
@@ -186,8 +189,11 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     the orthogonal projection of (f, g) onto the span of the direction's
     coefficient vector equals eps; the constraint is eliminated by working
     in the orthogonal complement.  The unknowns, the direction and the
-    residual rows are real coordinates (``fields.real_coords``) on
-    ascending canonical key arrays, the unknowns' from ``box_keys``.  The
+    residual rows are real coordinates on ascending canonical key arrays,
+    the unknowns' from ``box_keys``.  A solve builds the box's layout
+    (``fields.real_coords``) once, and every attempt writes its iterate
+    through it; each iteration builds the layouts of its columns and rows
+    once, and the frame (X, Y) is the space's one shared ``xy_frame``.  The
     Jacobian is assembled in closed form from the jets of single
     exponentials (``_jacobian``), with no Field product per column, as
     sparse triplets; its rows come in sorted key order.  Restricting it to
@@ -229,21 +235,20 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
         raise PreconditionError(f"solver box of {n} unknowns exceeds MAX_UNKNOWNS = "
                                 f"{MAX_UNKNOWNS:g}; reduce solver_radius "
                                 "(per-axis radii are accepted)")
-    box, nb = box_keys(sp, radii), n // 2
+    box, nb = real_coords(sp, box_keys(sp, radii)), n // 2
     X, Y = xy_frame(sp)
 
     def section_of(v):
-        return Section(Field.from_coords(sp, box, v[:nb]), Field.from_coords(sp, box, v[nb:]))
+        return Section(Field.from_coords(box, v[:nb]), Field.from_coords(box, v[nb:]))
 
-    slot, weight = real_coords(sp, box)
     u = np.concatenate([direction.f.coords(box), direction.g.coords(box)])
-    w = np.tile(weight, 2)
+    w = np.tile(box.weight, 2)
     uu = float(np.dot(w * u, u))
     if uu == 0.0:
         raise PreconditionError("zero direction")
     supp = np.flatnonzero(u)
     on_supp = u != 0
-    supp_keys = np.intersect1d(box, [*direction.f.packed, *direction.g.packed])
+    supp_keys = np.intersect1d(box.keys, [*direction.f.packed, *direction.g.packed])
 
     def project_complement(z):
         return z - (np.dot(w * z, u) / uu) * u
@@ -267,14 +272,14 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
                               f"below STALL_REL = {STALL_REL:g}")
                 break
 
-        keys = _sector_keys(box, s, r_field, supp_keys)
-        rows, ri, ci, v = _jacobian(keys, s, X, Y)
-        # _jacobian's columns are the real slots of keys; map them to the box's
-        own, own_w = real_coords(sp, keys)
-        shift = np.repeat(slot[np.searchsorted(box, keys)] - own, np.diff(own, append=len(own_w)))
-        to_box = np.arange(len(own_w)) + shift
+        cols = real_coords(sp, _sector_keys(box.keys, s, r_field, supp_keys))
+        rows, ri, ci, v = _jacobian(cols, s, X, Y)
+        # _jacobian's columns are the real slots of cols; map them to the box's
+        shift = np.repeat(box.slot[np.searchsorted(box.keys, cols.keys)] - cols.slot,
+                          cols.held.sum(axis=1))
+        to_box = np.arange(len(cols.weight)) + shift
         ci = np.concatenate([to_box, to_box + nb])[ci]
-        sw = np.sqrt(real_coords(sp, rows)[1])
+        sw = np.sqrt(rows.weight)
         v = v * sw[ri]
         # restrict to the constraint's complement, AP (I - u (w u)^T / uu):
         # only the columns of u's support change, on one dense slab
@@ -372,18 +377,11 @@ def _sector_keys(box, s: Section, r_field: Field, support):
                 f"{real(cols)} real rows x columns so far, {sums} key sums to grow it; "
                 "reduce solver_radius (per-axis radii are accepted)")
         reached_cols, reached_rows = reach(new_rows), reach(new_cols)
-        new_cols = np.unique(reached_cols[_in_sorted(reached_cols, box)
-                                          & ~_in_sorted(reached_cols, cols)])
+        new_cols = np.unique(reached_cols[in_sorted(reached_cols, box)
+                                          & ~in_sorted(reached_cols, cols)])
         new_rows = np.unique(reached_rows[(reached_rows >= zero)
-                                          & ~_in_sorted(reached_rows, rows)])
+                                          & ~in_sorted(reached_rows, rows)])
     return cols
-
-
-def _in_sorted(x, keys):
-    """The entries of x that the ascending array keys holds, as a mask."""
-    if not len(keys):
-        return np.zeros(len(x), bool)
-    return keys[np.searchsorted(keys, x) % len(keys)] == x
 
 
 def _sector_steps(ri, ci, v, rvec, n: int):
@@ -460,12 +458,13 @@ def _exponential_columns(jet, modes, sp: Space):
     return keys - sp.zero_key, values
 
 
-def _jacobian(box, s: Section, X: VectorField, Y: VectorField):
-    """Gauss-Newton Jacobian of the residual at s: the ascending canonical
-    keys of its rows and its nonzero real entries (row, column, value), on
-    the real coordinates (``real_coords``) of those keys.  Columns are the
-    real unknowns on the ascending canonical keys ``box``, a whole solver box
-    or any part of one, the f block then the g block:
+def _jacobian(cols: CoordLayout, s: Section, X: VectorField, Y: VectorField):
+    """Gauss-Newton Jacobian of the residual at s: the layout
+    (``real_coords``) of its rows' ascending canonical keys and its nonzero
+    real entries (row, column, value) on the real slots of the rows and of
+    ``cols``.  Columns are the real unknowns on the keys of the layout
+    ``cols``, a whole solver box or any part of one, the f block then the g
+    block:
     c E_k + conj(c) E_-k for c = 1, i on the slot pair of a key k != 0, and
     E_0 on the slot of k = 0.
 
@@ -475,9 +474,10 @@ def _jacobian(box, s: Section, X: VectorField, Y: VectorField):
     in closed form, as (row key, column, value) triplets on the canonical
     rows; duplicates are summed, each column's quadratic part loses its
     entries below COLUMN_PRUNE, and the linear part is added after that."""
-    sp, nq, zero = s.space, len(box), s.space.zero_key
+    sp, box, zero = s.space, cols.keys, s.space.zero_key
+    nq = len(box)
     # every mode p of the symmetric box, as q or -q for a canonical q
-    pkeys = np.concatenate([box, sp.mate(box[box != zero])])
+    pkeys = np.concatenate([box, cols.mate[box != zero]])
     pq = np.concatenate([np.arange(nq), np.flatnonzero(box != zero)])
     modes = sp.digits(pkeys)
     # per triplet: the quadratic part of the c = 1 and c = i columns, and
@@ -514,13 +514,13 @@ def _jacobian(box, s: Section, X: VectorField, Y: VectorField):
     quad = np.stack(quad)
     quad[1, box[qi] == zero] = 0.0   # E_0 has no c = i column
     kept = np.unique(rank[quad.any(axis=0)])
+    rows = real_coords(sp, row_keys[kept])
     row_slot = np.zeros(len(row_keys), np.int64)
-    row_slot[kept] = real_coords(sp, row_keys[kept])[0]
-    slots, weights = real_coords(sp, box)
+    row_slot[kept] = rows.slot
     # v[part, c, j]: the real (part 0) or imaginary (part 1) part of entry j
     # of the c = 1 (c = 0) or c = i (c = 1) column, on real row slot + part
     # and real column slot + c; the row of k = 0 has no imaginary part
     v = np.stack([quad.real, np.where(row_keys[rank] != zero, quad.imag, 0.0)])
     part, c, j = np.nonzero(v)
-    return (row_keys[kept], row_slot[rank[j]] + part,
-            block[j] * len(weights) + slots[qi[j]] + c, v[part, c, j])
+    return (rows, row_slot[rank[j]] + part,
+            block[j] * len(cols.weight) + cols.slot[qi[j]] + c, v[part, c, j])

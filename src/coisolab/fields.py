@@ -18,12 +18,12 @@ axes) then ``m_j`` (fiber axes), axis 0 most significant: integer order is
 ``Space.zero_key``.  ``Field.coeffs`` is a read-only ``{(k, m): c}`` view,
 decoded on access.  On int64 key arrays, ``Space.digits`` decodes and
 ``Space.mate`` gives the key of ``(-k, m)``; the keys at or above
-``zero_key`` are canonical, one of each pair.  ``real_coords`` lays a real
-field out as real coordinates on ascending canonical keys, which
-``Field.coords`` and ``Field.from_coords`` read and write.  Public
-constructions validate keys and compute ``bounds`` (max |k_i|, max fiber
-degree); operations propagate them, so a product tests the box per term
-pair only when its bounds allow an escape.
+``zero_key`` are canonical, one of each pair.  ``real_coords`` builds the
+layout of a real field's real coordinates on ascending canonical keys once
+per key array, and ``Field.coords`` and ``Field.from_coords`` read and write
+through it.  Public constructions validate keys and compute ``bounds`` (max
+|k_i|, max fiber degree); operations propagate them, so a product tests the
+box per term pair only when its bounds allow an escape.
 
 Differentiation is exact (mode-wise).  Products are exact while the combined
 frequencies stay inside the truncation box; escaping modes are dropped and
@@ -115,13 +115,42 @@ class Space:
         return 2 * self.zero_key - keys + 2 * (keys % self.radix ** self.fiber_dim)
 
 
-def real_coords(space: Space, keys):
-    """Real coordinates of a real field on ascending canonical keys: the slot
-    offset of each key, whose (re, im) pair starts there (its real part alone
-    if the key is its own mate), and the Parseval weight of each slot, so the
-    weighted Euclidean norm of the coordinates is the coefficient norm."""
-    pair = keys != space.mate(keys)
-    return np.cumsum(1 + pair) - 1 - pair, np.repeat(1.0 + pair, 1 + pair)
+@dataclass(frozen=True, eq=False)
+class CoordLayout:
+    """The real coordinates of a real field on ascending canonical keys
+    (``real_coords``), with what reading and writing them needs per key.
+    Built once per key array and shared by its readers: read-only."""
+
+    space: Space
+    keys: np.ndarray     # the ascending canonical keys
+    slot: np.ndarray     # where each key's (re, im) pair starts; re alone for a self-mate
+    weight: np.ndarray   # the Parseval weight of each slot
+    held: np.ndarray     # per key, which of (re, im) it has a slot for: im iff key != mate
+    mate: np.ndarray     # the key of each key's mate
+    freq: np.ndarray     # max |k_i| of each key's mode
+    deg: np.ndarray      # fiber degree of each key's mode
+
+
+def real_coords(space: Space, keys) -> CoordLayout:
+    """The layout of a real field's real coordinates on ascending canonical
+    keys: each key's (re, im) pair of slots, its real part alone if the key
+    is its own mate, and the Parseval weight of each slot, so the weighted
+    Euclidean norm of the coordinates is the coefficient norm."""
+    mate = space.mate(keys)
+    pair = keys != mate
+    d = space.digits(keys)
+    return CoordLayout(space, keys, np.cumsum(1 + pair) - 1 - pair,
+                       np.repeat(1.0 + pair, 1 + pair),
+                       np.stack([np.ones_like(pair), pair], axis=1), mate,
+                       abs(d[:, :space.torus_dim]).max(axis=1, initial=0),
+                       d[:, space.torus_dim:].sum(axis=1))
+
+
+def in_sorted(x, keys):
+    """The entries of x that the ascending array keys holds, as a mask."""
+    if not len(keys):
+        return np.zeros(len(x), bool)
+    return keys[np.searchsorted(keys, x) % len(keys)] == x
 
 
 def box_keys(space: Space, radii) -> np.ndarray:
@@ -240,31 +269,30 @@ class Field:
         return cls(space, out)
 
     @classmethod
-    def from_coords(cls, space: Space, keys, v) -> "Field":
-        """The real field with coordinates v on ascending canonical keys
-        (``real_coords``), built as ``from_modes`` builds it from the nonzero
-        coefficients: each key, then its mate, both at 0.0 + c."""
-        off, _ = real_coords(space, keys)
-        pair = keys != space.mate(keys)
-        re, im = v[off], np.where(pair, v[off + pair], 0.0)
-        at = ((re != 0) | (im != 0))[:, None] & np.stack([np.ones_like(pair), pair], axis=1)
+    def from_coords(cls, layout: CoordLayout, v) -> "Field":
+        """The real field with coordinates v on a layout (``real_coords``),
+        built as ``from_modes`` builds it from the nonzero coefficients:
+        each key, then its mate, both at 0.0 + c."""
+        pair = layout.held[:, 1]
+        re, im = v[layout.slot], np.where(pair, v[layout.slot + pair], 0.0)
+        nonzero = (re != 0) | (im != 0)
+        at = nonzero[:, None] & layout.held
         c = np.empty(at.shape, complex)
         c.real, c.imag = re[:, None] + 0.0, np.stack([im, -im], axis=1) + 0.0
-        d = space.digits(keys[at[:, 0]])
-        bounds = (int(abs(d[:, :space.torus_dim]).max(initial=0)),
-                  int(d[:, space.torus_dim:].sum(axis=1).max(initial=0)))
-        packed = np.stack([keys, space.mate(keys)], axis=1)[at].tolist()
-        return _field(space, dict(zip(packed, c[at].tolist())), 0.0, bounds)
+        bounds = (int(layout.freq[nonzero].max(initial=0)),
+                  int(layout.deg[nonzero].max(initial=0)))
+        packed = np.stack([layout.keys, layout.mate], axis=1)[at].tolist()
+        return _field(layout.space, dict(zip(packed, c[at].tolist())), 0.0, bounds)
 
-    def coords(self, keys) -> np.ndarray:
-        """The coordinates (``real_coords``) of this real field on ascending
-        canonical keys; its modes off the keys are left out."""
+    def coords(self, layout: CoordLayout) -> np.ndarray:
+        """The coordinates of this real field on a layout (``real_coords``);
+        its modes off the layout's keys are left out."""
+        keys = layout.keys
         own = np.fromiter(self.packed, np.int64, len(self.packed))
-        on = np.isin(own, keys)
+        on = in_sorted(own, keys)
         c = np.zeros(len(keys), complex)
         c[np.searchsorted(keys, own[on])] += np.fromiter(self.packed.values(), complex)[on]
-        pair = keys != self.space.mate(keys)
-        return np.stack([c.real, c.imag], axis=1)[np.stack([np.ones_like(pair), pair], axis=1)]
+        return np.stack([c.real, c.imag], axis=1)[layout.held]
 
     # -- predicates and norms ----------------------------------------------
 
@@ -328,11 +356,6 @@ class Field:
                       _product_bounds(self.space, self.bounds, other.bounds))
 
     __rmul__ = __mul__
-
-    def drop_below(self, tol: float) -> "Field":
-        """The field without its coefficients of modulus below tol."""
-        return _field(self.space, {k: c for k, c in self.packed.items() if abs(c) >= tol},
-                      self.trunc_loss, self.bounds)
 
     # -- calculus ------------------------------------------------------------
 

@@ -683,6 +683,63 @@ def test_non_integral_config_value_rejected(capsys, tmp_path, config):
     assert err == f"error: config key '{key}' must be {kind}, got {config[key]!r}\n"
 
 
+# each call made in one process: its exit code, stdout, stderr, and the number
+# of argument parsers built so far
+MAIN_CALLS = """
+import argparse, contextlib, io, json, sys
+from coisolab import cli
+built, init = [], argparse.ArgumentParser.__init__
+def counted(self, *args, **kw):
+    built.append(1)
+    init(self, *args, **kw)
+argparse.ArgumentParser.__init__ = counted
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue(), len(built)])
+print(json.dumps(results))
+"""
+
+
+def main_calls(calls, workdir):
+    """The results of the cli.main calls, made in turn in one fresh process,
+    and the files F and G they wrote in workdir."""
+    workdir.mkdir()
+    argv = [[str(workdir / a) if a in ("F", "G") else a for a in call] for call in calls]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", MAIN_CALLS, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    files = {name: (workdir / name).read_text() for name in ("F", "G")
+             if (workdir / name).exists()}
+    return json.loads(proc.stdout), files
+
+
+def test_one_parser_serves_every_call(tmp_path):
+    calls = [["prolong", sect("obstructed.json"), "--eps", "0.1"],
+             ["residual", sect("zero.json"), "--bogus"],
+             ["verify", "reduction", "--n", "2", "--out", "F"],
+             ["leaves", "--t", "0.5", "--csv", "G"],
+             ["prolong", sect("obstructed.json"), "--eps", "0.1"]]
+    got, files = main_calls(calls, tmp_path / "one")
+    # the first call builds the parser, and no later call builds another
+    assert got[0][3] > 0 and all(r[3] == got[0][3] for r in got)
+    # each call as the first of a fresh process: the same exit code, output
+    # and files, so no flag carries over, --out and --csv included
+    fresh_files = {}
+    for i, call in enumerate(calls):
+        [want], written = main_calls([call], tmp_path / f"fresh{i}")
+        assert got[i][:3] == want[:3]
+        fresh_files.update(written)
+    assert files == fresh_files and set(files) == {"F", "G"}
+    assert [r[0] for r in got] == [3, 2, 0, 0, 3]
+    code, out, err, _ = got[1]
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert got[2][1] == "" and json.loads(files["F"])["pass"]
+    assert json.loads(got[3][1])["verdict"] == "torus" and got[4][1] == got[0][1]
+
+
 @pytest.mark.parametrize("unbuffered", ["1", None])
 def test_closed_stdout_exits_141_silently(unbuffered):
     # a reader that closes the pipe early (`coisolab residual ... | head`) is

@@ -22,6 +22,7 @@ from coisolab.coisotropy import (COLUMN_PRUNE, FIBER_AXES, STALL_REL,
                                  residual_from_jet, xy_frame)
 from coisolab.contact import contact_space
 from coisolab.fields import Field, Space, box_keys, real_coords
+from coisolab.foliation import characteristic_frame
 
 SP = base_space(8)
 TWO_PI = 2 * math.pi
@@ -527,9 +528,9 @@ def recorded_solve(monkeypatch, direction, opts):
     and its steps."""
     calls = []
 
-    def jacobian(box, s, X, Y, _orig=_jacobian):
-        calls.append([box, s])
-        return _orig(box, s, X, Y)
+    def jacobian(cols, s, X, Y, _orig=_jacobian):
+        calls.append([cols.keys, s])
+        return _orig(cols, s, X, Y)
 
     def sector_steps(*args, _orig=_sector_steps):
         calls[-1].append(_orig(*args))
@@ -710,20 +711,71 @@ def test_real_coords_codec_matches_dict_oracle(trunc, radii):
     sp = base_space(trunc)
     keys, oracle = box_keys(sp, radii), dict_box(sp, radii)
     assert keys.tolist() == list(oracle.slots)
-    offsets, weights = real_coords(sp, keys)
-    assert offsets.tolist() == list(oracle.slots.values()) and weights.tolist() == oracle.weights
+    layout = real_coords(sp, keys)
+    assert layout.slot.tolist() == list(oracle.slots.values())
+    assert layout.weight.tolist() == oracle.weights
     # a field with modes off the keys: those coordinates are left out
     wide = Field.from_modes(sp, {((radii[0] + 1, 0, 0, 0, -1), ()): 0.5 - 0.25j})
     rng = np.random.default_rng([trunc, *radii])
     for _ in range(15):
         # signed zeros are skipped and sub-PRUNE_TOL entries pruned after
         # they count towards the bounds, as the dict route has it
-        v = rng.normal(size=len(weights)) * rng.choice([1.0, 0.0, -0.0, 1e-15], size=len(weights))
-        got, want = Field.from_coords(sp, keys, v), Field.from_modes(sp, oracle.modes(v))
+        v = rng.normal(size=len(oracle.weights)) * rng.choice([1.0, 0.0, -0.0, 1e-15],
+                                                              size=len(oracle.weights))
+        got, want = Field.from_coords(layout, v), Field.from_modes(sp, oracle.modes(v))
         assert exact_items(got) == exact_items(want)
         assert (got.bounds, got.trunc_loss) == (want.bounds, want.trunc_loss)
         for h in (got, -got, got + wide):
-            assert [x.hex() for x in h.coords(keys)] == [x.hex() for x in oracle.coords(h)]
+            assert [x.hex() for x in h.coords(layout)] == [x.hex() for x in oracle.coords(h)]
+
+
+def test_real_coords_layout_edge_cases():
+    sp = base_space(8)
+    h = Field.from_modes(sp, {((1, 0, 0, 0, 0), ()): 0.5 - 0.25j})
+    # an empty key array: no slots, and every field has no coordinates on it
+    empty, oracle = real_coords(sp, np.zeros(0, np.int64)), DictCoords(sp, [])
+    assert [a.tolist() for a in (empty.keys, empty.slot, empty.weight)] == [[], [], []]
+    assert h.coords(empty).tolist() == oracle.coords(h).tolist() == []
+    got = Field.from_coords(empty, np.zeros(0))
+    assert exact_items(got) == [] and got.bounds == (0, 0)
+    # keys with gaps, without k = 0; the field has modes below the first
+    # key (k = 0 and (0, 0, 0, 0, 1)), between keys ((0, 0, 1, 0, 0)),
+    # above the last ((2, 0, 0, 0, 0)), on a key, and every mate below them
+    keys = np.array([sp.pack(k, ()) for k in
+                     ((0, 0, 0, 1, 0), (0, 1, 0, 0, 0), (1, -1, 0, 0, 0))])
+    layout, oracle = real_coords(sp, keys), DictCoords(sp, keys.tolist())
+    assert (layout.slot.tolist(), layout.weight.tolist()) == (
+        list(oracle.slots.values()), oracle.weights)
+    modes = {((0, 0, 0, 0, 0), ()): 0.3, ((0, 0, 0, 0, 1), ()): 0.1 + 0.2j,
+             ((0, 0, 1, 0, 0), ()): -0.7j, ((2, 0, 0, 0, 0), ()): 0.4 - 0.1j,
+             ((0, 1, 0, 0, 0), ()): 0.25 + 0.5j}
+    h = Field.from_modes(sp, modes)
+    for h in (h, -h, h - h):
+        assert [x.hex() for x in h.coords(layout)] == [x.hex() for x in oracle.coords(h)]
+    # the last key's coordinates are zeros, and skipped; an all-zero vector,
+    # of either sign, gives the zero field with bounds (0, 0)
+    v = np.array([0.3, -1.5, 0.0, 2.0, 0.0, -0.0])
+    for v in (v, np.zeros(6), np.full(6, -0.0)):
+        got, want = Field.from_coords(layout, v), Field.from_modes(sp, oracle.modes(v))
+        assert exact_items(got) == exact_items(want)
+        assert (got.bounds, got.trunc_loss) == (want.bounds, want.trunc_loss)
+    assert got.bounds == (0, 0) and not got.packed
+
+
+def test_frame_is_shared_and_stays_as_built():
+    # one frame per space, for equal spaces too
+    assert xy_frame(base_space()) is xy_frame(Space(5, 0, 8, 0))
+    direction = obstructed_direction()
+    sp = direction.space
+    prolong(direction, 0.1)
+    kuranishi(direction)
+    characteristic_frame(direction)
+    # no caller wrote into the shared fields
+    z, c, s = Field.zero(sp), Field.cos(sp, 0), Field.sin(sp, 0)
+    for got, want in zip(xy_frame(sp), ((z, c, -s, z, z), (z, s, c, z, z))):
+        for g, w in zip(got.components, want, strict=True):
+            assert exact_items(g) == exact_items(w)
+            assert (g.bounds, g.trunc_loss) == (w.bounds, w.trunc_loss)
 
 
 def test_jacobian_columns_are_central_differences():
@@ -734,8 +786,8 @@ def test_jacobian_columns_are_central_differences():
                    {((1, 1, 0, 0, 0), ()): -0.4 + 0.1j, ((0, 0, 0, 0, 0), ()): 0.2,
                     ((0, 0, 1, 0, 1), ()): 0.15})
     X, Y = xy_frame(SP)
-    rows, ri, ci, v = _jacobian(box_keys(SP, (1,) * 5), s, X, Y)
-    box, rows = dict_box(SP, (1,) * 5), DictCoords(SP, rows.tolist())
+    rows, ri, ci, v = _jacobian(real_coords(SP, box_keys(SP, (1,) * 5)), s, X, Y)
+    box, rows = dict_box(SP, (1,) * 5), DictCoords(SP, rows.keys.tolist())
     nb = len(box.weights)
     assert ri.max() < len(rows.weights) and ci.max() < 2 * nb
     t = 1e-3
@@ -758,6 +810,12 @@ def test_jacobian_columns_are_central_differences():
         assert np.max(np.abs(col - rows.coords(diff))) < 1e-10
 
 
+def drop_below(h, tol):
+    """h without its coefficients of modulus below tol."""
+    return fields._field(h.space, {k: c for k, c in h.packed.items() if abs(c) >= tol},
+                         h.trunc_loss, h.bounds)
+
+
 def jacobian_by_field_products(box, s, X, Y):
     """The Gauss-Newton Jacobian built one Field column at a time: the jet of
     each real unknown, the quadratic form against the iterate's jet, pruned
@@ -770,8 +828,8 @@ def jacobian_by_field_products(box, s, X, Y):
     unknowns = ([(0, jet, jet[0].partial(FIBER_AXES[1])) for jet in jets]
                 + [(1, jet, -jet[0].partial(FIBER_AXES[0])) for jet in jets])
     jet_f, jet_g = _jet(s.f, X, Y), _jet(s.g, X, Y)
-    columns = [(_quadratic_form(jet, jet_g) if block == 0 else _quadratic_form(jet_f, jet))
-               .drop_below(COLUMN_PRUNE) + lin for block, jet, lin in unknowns]
+    columns = [drop_below(_quadratic_form(jet, jet_g) if block == 0 else _quadratic_form(jet_f, jet),
+                          COLUMN_PRUNE) + lin for block, jet, lin in unknowns]
     rows = DictCoords(sp, sorted({key for col in columns for key in col.packed
                                    if key >= sp.zero_key}))
     return np.stack([rows.coords(col) for col in columns], axis=1), rows
@@ -790,11 +848,10 @@ def test_jacobian_closed_form_matches_field_products(trunc, radii, iterations):
          if iterations else Section(u.f * 0.1, u.g * 0.1))
     assert iterations == 0 or len(s.f.packed) > len(u.f.packed)
     X, Y = xy_frame(sp)
-    rows, ri, ci, v = _jacobian(box_keys(sp, radii), s, X, Y)
+    rows, ri, ci, v = _jacobian(real_coords(sp, box_keys(sp, radii)), s, X, Y)
     want, want_rows = jacobian_by_field_products(dict_box(sp, radii), s, X, Y)
     # the same rows, in sorted key order, so the same real row slots
-    assert list(zip(rows.tolist(), real_coords(sp, rows)[0].tolist())) == list(
-        want_rows.slots.items())
+    assert list(zip(rows.keys.tolist(), rows.slot.tolist())) == list(want_rows.slots.items())
     # each entry once, none of them 0
     assert len(set(zip(ri.tolist(), ci.tolist()))) == len(v) and np.all(v != 0)
     A = np.zeros(want.shape)
@@ -822,9 +879,10 @@ def test_projected_system_matches_dense_route(monkeypatch, name, eps, radii, ite
         direction = Section.from_json_dict(json.load(fh))
     sp, seen = direction.space, []
 
-    def jacobian(keys, s, X, Y, _orig=coisotropy._jacobian):
-        seen.append([keys, s, *_orig(keys, s, X, Y)])
-        return seen[-1][2:]
+    def jacobian(cols, s, X, Y, _orig=coisotropy._jacobian):
+        rows, *entries = _orig(cols, s, X, Y)
+        seen.append([cols.keys, s, rows.keys, *entries])
+        return [rows, *entries]
 
     def sector_steps(*args, _orig=coisotropy._sector_steps):
         seen[-1].append(args)
@@ -845,8 +903,8 @@ def test_projected_system_matches_dense_route(monkeypatch, name, eps, radii, ite
     X, Y = xy_frame(sp)
     for keys, s, rows, _, _, _, (pri, pci, pv, rvec, n) in seen:
         assert n == 2 * nb
-        all_rows, ri, ci, v = _jacobian(box_array, s, X, Y)
-        all_rows = DictCoords(sp, all_rows.tolist())
+        all_rows, ri, ci, v = _jacobian(real_coords(sp, box_array), s, X, Y)
+        all_rows = DictCoords(sp, all_rows.keys.tolist())
         A = np.zeros((len(all_rows.weights), n))
         A[ri, ci] = v
         AP = A * np.sqrt(all_rows.weights)[:, None]

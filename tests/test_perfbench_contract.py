@@ -3,16 +3,18 @@ worker reads ``fields.STRICT``; a rename that breaks either must fail here
 rather than only when the benchmark runs.  Its product counters read
 ``_mul_into``'s result, ``len(dst)`` and ``len(field.coeffs)``."""
 
+import json
 import os
 import subprocess
 import sys
 
-from coisolab import fields
+from coisolab import coisotropy, fields
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+SECTIONS = os.path.join(os.path.dirname(__file__), os.pardir, "sections")
 
 
-def test_tracer_finds_every_patched_name():
+def import_tracing():
     # import without leaving bytecode in the benchmark's directory
     sys.path.insert(0, PERFBENCH)
     sys.dont_write_bytecode, saved = True, sys.dont_write_bytecode
@@ -21,8 +23,12 @@ def test_tracer_finds_every_patched_name():
     finally:
         sys.path.remove(PERFBENCH)
         sys.dont_write_bytecode = saved
+    return tracing
+
+
+def test_tracer_finds_every_patched_name():
     init = vars(fields.Field)["__init__"]
-    tracer = tracing.Tracer("contract")
+    tracer = import_tracing().Tracer("contract")
     try:
         tracer.install()   # KeyError/AttributeError on a missing name
         assert vars(fields.Field)["__init__"] is not init
@@ -53,3 +59,22 @@ def test_mul_into_feeds_the_product_counters():
     assert len(dst) == 3
     assert fields._mul_into(dst, s, c, -1) == 0.5 and len(dst) == 3
     assert fields._mul_into(dst, s, fields.Field.zero(sp), 1) == 0.0 and len(dst) == 3
+
+
+def test_traced_prolong_times_its_residual_calls():
+    # the tracer wraps coisotropy.residual as a one-argument function and
+    # times the calls made under prolong: prolong must call it through the
+    # module, with the section alone, or the traced run fails or reads 0
+    with open(os.path.join(SECTIONS, "obstructed.json")) as fh:
+        direction = coisotropy.Section.from_json_dict(json.load(fh))
+    want = coisotropy.prolong(direction, 0.1).to_json_dict()
+    tracer = import_tracing().Tracer("contract")
+    try:
+        tracer.install()
+        rep = tracer.run_pass(lambda: coisotropy.prolong(direction, 0.1))
+    finally:
+        tracer.uninstall()
+    [metrics] = tracer.pass_metrics()
+    assert metrics["coisotropy.residual.calls"] > 0
+    assert metrics["coisotropy.residual.in_prolong_s"] > 0
+    assert rep.to_json_dict() == want
