@@ -74,6 +74,15 @@ class Section:
     def space(self) -> Space:
         return self.f.space
 
+    @functools.cached_property
+    def jets(self):
+        """The first jets (h, dh/dx1, X h, Y h) of f and of g, built on first
+        use and kept: the section and its fields are immutable, so
+        ``residual``, ``kuranishi``, ``_jacobian`` and
+        ``foliation.characteristic_frame`` share one build."""
+        X, Y = xy_frame(self.space)
+        return _jet(self.f, X, Y), _jet(self.g, X, Y)
+
     def to_json_dict(self) -> dict:
         return {"f": self.f.to_json_dict(), "g": self.g.to_json_dict()}
 
@@ -100,15 +109,14 @@ def _quadratic_form(jet_f, jet_g) -> Field:
     return df * Xg - dg * Xf - g * Yf + f * Yg
 
 
-def _quadratic_part(u: Section, X: VectorField, Y: VectorField) -> Field:
-    return _quadratic_form(_jet(u.f, X, Y), _jet(u.g, X, Y))
+def _quadratic_part(u: Section) -> Field:
+    return _quadratic_form(*u.jets)
 
 
 def residual(s: Section) -> Field:
     """Coisotropicity defect of the graph of s; zero iff coisotropic at the
     working truncation.  Truncation loss is carried on the result."""
-    X, Y = xy_frame(s.space)
-    return (_quadratic_part(s, X, Y)
+    return (_quadratic_part(s)
             - s.g.partial(FIBER_AXES[0]) + s.f.partial(FIBER_AXES[1]))
 
 
@@ -122,8 +130,7 @@ def kuranishi(s: Section) -> Field:
     """Obstruction functional: the quadratic terms of the PDE averaged over
     the (x4, x5) torus, returned as a field on T^3.  Non-vanishing on an
     infinitesimal deformation forbids its prolongation."""
-    X, Y = xy_frame(s.space)
-    return (_quadratic_part(s, X, Y).integrate_torus(FIBER_AXES)
+    return (_quadratic_part(s).integrate_torus(FIBER_AXES)
             .drop_torus_axes(FIBER_AXES))
 
 
@@ -184,35 +191,39 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     """Try to extend an infinitesimal deformation to a genuine coisotropic
     section of size eps, in the direction's truncation box.
 
-    Gauss-Newton on the Fourier coefficients of (f, g) minimizes the L2 norm
-    of the residual, subject to the one-dimensional affine constraint that
-    the orthogonal projection of (f, g) onto the span of the direction's
-    coefficient vector equals eps; the constraint is eliminated by working
-    in the orthogonal complement.  The unknowns, the direction and the
-    residual rows are real coordinates on ascending canonical key arrays,
-    the unknowns' from ``box_keys``.  A solve builds the box's layout
-    (``fields.real_coords``) once, and every attempt writes its iterate
-    through it; each iteration builds the layouts of its columns and rows
-    once, and the frame (X, Y) is the space's one shared ``xy_frame``.  The
-    Jacobian is assembled in closed form from the jets of single
-    exponentials (``_jacobian``), with no Field product per column, as
-    sparse triplets; its rows come in sorted key order.  Restricting it to
-    the complement changes only the direction's columns, so the projected
-    Jacobian stays sparse.  Only the residual's sector, the rows and
-    columns that a chain of entries joins to a nonzero residual row, gets a
-    step.  So each iteration assembles only the columns of a key-space
-    closure that contains the sector (``_sector_keys``), maps them back to
-    the box's real slots, and takes one thin SVD of the sector
-    (``_sector_steps``); that one factorization serves the undamped step
-    and every damped retry.  Every other unknown's step is exactly 0.
-    The verdict is decided once, after the loop, from the history's last
-    norm: ``converged`` below tol; else ``obstructed`` if the loop stopped on
-    the stall window (relative decrease below STALL_REL over STALL_WINDOW
-    iterations) or on damping exhaustion (12 rejected attempts) and the norm
-    is above 100*tol; else ``max_iters``.  Inexact boxes (``_solver_radii``),
-    keys beyond int64 and boxes of more than MAX_UNKNOWNS real unknowns are
-    refused before any work on the box; a sector closure that grows past
-    MAX_SECTOR is refused before its assembly."""
+    Gauss-Newton on the Fourier coefficients of (f, g) minimizes the L2 norm of
+    the residual, subject to the one-dimensional affine constraint that the
+    orthogonal projection of (f, g) onto the span of the direction's
+    coefficient vector equals eps; the constraint is eliminated by working in
+    the orthogonal complement.  The unknowns, the direction and the residual
+    rows are real coordinates on ascending canonical key arrays, the unknowns'
+    from ``box_keys``.  A solve builds the box's layout
+    (``fields.real_coords``) once, and every attempt writes its iterate through
+    it; each iteration builds the layouts of its columns and rows once.  Each
+    iterate is evaluated once: a section builds its first jets on first use
+    (``Section.jets``), so ``residual`` and the next ``_jacobian`` share them,
+    and an attempt whose iterate equals, bit for bit, the current one or the
+    one the previous attempt rejected is rejected without a section or a
+    residual, since its norm would be one already judged (at radius 1 on
+    ``obstructed.json`` every step is 0, and the solve evaluates one residual).
+    The Jacobian is assembled in closed form from the jets of single
+    exponentials (``_jacobian``), with no Field product per column, as sparse
+    triplets; its rows come in sorted key order.  Restricting it to the
+    complement changes only the direction's columns, so the projected Jacobian
+    stays sparse.  Only the residual's sector, the rows and columns that a
+    chain of entries joins to a nonzero residual row, gets a step.  So each
+    iteration assembles only the columns of a key-space closure that contains
+    the sector (``_sector_keys``), maps them back to the box's real slots, and
+    takes one thin SVD of the sector (``_sector_steps``); that one
+    factorization serves the undamped step and every damped retry.  Every other
+    unknown's step is exactly 0.  The verdict is decided once, after the loop,
+    from the history's last norm: ``converged`` below tol; else ``obstructed``
+    if the loop stopped on the stall window (relative decrease below STALL_REL
+    over STALL_WINDOW iterations) or on damping exhaustion (12 rejected
+    attempts) and the norm is above 100*tol; else ``max_iters``.  Inexact boxes
+    (``_solver_radii``), keys beyond int64 and boxes of more than MAX_UNKNOWNS
+    real unknowns are refused before any work on the box; a sector closure that
+    grows past MAX_SECTOR is refused before its assembly."""
     opts = opts or ProlongOptions()
     if not 0.0 < eps <= 0.5:
         raise PreconditionError(f"eps={eps} outside (0, 0.5]")
@@ -236,7 +247,6 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
                                 f"{MAX_UNKNOWNS:g}; reduce solver_radius "
                                 "(per-axis radii are accepted)")
     box, nb = real_coords(sp, box_keys(sp, radii)), n // 2
-    X, Y = xy_frame(sp)
 
     def section_of(v):
         return Section(Field.from_coords(box, v[:nb]), Field.from_coords(box, v[nb:]))
@@ -273,7 +283,7 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
                 break
 
         cols = real_coords(sp, _sector_keys(box.keys, s, r_field, supp_keys))
-        rows, ri, ci, v = _jacobian(cols, s, X, Y)
+        rows, ri, ci, v = _jacobian(cols, s)
         # _jacobian's columns are the real slots of cols; map them to the box's
         shift = np.repeat(box.slot[np.searchsorted(box.keys, cols.keys)] - cols.slot,
                           cols.held.sum(axis=1))
@@ -294,16 +304,22 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
         # serves them all
         step = _sector_steps(ri, ci, v, r_field.coords(rows) * sw, n)
 
+        rejected = x
         for _ in range(12):
             delta = project_complement(step(lam))
             x_new = eps * u + project_complement(x + delta - eps * u)
-            s_new = section_of(x_new)
-            r_new = residual(s_new)
-            norm_new = r_new.l2_norm()
-            if norm_new < norm:
-                x, s, r_field, norm = x_new, s_new, r_new, norm_new
-                lam = lam / 10.0 if lam > 1e-12 else 0.0
-                break
+            # the residual is a function of the iterate, so an iterate already
+            # judged, the current one or the last rejected, is rejected again
+            # without a section or a residual
+            if not (np.array_equal(x_new, x) or np.array_equal(x_new, rejected)):
+                s_new = section_of(x_new)
+                r_new = residual(s_new)
+                norm_new = r_new.l2_norm()
+                if norm_new < norm:
+                    x, s, r_field, norm = x_new, s_new, r_new, norm_new
+                    lam = lam / 10.0 if lam > 1e-12 else 0.0
+                    break
+                rejected = x_new
             lam = max(lam * 10.0, 1e-8)
         else:
             diagnostic = ("no descent direction found (damping exhausted)"
@@ -458,7 +474,7 @@ def _exponential_columns(jet, modes, sp: Space):
     return keys - sp.zero_key, values
 
 
-def _jacobian(cols: CoordLayout, s: Section, X: VectorField, Y: VectorField):
+def _jacobian(cols: CoordLayout, s: Section):
     """Gauss-Newton Jacobian of the residual at s: the layout
     (``real_coords``) of its rows' ascending canonical keys and its nonzero
     real entries (row, column, value) on the real slots of the rows and of
@@ -473,7 +489,8 @@ def _jacobian(cols: CoordLayout, s: Section, X: VectorField, Y: VectorField):
     -Q(psi, f) - dpsi/dx4.  ``_exponential_columns`` gives each Q(E_p, h)
     in closed form, as (row key, column, value) triplets on the canonical
     rows; duplicates are summed, each column's quadratic part loses its
-    entries below COLUMN_PRUNE, and the linear part is added after that."""
+    entries below COLUMN_PRUNE, and the linear part is added after that.
+    The iterate's jets are the section's own (``Section.jets``)."""
     sp, box, zero = s.space, cols.keys, s.space.zero_key
     nq = len(box)
     # every mode p of the symmetric box, as q or -q for a canonical q
@@ -483,7 +500,7 @@ def _jacobian(cols: CoordLayout, s: Section, X: VectorField, Y: VectorField):
     # per triplet: the quadratic part of the c = 1 and c = i columns, and
     # the linear part of the c = 1 column
     row_keys, column, parts = [], [], []
-    for block, jet in enumerate((_jet(s.g, X, Y), _jet(s.f, X, Y))):
+    for block, jet in enumerate(reversed(s.jets)):
         sign = 1 - 2 * block
         offsets, values = _exponential_columns(jet, modes, sp)
         rk = pkeys[:, None] + offsets

@@ -60,14 +60,16 @@ class LeafClass:
 
 
 def characteristic_frame(s: Section) -> CharFrame:
-    """Assemble the frame from the section by exact spectral algebra."""
+    """Assemble the frame from the section by exact spectral algebra, from
+    the section's first jets (``Section.jets``)."""
     sp = s.space
     X, Y = xy_frame(sp)
+    (_, df, Xf, _), (_, dg, Xg, _) = s.jets
     e1 = VectorField.basis(sp, 0)
     e4 = VectorField.basis(sp, 3)
     e5 = VectorField.basis(sp, 4)
-    v1 = e1 * X(s.f) - X * s.f.partial(0) + e4 - Y * s.f
-    v2 = e1 * X(s.g) - X * s.g.partial(0) + e5 - Y * s.g
+    v1 = e1 * Xf - X * df + e4 - Y * s.f
+    v2 = e1 * Xg - X * dg + e5 - Y * s.g
     return CharFrame(v1, v2)
 
 

@@ -424,6 +424,23 @@ def test_default_report_bytes_pinned(capsys, tmp_path):
     assert sha256(csv.read_text()) == LEAF_TRACE_CSV_DIGEST
 
 
+
+def test_radius1_prolong_evaluates_one_residual(capsys, monkeypatch):
+    # every attempt of the one iteration lands on the start's iterate, so the
+    # CLI solve evaluates the start's residual and factors one sector, and
+    # prints the pinned report
+    calls = {"residual": 0, "factor": 0}
+    for name, attr in (("residual", "residual"), ("factor", "_sector_steps")):
+        def counted(*args, _orig=getattr(coisotropy, attr), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(coisotropy, attr, counted)
+    command = "prolong obstructed.json --eps 0.1"
+    code, out, _ = run(capsys, "prolong", sect("obstructed.json"), "--eps", "0.1")
+    assert (code, sha256(out)) == (REPORT_EXIT_CODES[command], REPORT_DIGESTS[command])
+    assert calls == {"residual": 1, "factor": 1}
+
+
 # -- flow ---------------------------------------------------------------------------
 
 def test_flow_unit_hamiltonian(capsys, tmp_path):

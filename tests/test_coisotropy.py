@@ -528,9 +528,9 @@ def recorded_solve(monkeypatch, direction, opts):
     and its steps."""
     calls = []
 
-    def jacobian(cols, s, X, Y, _orig=_jacobian):
+    def jacobian(cols, s, _orig=_jacobian):
         calls.append([cols.keys, s])
-        return _orig(cols, s, X, Y)
+        return _orig(cols, s)
 
     def sector_steps(*args, _orig=_sector_steps):
         calls[-1].append(_orig(*args))
@@ -586,26 +586,96 @@ def test_jacobian_assembles_only_the_closure(monkeypatch):
     assert np.all(np.isin(support, keys))
 
 
-def test_prolong_factors_once_per_rejected_iteration(monkeypatch):
-    calls = {"lstsq": 0, "svd": 0, "factor": 0}
-    for name, owner, attr in (("lstsq", np.linalg, "lstsq"), ("svd", np.linalg, "svd"),
-                              ("factor", coisotropy, "_sector_steps")):
+def counted_calls(monkeypatch, *targets):
+    """A dict of call counts, one per (name, owner, attribute), that wrappers
+    patched over each attribute keep up to date."""
+    calls = dict.fromkeys((name for name, *_ in targets), 0)
+    for name, owner, attr in targets:
         def counted(*args, _orig=getattr(owner, attr), _name=name, **kw):
             calls[_name] += 1
             return _orig(*args, **kw)
         monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def test_prolong_factors_once_per_rejected_iteration(monkeypatch):
+    calls = counted_calls(monkeypatch, ("lstsq", np.linalg, "lstsq"), ("svd", np.linalg, "svd"),
+                          ("factor", coisotropy, "_sector_steps"),
+                          ("residual", coisotropy, "residual"))
     # radius 1: the first attempt and 11 damped retries are all rejected; no
-    # column reaches the residual, so the sector is empty and takes no SVD
+    # column reaches the residual, so the sector is empty and takes no SVD,
+    # and every attempt's iterate is the current one, so the start's
+    # residual is the only one
     rep = prolong(obstructed_direction(), 0.1)
     assert (rep.status, rep.iterations) == ("obstructed", 1)
     assert rep.diagnostic == "no descent direction found (damping exhausted)"
-    assert calls == {"lstsq": 0, "svd": 0, "factor": 1}
-    # the box solve accepts every first attempt: one factorization, one SVD,
-    # per iteration
-    calls.update(lstsq=0, svd=0, factor=0)
+    assert calls == {"lstsq": 0, "svd": 0, "factor": 1, "residual": 1}
+    # the box solve accepts every first attempt: one factorization, one SVD
+    # and one residual per iteration, and the start's residual
+    calls.update(lstsq=0, svd=0, factor=0, residual=0)
     rep = prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=(2, 1, 1, 1, 1)))
     assert (rep.status, rep.iterations) == ("obstructed", 7)
-    assert calls == {"lstsq": 0, "svd": 7, "factor": 7}
+    assert all(b < a for a, b in zip(rep.residual_norm_history, rep.residual_norm_history[1:]))
+    assert calls == {"lstsq": 0, "svd": 7, "factor": 7, "residual": 8}
+
+
+def shifted_direction():
+    """f = 0.2 + cos(x1+x3+x4+x5), g = cos(x1+x3+x4+x5)."""
+    c = Field.from_modes(SP, {((1, 0, 1, 1, 1), ()): 0.5, ((-1, 0, -1, -1, -1), ()): 0.5})
+    return Section(Field.constant(SP, 0.2) + c, c)
+
+
+def test_prolong_rejects_a_judged_iterate_without_its_residual(monkeypatch):
+    # with tol 0 the solve reaches a zero residual after 3 accepted attempts;
+    # the next iteration's steps are 0, and the projection moves the iterate
+    # to one point that is not the current one: its first attempt judges
+    # and rejects that point, and the 11 damped retries, which land on it
+    # again, are rejected without a residual
+    calls = counted_calls(monkeypatch, ("residual", coisotropy, "residual"),
+                          ("section", coisotropy, "Section"))
+    rep = prolong(shifted_direction(), 0.1, ProlongOptions(tol=0.0))
+    assert (rep.status, rep.iterations) == ("max_iters", 4)
+    assert rep.residual_norm_history[-2:] == [0.0, 0.0]
+    assert rep.diagnostic == "stalled near the tolerance without a usable Gauss-Newton direction"
+    assert calls == {"residual": 5, "section": 5}
+
+
+def test_a_section_builds_its_jets_once(monkeypatch):
+    built = []
+
+    def jet(h, X, Y, _orig=_jet):
+        built.append(h)
+        return _orig(h, X, Y)
+    monkeypatch.setattr(coisotropy, "_jet", jet)
+    # kuranishi, residual and the characteristic frame of one section read
+    # one build of its two jets
+    s = obstructed_direction()
+    for reader in (kuranishi, residual, characteristic_frame):
+        reader(s)
+    assert [id(h) for h in built] == [id(s.f), id(s.g)]
+    # in the box solve each section that reaches residual builds its two
+    # jets there, and _jacobian reads those of the accepted iterate
+    built.clear()
+    evaluated, assembled = [], []
+
+    def counted_residual(s, _orig=residual):
+        evaluated.append(s)
+        return _orig(s)
+
+    def jacobian(cols, s, _orig=_jacobian):
+        before = len(built)
+        out = _orig(cols, s)
+        assert len(built) == before, "_jacobian built a jet"
+        assembled.append(s)
+        return out
+    monkeypatch.setattr(coisotropy, "residual", counted_residual)
+    monkeypatch.setattr(coisotropy, "_jacobian", jacobian)
+    rep = prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=(2, 1, 1, 1, 1)))
+    assert len(evaluated) == len({id(s) for s in evaluated}) == rep.iterations + 1 == 8
+    assert [id(h) for h in built] == [id(h) for s in evaluated for h in (s.f, s.g)]
+    assert len(assembled) == 7
+    assert all(any(a is s for s in evaluated) for a in assembled)
+    assert rep.final_section is evaluated[-1]
 
 
 def test_prolong_radius1_first_step_is_exactly_zero(monkeypatch):
@@ -785,8 +855,7 @@ def test_jacobian_columns_are_central_differences():
                     ((0, 0, 0, 1, -1), ()): 0.25},
                    {((1, 1, 0, 0, 0), ()): -0.4 + 0.1j, ((0, 0, 0, 0, 0), ()): 0.2,
                     ((0, 0, 1, 0, 1), ()): 0.15})
-    X, Y = xy_frame(SP)
-    rows, ri, ci, v = _jacobian(real_coords(SP, box_keys(SP, (1,) * 5)), s, X, Y)
+    rows, ri, ci, v = _jacobian(real_coords(SP, box_keys(SP, (1,) * 5)), s)
     box, rows = dict_box(SP, (1,) * 5), DictCoords(SP, rows.keys.tolist())
     nb = len(box.weights)
     assert ri.max() < len(rows.weights) and ci.max() < 2 * nb
@@ -848,7 +917,7 @@ def test_jacobian_closed_form_matches_field_products(trunc, radii, iterations):
          if iterations else Section(u.f * 0.1, u.g * 0.1))
     assert iterations == 0 or len(s.f.packed) > len(u.f.packed)
     X, Y = xy_frame(sp)
-    rows, ri, ci, v = _jacobian(real_coords(sp, box_keys(sp, radii)), s, X, Y)
+    rows, ri, ci, v = _jacobian(real_coords(sp, box_keys(sp, radii)), s)
     want, want_rows = jacobian_by_field_products(dict_box(sp, radii), s, X, Y)
     # the same rows, in sorted key order, so the same real row slots
     assert list(zip(rows.keys.tolist(), rows.slot.tolist())) == list(want_rows.slots.items())
@@ -879,8 +948,8 @@ def test_projected_system_matches_dense_route(monkeypatch, name, eps, radii, ite
         direction = Section.from_json_dict(json.load(fh))
     sp, seen = direction.space, []
 
-    def jacobian(cols, s, X, Y, _orig=coisotropy._jacobian):
-        rows, *entries = _orig(cols, s, X, Y)
+    def jacobian(cols, s, _orig=coisotropy._jacobian):
+        rows, *entries = _orig(cols, s)
         seen.append([cols.keys, s, rows.keys, *entries])
         return [rows, *entries]
 
@@ -900,10 +969,9 @@ def test_projected_system_matches_dense_route(monkeypatch, name, eps, radii, ite
     uu = float(np.dot(w * u, u))
     nb = len(box.weights)
     assert np.count_nonzero(u) == (1 if name == "st_sin.json" else 2)
-    X, Y = xy_frame(sp)
     for keys, s, rows, _, _, _, (pri, pci, pv, rvec, n) in seen:
         assert n == 2 * nb
-        all_rows, ri, ci, v = _jacobian(real_coords(sp, box_array), s, X, Y)
+        all_rows, ri, ci, v = _jacobian(real_coords(sp, box_array), s)
         all_rows = DictCoords(sp, all_rows.keys.tolist())
         A = np.zeros((len(all_rows.weights), n))
         A[ri, ci] = v
