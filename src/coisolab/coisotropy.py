@@ -199,7 +199,11 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     rows are real coordinates on ascending canonical key arrays, the unknowns'
     from ``box_keys``.  A solve builds the box's layout
     (``fields.real_coords``) once, and every attempt writes its iterate through
-    it; each iteration builds the layouts of its columns and rows once.  Each
+    it.  What an iteration builds from key arrays alone (the sector's closure,
+    the layouts of its columns and rows, the columns' map to the box's slots,
+    and ``_jacobian``'s index work) is built once per distinct key set in a
+    solve: the solve's ``_Structure`` rebuilds each piece only when the key
+    arrays it comes from differ from the previous iteration's.  Each
     iterate is evaluated once: a section builds its first jets on first use
     (``Section.jets``), so ``residual`` and the next ``_jacobian`` share them,
     and an attempt whose iterate equals, bit for bit, the current one or the
@@ -263,6 +267,16 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     def project_complement(z):
         return z - (np.dot(w * z, u) / uu) * u
 
+    def sector_columns(s, r_field):
+        """The closure's layout, and the box's real slot of each of its
+        columns, f block then g block."""
+        cols = real_coords(sp, _sector_keys(box.keys, s, r_field, supp_keys))
+        shift = np.repeat(box.slot[np.searchsorted(box.keys, cols.keys)] - cols.slot,
+                          cols.held.sum(axis=1))
+        to_box = np.arange(len(cols.weight)) + shift
+        return cols, np.concatenate([to_box, to_box + nb])
+
+    structure = _Structure()
     x = eps * u
     s = section_of(x)
     r_field = residual(s)
@@ -282,13 +296,16 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
                               f"below STALL_REL = {STALL_REL:g}")
                 break
 
-        cols = real_coords(sp, _sector_keys(box.keys, s, r_field, supp_keys))
-        rows, ri, ci, v = _jacobian(cols, s)
+        # the closure is a function of the iterate's key set and of the
+        # residual's canonical nonzero rows
+        own = np.unique(np.fromiter([*s.f.packed, *s.g.packed], np.int64))
+        res_rows = np.sort(np.fromiter([k for k in r_field.packed if k >= sp.zero_key],
+                                       np.int64))
+        cols, to_box = structure.get("closure", (own, res_rows),
+                                     lambda: sector_columns(s, r_field))
+        rows, ri, ci, v = _jacobian(cols, s, structure)
         # _jacobian's columns are the real slots of cols; map them to the box's
-        shift = np.repeat(box.slot[np.searchsorted(box.keys, cols.keys)] - cols.slot,
-                          cols.held.sum(axis=1))
-        to_box = np.arange(len(cols.weight)) + shift
-        ci = np.concatenate([to_box, to_box + nb])[ci]
+        ci = to_box[ci]
         sw = np.sqrt(rows.weight)
         v = v * sw[ri]
         # restrict to the constraint's complement, AP (I - u (w u)^T / uu):
@@ -446,35 +463,124 @@ def _sector_steps(ri, ci, v, rvec, n: int):
     return step
 
 
-def _exponential_columns(jet, modes, sp: Space):
-    """Q(E_p, h) for every frequency p in the rows of ``modes``, in closed
-    form from the first jet (h, h1, Xh, Yh) of h:
+class _Structure:
+    """What a solve's iterations share while their key sets repeat: per
+    piece, the last build and the key arrays it came from.  ``get`` rebuilds
+    a piece only when one of its key arrays differs (``_same_keys``) from
+    the last build's, so each piece holds one key set at a time.  A piece is
+    a function of its key arrays alone, so a reused one is the build they
+    would give again."""
+
+    def __init__(self):
+        self._built = {}
+
+    def get(self, piece, keys: tuple, build):
+        """build(), or the last build of ``piece`` if it came from ``keys``."""
+        last = self._built.get(piece)
+        if last is None or not all(map(_same_keys, keys, last[0])):
+            last = self._built[piece] = keys, build()
+        return last[1]
+
+
+def _same_keys(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two int64 key arrays are equal, entry for entry."""
+    return a.shape == b.shape and bool((a == b).all())
+
+
+def _exponential_columns(jet, factors, structure: _Structure, block: int):
+    """Q(E_p, h) for every frequency p of ``_column_modes``, in closed form
+    from the first jet (h, h1, Xh, Yh) of h:
 
         E_p (i p1 Xh + Yh) - E_{p+e1} (xp h1 + yp h) - E_{p-e1} (xm h1 + ym h)
 
     with X E_p = xp E_{p+e1} + xm E_{p-e1}, Y E_p = yp E_{p+e1} + ym E_{p-e1},
     xp = (i/2)(p2 + i p3), xm = (i/2)(p2 - i p3), yp = (p2 + i p3)/2 and
-    ym = (-p2 + i p3)/2.  Returns (offsets, values): E_p times the jet's
-    part at offsets[j] lands on the key of p plus offsets[j], with coefficient
-    values[p, j]; in an exact box (``_solver_radii``) all these modes lie in it."""
+    ym = (-p2 + i p3)/2; ``factors`` are (i p1, xp, xm, yp, ym) per p.
+    Returns (offsets, values): E_p times the jet's part at offsets[j] lands
+    on the key of p plus offsets[j], with coefficient values[p, j]; in an
+    exact box (``_solver_radii``) all these modes lie in it.  The offsets
+    and where each part's coefficients go among them depend on the jet's
+    key lists alone, in their order, and are the piece ("jet", block) of
+    ``structure``."""
     h, h1, Xh, Yh = jet
+    parts = (Xh, Yh, h1, h)
+    keys = tuple(np.fromiter(f.packed, np.int64, len(f.packed)) for f in parts)
+    offsets, at = structure.get(("jet", block), keys, lambda: _jet_offsets(keys, h.space))
+    cx, cy, c1, c0 = (np.fromiter(f.packed.values(), complex, len(f.packed)) for f in parts)
+    dense = np.zeros((6, len(offsets)), complex)
+    dense.ravel()[at] = np.concatenate([cx, cy, c1, c0, c1, c0])
+    xh, yh, h1p, hp, h1m, hm = dense
+    ip1, xp, xm, yp, ym = factors
+    values = ((ip1 * xh - (xp * h1p + xm * h1m)) - (yp * hp + ym * hm)) + yh
+    return offsets, values
+
+
+def _jet_offsets(keys, sp: Space):
+    """The offsets of a jet's parts Xh, Yh, h1 E_e1, h E_e1, h1 E_-e1 and
+    h E_-e1, from the key lists of (Xh, Yh, h1, h): their merged keys less
+    the zero key, and each part's coefficients' flat positions in a 6 x
+    offsets array, part by part."""
+    kx, ky, k1, k0 = keys
     e1 = sp.weights[0]
-    parts = [(Xh, 0), (Yh, 0), (h1, e1), (h, e1), (h1, -e1), (h, -e1)]
-    keyed = [(np.fromiter(f.packed, np.int64, len(f.packed)) + shift,
-              np.fromiter(f.packed.values(), complex, len(f.packed)))
-             for f, shift in parts]
-    keys = np.unique(np.concatenate([k for k, _ in keyed]))
-    xh, yh, h1p, hp, h1m, hm = (np.zeros(len(keys), complex) for _ in parts)
-    for dense, (k, c) in zip((xh, yh, h1p, hp, h1m, hm), keyed):
-        dense[np.searchsorted(keys, k)] = c
+    shifted = (kx, ky, k1 + e1, k0 + e1, k1 - e1, k0 - e1)
+    merged = np.unique(np.concatenate(shifted))
+    at = np.concatenate([part * len(merged) + np.searchsorted(merged, k)
+                         for part, k in enumerate(shifted)])
+    return merged - sp.zero_key, at
+
+
+def _column_modes(cols: CoordLayout):
+    """What ``_jacobian`` reads of its columns' keys alone: every mode p of
+    the symmetric box, as the key of q or -q for a canonical q and the index
+    of q, the factors (i p1, xp, xm, yp, ym) of each p
+    (``_exponential_columns``), and per block the linear part's row keys,
+    columns and triplet parts."""
+    box, zero, nq = cols.keys, cols.space.zero_key, len(cols.keys)
+    pkeys = np.concatenate([box, cols.mate[box != zero]])
+    pq = np.concatenate([np.arange(nq), np.flatnonzero(box != zero)])
+    modes = cols.space.digits(pkeys)
     p1, p2, p3 = (modes[:, a, None].astype(float) for a in range(3))
-    xp, yp = 0.5j * (p2 + 1j * p3), 0.5 * (p2 + 1j * p3)
-    xm, ym = 0.5j * (p2 - 1j * p3), 0.5 * (-p2 + 1j * p3)
-    values = ((1j * p1 * xh - (xp * h1p + xm * h1m)) - (yp * hp + ym * hm)) + yh
-    return keys - sp.zero_key, values
+    factors = (1j * p1, 0.5j * (p2 + 1j * p3), 0.5j * (p2 - 1j * p3),
+               0.5 * (p2 + 1j * p3), 0.5 * (-p2 + 1j * p3))
+    linear = []
+    for block in (0, 1):
+        # dphi/dx5 or -dpsi/dx4 is i q5 or -i q4 on the row of q
+        q_axis = modes[:nq, FIBER_AXES[1 - block]]
+        has = np.flatnonzero(q_axis)
+        part = np.zeros((3, len(has)), complex)
+        part[2] = 1j * (1 - 2 * block) * q_axis[has]
+        linear.append((box[has], block * nq + has, part))
+    return pkeys, pq, factors, linear
 
 
-def _jacobian(cols: CoordLayout, s: Section):
+def _entry_pattern(cols: CoordLayout, pkeys, pq, linear, offsets):
+    """Where ``_jacobian``'s triplets go, from the columns and each block's
+    jet offsets: per block the flat indices (p, offset) of its quadratic
+    triplets, every one whose row key is canonical, and their c = i
+    factors; then the ascending row keys, each triplet's (row, slot pair)
+    entry, the entry count, and per entry its row rank, whether it is E_0's
+    column, whether its row has an imaginary part, and its real column slot
+    for c = 1."""
+    box, zero, nq = cols.keys, cols.space.zero_key, len(cols.keys)
+    flats, rotate, row_keys, column = [], [], [], []
+    for block, offs in enumerate(offsets):
+        flats.append(np.flatnonzero(pkeys[:, None] + offs >= zero))
+        ip, io = np.divmod(flats[-1], len(offs))
+        # c = 1 takes E_q + E_-q, c = i takes i E_q - i E_-q
+        rotate.append(np.where(ip < nq, 1j, -1j))
+        lin_rows, lin_cols, _ = linear[block]
+        row_keys += [pkeys[ip] + offs[io], lin_rows]
+        column += [block * nq + pq[ip], lin_cols]
+    # one entry per row and slot pair; rows by rank, since a key times the
+    # column count can overflow int64 at high truncation orders
+    row_keys, rank = np.unique(np.concatenate(row_keys), return_inverse=True)
+    uniq, inv = np.unique(rank * (2 * nq) + np.concatenate(column), return_inverse=True)
+    rank, (block, qi) = uniq // (2 * nq), divmod(uniq % (2 * nq), nq)
+    return (flats, rotate, row_keys, inv, len(uniq), rank, box[qi] == zero,
+            row_keys[rank] != zero, block * len(cols.weight) + cols.slot[qi])
+
+
+def _jacobian(cols: CoordLayout, s: Section, structure: _Structure | None = None):
     """Gauss-Newton Jacobian of the residual at s: the layout
     (``real_coords``) of its rows' ascending canonical keys and its nonzero
     real entries (row, column, value) on the real slots of the rows and of
@@ -490,54 +596,46 @@ def _jacobian(cols: CoordLayout, s: Section):
     in closed form, as (row key, column, value) triplets on the canonical
     rows; duplicates are summed, each column's quadratic part loses its
     entries below COLUMN_PRUNE, and the linear part is added after that.
-    The iterate's jets are the section's own (``Section.jets``)."""
-    sp, box, zero = s.space, cols.keys, s.space.zero_key
-    nq = len(box)
-    # every mode p of the symmetric box, as q or -q for a canonical q
-    pkeys = np.concatenate([box, cols.mate[box != zero]])
-    pq = np.concatenate([np.arange(nq), np.flatnonzero(box != zero)])
-    modes = sp.digits(pkeys)
+    Every triplet on a canonical row is summed, exact zeros too: a sum
+    starts at +0.0 and so is never -0.0, and adding +-0.0 to it leaves
+    every bit, so the triplets' places depend on keys alone.  The
+    iterate's jets are the section's own (``Section.jets``).
+
+    What depends on key arrays alone comes from ``structure``: the pieces
+    "columns" (``_column_modes``, keyed on the columns' keys), ("jet", block)
+    (``_exponential_columns``), "entries" (``_entry_pattern``, keyed on the
+    columns' keys and both blocks' offsets) and "rows" (the rows' layout,
+    keyed on their keys).  ``prolong`` passes its solve's, so an iteration
+    whose key arrays repeat the last one's rebuilds none of them; without
+    one, all are built.  Every value is computed afresh, in the same order,
+    either way."""
+    structure = _Structure() if structure is None else structure
+    sp, box = s.space, cols.keys
+    pkeys, pq, factors, linear = structure.get("columns", (box,), lambda: _column_modes(cols))
+    offsets, values = zip(*(_exponential_columns(jet, factors, structure, block)
+                            for block, jet in enumerate(reversed(s.jets))))
+    flats, rotate, row_keys, inv, entries, rank, e0, has_im, col_slot = structure.get(
+        "entries", (box, *offsets), lambda: _entry_pattern(cols, pkeys, pq, linear, offsets))
     # per triplet: the quadratic part of the c = 1 and c = i columns, and
     # the linear part of the c = 1 column
-    row_keys, column, parts = [], [], []
-    for block, jet in enumerate(reversed(s.jets)):
-        sign = 1 - 2 * block
-        offsets, values = _exponential_columns(jet, modes, sp)
-        rk = pkeys[:, None] + offsets
-        ip, io = np.nonzero((rk >= zero) & (values != 0))
-        v = sign * values[ip, io]
-        row_keys.append(rk[ip, io])
-        column.append(block * nq + pq[ip])
-        # c = 1 takes E_q + E_-q, c = i takes i E_q - i E_-q
-        parts.append(np.stack([v, np.where(ip < nq, 1j, -1j) * v, np.zeros_like(v)]))
-        # the linear part, dphi/dx5 or -dpsi/dx4, is i q5 or -i q4 on the row of q
-        q_axis = modes[:nq, FIBER_AXES[1 - block]]
-        has = np.flatnonzero(q_axis)
-        row_keys.append(box[has])
-        column.append(block * nq + has)
-        parts.append(np.zeros((3, len(has)), complex))
-        parts[-1][2] = 1j * sign * q_axis[has]
-    row_keys, column = np.concatenate(row_keys), np.concatenate(column)
-    # one entry per row and slot pair; rows by rank, since a key times the
-    # column count can overflow int64 at high truncation orders
-    row_keys, rank = np.unique(row_keys, return_inverse=True)
-    uniq, inv = np.unique(rank * (2 * nq) + column, return_inverse=True)
-    *quad, lin = (np.bincount(inv, x.real, len(uniq)) + 1j * np.bincount(inv, x.imag, len(uniq))
+    parts = []
+    for block, (vals, flat, c_i, (_, _, lin)) in enumerate(zip(values, flats, rotate, linear)):
+        v = (1 - 2 * block) * vals.ravel()[flat]
+        parts += [np.stack([v, c_i * v, np.zeros_like(v)]), lin]
+    *quad, lin = (np.bincount(inv, x.real, entries) + 1j * np.bincount(inv, x.imag, entries)
                   for x in np.concatenate(parts, axis=1))
-    rank, (block, qi) = uniq // (2 * nq), divmod(uniq % (2 * nq), nq)
     for total, c in zip(quad, (1.0, 1j)):
         total[np.abs(total) < COLUMN_PRUNE] = 0.0
         total += c * lin
     quad = np.stack(quad)
-    quad[1, box[qi] == zero] = 0.0   # E_0 has no c = i column
+    quad[1, e0] = 0.0   # E_0 has no c = i column
     kept = np.unique(rank[quad.any(axis=0)])
-    rows = real_coords(sp, row_keys[kept])
+    rows = structure.get("rows", (row_keys[kept],), lambda: real_coords(sp, row_keys[kept]))
     row_slot = np.zeros(len(row_keys), np.int64)
     row_slot[kept] = rows.slot
     # v[part, c, j]: the real (part 0) or imaginary (part 1) part of entry j
     # of the c = 1 (c = 0) or c = i (c = 1) column, on real row slot + part
     # and real column slot + c; the row of k = 0 has no imaginary part
-    v = np.stack([quad.real, np.where(row_keys[rank] != zero, quad.imag, 0.0)])
+    v = np.stack([quad.real, np.where(has_im, quad.imag, 0.0)])
     part, c, j = np.nonzero(v)
-    return (rows, row_slot[rank[j]] + part,
-            block[j] * len(cols.weight) + cols.slot[qi[j]] + c, v[part, c, j])
+    return rows, row_slot[rank[j]] + part, col_slot[j] + c, v[part, c, j]

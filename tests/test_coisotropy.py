@@ -1,6 +1,7 @@
 """Coisotropicity PDE, linearization, obstruction functional, and the
 prolongation solver."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -528,9 +529,9 @@ def recorded_solve(monkeypatch, direction, opts):
     and its steps."""
     calls = []
 
-    def jacobian(cols, s, _orig=_jacobian):
+    def jacobian(cols, s, *structure, _orig=_jacobian):
         calls.append([cols.keys, s])
-        return _orig(cols, s)
+        return _orig(cols, s, *structure)
 
     def sector_steps(*args, _orig=_sector_steps):
         calls[-1].append(_orig(*args))
@@ -662,9 +663,9 @@ def test_a_section_builds_its_jets_once(monkeypatch):
         evaluated.append(s)
         return _orig(s)
 
-    def jacobian(cols, s, _orig=_jacobian):
+    def jacobian(cols, s, *structure, _orig=_jacobian):
         before = len(built)
-        out = _orig(cols, s)
+        out = _orig(cols, s, *structure)
         assert len(built) == before, "_jacobian built a jet"
         assembled.append(s)
         return out
@@ -676,6 +677,123 @@ def test_a_section_builds_its_jets_once(monkeypatch):
     assert len(assembled) == 7
     assert all(any(a is s for s in evaluated) for a in assembled)
     assert rep.final_section is evaluated[-1]
+
+
+def iterate_key_counts(monkeypatch):
+    """A list that a wrapper over _jacobian fills with the number of keys of
+    each assembled iterate, f's and g's."""
+    counts = []
+
+    def jacobian(cols, s, *structure, _orig=_jacobian):
+        counts.append(len(s.f.packed) + len(s.g.packed))
+        return _orig(cols, s, *structure)
+    monkeypatch.setattr(coisotropy, "_jacobian", jacobian)
+    return counts
+
+
+# tol 0 makes st_sin.json, exactly coisotropic at eps u, build one system;
+# the shifted direction's lam = 0 cutoff sits next to a singular value.
+# closures: how many the solve builds, one per change of the iterate's key
+# set or of its residual's rows
+@pytest.mark.parametrize("direction, opts, closures", [
+    (obstructed_direction, ProlongOptions(), 1),
+    (obstructed_direction, ProlongOptions(solver_radius=(2, 1, 1, 1, 1)), 2),
+    (obstructed_direction, ProlongOptions(solver_radius=(3, 4, 4, 0, 0)), 2),
+    (control_direction, ProlongOptions(), 1),
+    (control_direction, ProlongOptions(solver_radius=(2, 1, 1, 1, 1)), 2),
+    (st_sin_direction, ProlongOptions(tol=0.0), 1),
+    (shifted_direction, ProlongOptions(solver_radius=(3, 4, 4, 0, 0)), 3)],
+    ids=["radius1", "box", "box344", "control-radius1", "control-box", "st-sin",
+         "shifted-box344"])
+def test_structure_reuse_is_bit_exact(monkeypatch, direction, opts, closures):
+    # the oracle is the same solve with every reuse defeated: each piece of
+    # structure is rebuilt at every iteration, as if its keys had changed
+    def solve(defeated):
+        with monkeypatch.context() as patch:
+            if defeated:
+                patch.setattr(coisotropy, "_same_keys", lambda a, b: False)
+            calls = counted_calls(patch, ("closures", coisotropy, "_sector_keys"))
+            keys = iterate_key_counts(patch)
+            rep = prolong(direction(), 0.1, opts)
+        text = json.dumps(rep.to_json_dict())
+        return rep, text, [float.hex(x) for x in rep.residual_norm_history], calls, keys
+
+    rep, text, hexes, reused, keys = solve(defeated=False)
+    want, want_text, want_hexes, rebuilt, want_keys = solve(defeated=True)
+    assert text == want_text and hexes == want_hexes and keys == want_keys
+    assert rebuilt["closures"] == want.iterations == len(keys)
+    assert reused["closures"] == closures
+
+
+def test_prolong_rebuilds_structure_when_the_key_set_changes(monkeypatch):
+    # obstructed.json at (2, 1, 1, 1, 1): the iterate has 4 keys at the
+    # start and 12 from the second iteration on, and the residual's rows stay
+    # put after that, so 2 closures, column layouts and row layouts serve 7
+    # iterations, where rebuilding at every iteration builds 7 of each
+    closures, layouts = [], []
+
+    def sector_keys(*args, _orig=coisotropy._sector_keys):
+        closures.append(_orig(*args))
+        return closures[-1]
+
+    def layout(sp, keys, _orig=real_coords):
+        layouts.append(keys)
+        return _orig(sp, keys)
+    keys = iterate_key_counts(monkeypatch)
+    monkeypatch.setattr(coisotropy, "_sector_keys", sector_keys)
+    monkeypatch.setattr(coisotropy, "real_coords", layout)
+    rep = prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=(2, 1, 1, 1, 1)))
+    assert (rep.status, rep.iterations) == ("obstructed", 7)
+    assert keys == [4] + [12] * 6
+    assert len(closures) == 2
+    column_layouts = [k for k in layouts if any(k is c for c in closures)]
+    assert len(column_layouts) == 2
+    # the rest are the box's layout, built once, and the rows'
+    assert len(layouts) - len(column_layouts) == 1 + 2
+
+
+def same_layout(a, b):
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(fields.CoordLayout))
+
+
+def test_reused_structure_equals_a_fresh_build(monkeypatch):
+    # at every iteration of a long solve whose key sets change and repeat,
+    # the closure prolong assembles is _sector_keys of that iteration's
+    # iterate and residual, with its layout, and its Jacobian (the rows'
+    # layout and every triplet) is a build from nothing.  The N = 16 solve
+    # runs as shipped, with STRICT off: one of its rejected trial iterates
+    # has products of size 1e11, whose mates differ by more than STRICT's
+    # absolute 1e-12, with or without reuse
+    with open(os.path.join(SECTIONS, "obstructed.json")) as fh:
+        data = json.load(fh)
+    for h in "fg":
+        data[h]["trunc_order"] = 16
+    for direction, radius, max_iters in (
+            (Section.from_json_dict(data), (7, 8, 0, 0, 0), 30),
+            (control_direction(), 2, 200)):
+        sp = direction.space
+        box = box_keys(sp, coisotropy._solver_radii(direction, radius, sp))
+        support = np.intersect1d(box, [*direction.f.packed, *direction.g.packed])
+        seen = []
+
+        def jacobian(cols, s, *structure, _orig=_jacobian):
+            out = _orig(cols, s, *structure)
+            seen.append((cols, s, out))
+            return out
+        monkeypatch.setattr(coisotropy, "_jacobian", jacobian)
+        monkeypatch.setattr(fields, "STRICT", sp.trunc_order < 16)
+        rep = prolong(direction, 0.1, ProlongOptions(solver_radius=radius, max_iters=max_iters))
+        monkeypatch.undo()
+        assert len(seen) == rep.iterations > 1
+        assert len({c.keys.tobytes() for c, *_ in seen}) < len(seen)
+        for cols, s, (rows, ri, ci, v) in seen:
+            fresh = real_coords(sp, coisotropy._sector_keys(box, s, residual(s), support))
+            assert same_layout(cols, fresh)
+            fresh_rows, *entries = _jacobian(fresh, s)
+            assert same_layout(rows, fresh_rows)
+            for got, want in zip((ri, ci, v), entries):
+                assert np.array_equal(got, want)
 
 
 def test_prolong_radius1_first_step_is_exactly_zero(monkeypatch):
@@ -948,8 +1066,8 @@ def test_projected_system_matches_dense_route(monkeypatch, name, eps, radii, ite
         direction = Section.from_json_dict(json.load(fh))
     sp, seen = direction.space, []
 
-    def jacobian(cols, s, _orig=coisotropy._jacobian):
-        rows, *entries = _orig(cols, s)
+    def jacobian(cols, s, *structure, _orig=coisotropy._jacobian):
+        rows, *entries = _orig(cols, s, *structure)
         seen.append([cols.keys, s, rows.keys, *entries])
         return [rows, *entries]
 
