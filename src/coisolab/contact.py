@@ -206,7 +206,8 @@ def flow_contact(cd: ContactData, lam: Field, p, duration: float,
     """RK4 trajectory of the contact vector field of lam from p.
 
     The exact spectral field is compiled once into a stacked evaluator.
-    Returns the sampled path with torus coordinates wrapped to [0, 2*pi)."""
+    Returns the sampled path with torus coordinates wrapped to [0, 2*pi);
+    a stack of start points (k, dim) gives a path (n_steps+1, k, dim)."""
     rhs = stacked_evaluator(contact_vector_field(cd, lam).components)
     path = integrate.rk4_flow(rhs, np.asarray(p, dtype=float), duration, h)
     return wrap_torus(path, cd.space.torus_dim)
@@ -228,12 +229,17 @@ def flow_with_frame(cd: ContactData, lam: Field, p, frame, duration: float,
                                for j in range(dim)])
     frame = np.asarray(frame, dtype=float)
     n_vec = frame.shape[1]
+    width = dim + dim * n_vec
 
-    def rhs(state):
-        vals = field_and_jacobian(state[:dim])
-        J = vals[dim:].reshape(dim, dim)
-        V = state[dim:].reshape(dim, n_vec)
-        return np.concatenate([vals[:dim], (J @ V).ravel()])
+    def rhs(state):   # a state or a stack of them, as rk4_flow requires
+        if state.shape[-1:] != (width,):
+            raise ShapeError(f"state of shape {state.shape} for width {width}")
+        stack = state.shape[:-1]
+        vals = field_and_jacobian(state[..., :dim])
+        J = vals[..., dim:].reshape(*stack, dim, dim)
+        V = state[..., dim:].reshape(*stack, dim, n_vec)
+        return np.concatenate([vals[..., :dim], (J @ V).reshape(*stack, dim * n_vec)],
+                              axis=-1)
 
     y0 = np.concatenate([np.asarray(p, dtype=float), frame.ravel()])
     path = integrate.rk4_flow(rhs, y0, duration, h)

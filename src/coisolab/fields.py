@@ -666,11 +666,17 @@ def stacked_evaluator(fields):
     """Compile fields over one space into a function point -> values.
 
     The union of their modes becomes a frequency matrix K (n_modes, torus
-    dim), a fiber exponent matrix (n_modes, fiber dim) and a coefficient
-    matrix C (n_fields, n_modes), built once; a call returns the real parts
-    of C @ (exp(i K x) * prod(y ** m)).  It agrees with ``Field.evaluate``
-    field by field up to summation order, with the same point-length check
-    and the same non-real guard applied to every row."""
+    dim), an exponent matrix of their distinct fiber monomials m (n_monomials,
+    fiber dim) with each mode's row in it, and a coefficient matrix C
+    (n_fields, n_modes), built once; a call returns the real parts of
+    C @ (exp(i K x) * prod(y ** m)), computing each monomial once.  It agrees
+    with ``Field.evaluate`` field by field up to summation order, with the
+    same point-length check and the same non-real guard applied to every row.
+
+    A call takes one point (dim,) or a stack of points (..., dim) and returns
+    (n_fields,) or (..., n_fields).  A stack goes through batched matmul,
+    which calls gemv once per point as one point's product does, so each row
+    of a stack's values has the bits of that point's own call."""
     fields = list(fields)
     if not fields:
         raise ShapeError("nothing to evaluate")
@@ -681,7 +687,10 @@ def stacked_evaluator(fields):
     column = {key: j for j, key in enumerate(keys)}
     modes = [sp.unpack(key) for key in keys]
     freqs = np.array([k for k, _ in modes], dtype=float).reshape(len(keys), sp.torus_dim)
-    powers = np.array([m for _, m in modes], dtype=float).reshape(len(keys), sp.fiber_dim)
+    monomials = {}   # fiber exponents -> row, in first-seen order
+    monomial_of_mode = np.array([monomials.setdefault(m, len(monomials)) for _, m in modes],
+                                dtype=np.intp)
+    powers = np.array(list(monomials), dtype=float).reshape(len(monomials), sp.fiber_dim)
     coeffs = np.zeros((len(fields), len(keys)), dtype=complex)
     for row, f in enumerate(fields):
         for key, c in f.packed.items():
@@ -691,15 +700,20 @@ def stacked_evaluator(fields):
 
     def evaluate(point) -> np.ndarray:
         p = np.asarray(point, dtype=float)
-        if p.shape != (dim,):
+        if p.shape[-1:] != (dim,):
             raise ShapeError(f"point of length {p.shape} for dim {dim}")
-        basis = np.exp(1j * (freqs @ p[:torus_dim]))
+        one = p.ndim == 1
+        # a 2-D gemm over the stack would not give gemv's bits
+        phase = (freqs @ p[:torus_dim] if one
+                 else np.matmul(freqs, p[..., :torus_dim, None])[..., 0])
+        basis = np.exp(1j * phase)
         if polynomial:
-            basis *= (p[torus_dim:] ** powers).prod(axis=1)
-        val = coeffs @ basis
+            basis *= np.multiply.reduce(p[..., None, torus_dim:] ** powers,
+                                        axis=-1).take(monomial_of_mode, axis=-1)
+        val = coeffs @ basis if one else np.matmul(coeffs, basis[..., None])[..., 0]
         re, im = val.real, abs(val.imag)
         # the first test is the cheap exit: no row can fail below EVAL_IMAG_TOL
-        if (im.max() > EVAL_IMAG_TOL
+        if (np.maximum.reduce(im, axis=None, initial=0.0) > EVAL_IMAG_TOL
                 and (im > np.maximum(EVAL_IMAG_TOL, 1e-14 * abs(re))).any()):
             raise ShapeError(f"non-real evaluation (imag={im.max():.3e}); "
                              "field violates Hermitian symmetry")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import integrate
 from .coisotropy import Section, xy_frame
-from .fields import VectorField, require_exact, stacked_evaluator, wrap_torus
+from .fields import ShapeError, VectorField, require_exact, stacked_evaluator, wrap_torus
 
 MAX_CF_TERMS = 64     # partial quotients computed at most
 CLOSURE_TOL = 1e-6    # lattice distance at which a traced leaf counts as closed
@@ -87,8 +87,9 @@ def involutivity_defect(frame: CharFrame, p) -> float:
 
 def trace_leaf(frame: CharFrame, start, duration: float, h: float = 1e-3) -> LeafTrace:
     """Integrate V1 from start, recording the lifted samples (the lift makes
-    closure detection robust against dense windings).  A frame that lost mass
-    to truncation is refused: its leaf would be the box's."""
+    closure detection robust against dense windings).  A stack of starts
+    (k, 5) traces k leaves as one state.  A frame that lost mass to
+    truncation is refused: its leaf would be the box's."""
     require_exact("characteristic frame", frame.v1, frame.v2)
     rhs = stacked_evaluator(frame.v1.components)
     lifted = integrate.rk4_flow(rhs, np.asarray(start, dtype=float), duration, h)
@@ -183,7 +184,11 @@ def classify_section_leaf(s: Section, start, duration: float,
 
     No general decision procedure exists here; the verdict stays "unknown"
     unless the trace exhibits a lattice closure (lifted displacement in
-    2*pi*Z^5), in which case the evidence records it."""
+    2*pi*Z^5), in which case the evidence records it.  The evidence is
+    that of one leaf, so a start that is not one point of T^5 is refused
+    before anything is integrated."""
+    if np.shape(start) != (5,):
+        raise ShapeError(f"start of shape {np.shape(start)}; one point of T^5 is (5,)")
     frame = characteristic_frame(s)
     trace = trace_leaf(frame, start, duration, h)
     disp = trace.lifted - trace.lifted[0]

@@ -242,9 +242,52 @@ def test_flow_matches_pointwise_solve_path(cd):
     p = rand_m_points(rng, cd.space, 1)[0]
     T, h = 0.05, 1e-2
     got = ct.flow_contact(cd, lam, p, T, h=h)
-    ref = integrate.rk4_flow(lambda y: ct.hamiltonian_derivation(cd, lam, y).xi, p, T, h)
+
+    def pointwise(y):   # the oracle, applied row by row to a stack of states
+        rows = [ct.hamiltonian_derivation(cd, lam, q).xi for q in y.reshape(-1, y.shape[-1])]
+        return np.reshape(rows, y.shape)
+
+    ref = integrate.rk4_flow(pointwise, p, T, h)
     ref[:, :5] %= TWO_PI
     assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_flow_of_many_starts_is_their_single_flows(cd):
+    # a (k, dim) start integrates k points as one state, each bit for bit
+    rng = np.random.default_rng(19)
+    lam = rand_field(rng, cd.space, n_modes=3)
+    starts = rand_m_points(rng, cd.space, 4)
+    paths = ct.flow_contact(cd, lam, starts, 0.05, h=1e-2)
+    assert paths.shape == (6, 4, cd.space.dim)
+    for row, p in enumerate(starts):
+        assert paths[:, row].tobytes() == ct.flow_contact(cd, lam, p, 0.05, h=1e-2).tobytes()
+
+
+def test_frame_transport_rhs_takes_stacks(cd, monkeypatch):
+    # the variational right-hand side maps a stack of states row by row, with
+    # the bits of each state's own call, and refuses a wrong last axis
+    rng = np.random.default_rng(20)
+    lam = rand_field(rng, cd.space, n_modes=2)
+    dim, n_vec = cd.space.dim, 3
+    seen = []
+
+    def first_step_only(rhs, y0, duration, h):
+        seen.append(rhs)
+        return y0[None]
+
+    monkeypatch.setattr(integrate, "rk4_flow", first_step_only)
+    ct.flow_with_frame(cd, lam, np.zeros(dim), np.zeros((dim, n_vec)), 0.1)
+    rhs, = seen
+    width = dim + dim * n_vec
+    points = rand_m_points(rng, cd.space, 6)
+    states = np.hstack([points, rng.normal(size=(6, dim * n_vec))])
+    for stack in (states, states.reshape(2, 3, width)):
+        got = rhs(stack)
+        assert got.shape == stack.shape
+        for state, row in zip(stack.reshape(-1, width), got.reshape(-1, width)):
+            assert [float.hex(v) for v in row] == [float.hex(v) for v in rhs(state)]
+    with pytest.raises(ShapeError):
+        rhs(states[:, :-1])
 
 
 def test_flow_field_exact_at_box_edge(cd):

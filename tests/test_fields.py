@@ -89,6 +89,29 @@ def test_stacked_evaluator_matches_evaluate(space):
     assert stacked_evaluator([Field.zero(space)])(np.ones(space.dim)).tolist() == [0.0]
 
 
+def hexes(values):
+    return [float.hex(float(v)) for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("space", [M, T5])
+def test_stacked_evaluator_stack_rows_are_single_calls(space):
+    # a stack goes through batched matmul, one gemv a point: each row of its
+    # values has the bits of that point's own call
+    rng = np.random.default_rng(23)
+    stack = [rand_field(rng, space, n_modes=5, max_freq=4, fiber_deg=2) for _ in range(7)]
+    ev = stacked_evaluator(stack)
+    for shape in [(0,), (1,), (6,), (2, 6)]:
+        points = rand_points(rng, space, math.prod(shape)).reshape(*shape, space.dim)
+        values = ev(points)
+        assert values.shape == (*shape, len(stack))
+        for point, row in zip(points.reshape(-1, space.dim), values.reshape(-1, len(stack))):
+            assert hexes(row) == hexes(ev(point))
+    with pytest.raises(ShapeError):
+        ev(np.zeros((2, 3, space.dim + 1)))
+    with pytest.raises(ShapeError):
+        ev(np.zeros((space.dim, 2)))
+
+
 def test_stacked_evaluator_rejects_bad_input(monkeypatch):
     p = np.array([0.3, 0.1, 1.2, 0.0, 0.0, -0.7, 0.4])
     with pytest.raises(ShapeError):
@@ -101,6 +124,14 @@ def test_stacked_evaluator_rejects_bad_input(monkeypatch):
         lopsided.evaluate(p)
     with pytest.raises(ShapeError):
         stacked_evaluator([Field.sin(M, 0), lopsided])(p)
+    # lopsided is exp(i x1), real at x1 = 0: one point of a stack off it raises
+    real_rows = np.tile(p, (2, 3, 1))
+    real_rows[..., 0] = 0.0
+    ev = stacked_evaluator([Field.sin(M, 0), lopsided])
+    assert ev(real_rows)[..., 1].tolist() == [[1.0] * 3] * 2
+    real_rows[1, 2, 0] = 0.3
+    with pytest.raises(ShapeError):
+        ev(real_rows)
 
 
 # -- partial -------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from coisolab import integrate
 from coisolab.coisotropy import Section, base_space, family_section, residual
-from coisolab.fields import Field
+from coisolab.fields import Field, ShapeError
 from coisolab.foliation import (characteristic_frame, classify_leaf_linear,
                                 classify_section_leaf,
                                 continued_fraction_convergents,
@@ -271,3 +271,27 @@ def test_section_leaf_evidence_is_unknown():
     assert verdict.kind == "unknown"
     assert "closure_hits" in verdict.evidence
     assert len(trace.points) == len(trace.lifted)
+
+
+@pytest.mark.parametrize("start", [np.zeros((2, 5)), np.zeros((1, 5)), np.zeros(4),
+                                   np.zeros(7), 0.0])
+def test_section_leaf_refuses_all_but_one_start(start, monkeypatch):
+    # the closure evidence reduces one path's rows: k starts would be read
+    # as one leaf, so they are refused before anything is integrated
+    def never(*args):
+        raise AssertionError("integrated a refused start")
+
+    monkeypatch.setattr(integrate, "rk4_flow", never)
+    s = Section(Field.cos(SP, 0) * 0.3, Field.zero(SP))
+    with pytest.raises(ShapeError):
+        classify_section_leaf(s, start, 6.0, h=1e-2)
+
+
+def test_trace_of_many_starts_is_their_single_traces():
+    # many-start traces: a (k, 5) start is k leaves, each bit for bit its own
+    fr = characteristic_frame(Section(Field.cos(SP, 0) * 0.3, Field.sin(SP, 1) * 0.2))
+    starts = np.array([[0.0] * 5, [0.1, 5.9, 0.0, 3.0, 1.0], [2.0, 1.0, 0.5, 0.0, 4.0]])
+    many = trace_leaf(fr, starts, 1.0, h=1e-2)
+    assert many.lifted.shape == (101, 3, 5)
+    for row, start in enumerate(starts):
+        assert many.lifted[:, row].tobytes() == trace_leaf(fr, start, 1.0, h=1e-2).lifted.tobytes()
