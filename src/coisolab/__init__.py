@@ -12,10 +12,9 @@ exposes everything on the command line.
 
 from .fields import Field, Space, VectorField, ShapeError
 from .dercalc import AtiyahForm, Derivation, Form, is_basic, pullback_reduction
-from .contact import (ContactData, NondegeneracyError, PointDerivation,
-                      contact_vector_field, flow_contact, hamiltonian_derivation,
-                      hamiltonian_field, jacobi_bracket, jacobi_bracket_field,
-                      omega_flat_matrix, standard_contact)
+from .contact import (ContactData, NondegeneracyError, contact_vector_field,
+                      flow_contact, hamiltonian_field, jacobi_bracket_field,
+                      standard_contact)
 from .coisotropy import (PreconditionError, ProlongOptions, Section,
                          SolverReport, base_space, family_section, kuranishi,
                          linearized_residual, prolong, residual, xy_frame)
@@ -29,14 +28,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AtiyahForm", "CharFrame", "ContactData", "Derivation",
     "Field", "Form", "LeafClass", "LeafTrace", "NondegeneracyError",
-    "PointDerivation", "PreconditionError", "ProlongOptions", "Section",
+    "PreconditionError", "ProlongOptions", "Section",
     "ShapeError", "SolverReport", "Space", "StepSizeError",
     "VectorField", "base_space",
     "characteristic_frame", "classify_leaf_linear", "contact_vector_field",
-    "family_section", "flow_contact", "hamiltonian_derivation",
-    "hamiltonian_field", "integrality_scan", "involutivity_defect",
-    "is_basic", "jacobi_bracket", "jacobi_bracket_field", "kuranishi",
-    "linearized_residual", "omega_flat_matrix", "prolong",
+    "family_section", "flow_contact", "hamiltonian_field",
+    "integrality_scan", "involutivity_defect", "is_basic",
+    "jacobi_bracket_field", "kuranishi", "linearized_residual", "prolong",
     "pullback_reduction", "residual", "standard_contact", "trace_leaf",
     "xy_frame",
 ]

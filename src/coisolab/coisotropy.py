@@ -160,6 +160,9 @@ MAX_SECTOR = 1e7
 # Jacobian columns drop quadratic-part coefficients below this; the solver's
 # iterates depend on it to the last bit
 COLUMN_PRUNE = 2.0 * PRUNE_TOL
+# a trial iterate x is judged only inside the tube
+# max|x - eps u| <= TUBE eps max|u| around the start eps u, in real coordinates
+TUBE = 10.0
 
 
 @dataclass
@@ -199,17 +202,17 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     rows are real coordinates on ascending canonical key arrays, the unknowns'
     from ``box_keys``.  A solve builds the box's layout
     (``fields.real_coords``) once, and every attempt writes its iterate through
-    it.  What an iteration builds from key arrays alone (the sector's closure,
-    the layouts of its columns and rows, the columns' map to the box's slots,
-    and ``_jacobian``'s index work) is built once per distinct key set in a
-    solve: the solve's ``_Structure`` rebuilds each piece only when the key
-    arrays it comes from differ from the previous iteration's.  Each
+    it.  What an iteration builds from key arrays alone is built once per
+    distinct key set in a solve: the solve's ``_Structure`` keeps the
+    sector's closure and ``_jacobian``'s column modes, entry pattern and row
+    layout, and rebuilds each only when its key arrays change.  Each
     iterate is evaluated once: a section builds its first jets on first use
     (``Section.jets``), so ``residual`` and the next ``_jacobian`` share them,
     and an attempt whose iterate equals, bit for bit, the current one or the
     one the previous attempt rejected is rejected without a section or a
     residual, since its norm would be one already judged (at radius 1 on
-    ``obstructed.json`` every step is 0, and the solve evaluates one residual).
+    ``obstructed.json`` every step is 0, and the solve evaluates one residual),
+    as is a trial x outside the tube max|x - eps u| <= TUBE eps max|u|.
     The Jacobian is assembled in closed form from the jets of single
     exponentials (``_jacobian``), with no Field product per column, as sparse
     triplets; its rows come in sorted key order.  Restricting it to the
@@ -267,17 +270,18 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     def project_complement(z):
         return z - (np.dot(w * z, u) / uu) * u
 
-    def sector_columns(s, r_field):
+    def sector_columns(own, res_rows):
         """The closure's layout, and the box's real slot of each of its
         columns, f block then g block."""
-        cols = real_coords(sp, _sector_keys(box.keys, s, r_field, supp_keys))
+        cols = real_coords(sp, _sector_keys(sp, box.keys, own, res_rows, supp_keys))
         shift = np.repeat(box.slot[np.searchsorted(box.keys, cols.keys)] - cols.slot,
                           cols.held.sum(axis=1))
         to_box = np.arange(len(cols.weight)) + shift
         return cols, np.concatenate([to_box, to_box + nb])
 
     structure = _Structure()
-    x = eps * u
+    x = start = eps * u
+    tube = TUBE * eps * np.abs(u).max()
     s = section_of(x)
     r_field = residual(s)
     norm = r_field.l2_norm()
@@ -302,7 +306,7 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
         res_rows = np.sort(np.fromiter([k for k in r_field.packed if k >= sp.zero_key],
                                        np.int64))
         cols, to_box = structure.get("closure", (own, res_rows),
-                                     lambda: sector_columns(s, r_field))
+                                     lambda: sector_columns(own, res_rows))
         rows, ri, ci, v = _jacobian(cols, s, structure)
         # _jacobian's columns are the real slots of cols; map them to the box's
         ci = to_box[ci]
@@ -324,11 +328,12 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
         rejected = x
         for _ in range(12):
             delta = project_complement(step(lam))
-            x_new = eps * u + project_complement(x + delta - eps * u)
+            x_new = start + project_complement(x + delta - start)
             # the residual is a function of the iterate, so an iterate already
             # judged, the current one or the last rejected, is rejected again
-            # without a section or a residual
-            if not (np.array_equal(x_new, x) or np.array_equal(x_new, rejected)):
+            # without a section or a residual, as is a trial outside the tube
+            if (not (np.array_equal(x_new, x) or np.array_equal(x_new, rejected))
+                    and np.abs(x_new - start).max() <= tube):
                 s_new = section_of(x_new)
                 r_new = residual(s_new)
                 norm_new = r_new.l2_norm()
@@ -375,21 +380,21 @@ def _solver_radii(direction: Section, radius, sp: Space):
     return radii
 
 
-def _sector_keys(box, s: Section, r_field: Field, support):
+def _sector_keys(sp: Space, box, own, res_rows, support):
     """The keys of ``box`` whose columns ``prolong`` assembles: a closure in
     key space, found before any assembly, that contains the residual's sector.
 
     A column q can hold entries only on the canonical keys among +-q + o and
     on q itself (its linear part), o an offset of ``_exponential_columns``:
-    the iterate's keys shifted by +-e1, a set closed under mates.  So a row r
-    can meet only the box's columns among +-r + o, and r.  The closure starts
-    from the residual's nonzero rows and from ``support``, the keys of the
-    direction's support, which the constraint projection couples through
-    A u, and alternates the two reaches until neither grows.  It is refused
-    when its real rows x columns, or the key sums of a reach, pass MAX_SECTOR."""
-    sp, zero = s.space, s.space.zero_key
-    own = np.fromiter([*s.f.packed, *s.g.packed], np.int64) - zero
-    offsets = np.unique(np.concatenate([own - sp.weights[0], own + sp.weights[0]]))
+    the keys ``own`` of the iterate shifted by +-e1, a set closed under mates.
+    So a row r can meet only the box's columns among +-r + o, and r.  The
+    closure starts from ``res_rows``, the residual's nonzero canonical rows,
+    and from ``support``, the keys of the direction's support, which the
+    constraint projection couples through A u, and alternates the two
+    reaches until neither grows.  It is refused when its real rows x
+    columns, or the key sums of a reach, pass MAX_SECTOR."""
+    zero, e1 = sp.zero_key, sp.weights[0]
+    offsets = np.unique(np.concatenate([own - zero - e1, own - zero + e1]))
 
     def reach(keys):   # either way: rows to columns, columns to rows
         both = np.concatenate([keys, sp.mate(keys)])
@@ -399,8 +404,7 @@ def _sector_keys(box, s: Section, r_field: Field, support):
         return 2 * len(keys) - (keys[:1] == zero).sum()
 
     rows = cols = np.zeros(0, np.int64)
-    new_rows = np.fromiter([k for k in r_field.packed if k >= zero], np.int64)
-    new_cols = support
+    new_rows, new_cols = res_rows, support
     while new_rows.size or new_cols.size:
         rows, cols = np.union1d(rows, new_rows), np.union1d(cols, new_cols)
         sums = 2 * (len(new_rows) + len(new_cols)) * len(offsets)
@@ -469,7 +473,10 @@ class _Structure:
     a piece only when one of its key arrays differs (``_same_keys``) from
     the last build's, so each piece holds one key set at a time.  A piece is
     a function of its key arrays alone, so a reused one is the build they
-    would give again."""
+    would give again.  ``prolong`` keeps four, each a build whose reuse
+    measurably shortens a solve: "closure" (``_sector_keys``' search and the
+    columns' layout), "columns" (``_column_modes``), "entries"
+    (``_entry_pattern``) and "rows" (the rows' layout)."""
 
     def __init__(self):
         self._built = {}
@@ -482,12 +489,11 @@ class _Structure:
         return last[1]
 
 
-def _same_keys(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two int64 key arrays are equal, entry for entry."""
-    return a.shape == b.shape and bool((a == b).all())
+# whether two key arrays are equal, entry for entry
+_same_keys = np.array_equal
 
 
-def _exponential_columns(jet, factors, structure: _Structure, block: int):
+def _exponential_columns(jet, factors):
     """Q(E_p, h) for every frequency p of ``_column_modes``, in closed form
     from the first jet (h, h1, Xh, Yh) of h:
 
@@ -498,14 +504,10 @@ def _exponential_columns(jet, factors, structure: _Structure, block: int):
     ym = (-p2 + i p3)/2; ``factors`` are (i p1, xp, xm, yp, ym) per p.
     Returns (offsets, values): E_p times the jet's part at offsets[j] lands
     on the key of p plus offsets[j], with coefficient values[p, j]; in an
-    exact box (``_solver_radii``) all these modes lie in it.  The offsets
-    and where each part's coefficients go among them depend on the jet's
-    key lists alone, in their order, and are the piece ("jet", block) of
-    ``structure``."""
+    exact box (``_solver_radii``) all these modes lie in it."""
     h, h1, Xh, Yh = jet
     parts = (Xh, Yh, h1, h)
-    keys = tuple(np.fromiter(f.packed, np.int64, len(f.packed)) for f in parts)
-    offsets, at = structure.get(("jet", block), keys, lambda: _jet_offsets(keys, h.space))
+    offsets, at = _jet_offsets(parts, h.space)
     cx, cy, c1, c0 = (np.fromiter(f.packed.values(), complex, len(f.packed)) for f in parts)
     dense = np.zeros((6, len(offsets)), complex)
     dense.ravel()[at] = np.concatenate([cx, cy, c1, c0, c1, c0])
@@ -515,18 +517,20 @@ def _exponential_columns(jet, factors, structure: _Structure, block: int):
     return offsets, values
 
 
-def _jet_offsets(keys, sp: Space):
+def _jet_offsets(parts, sp: Space):
     """The offsets of a jet's parts Xh, Yh, h1 E_e1, h E_e1, h1 E_-e1 and
-    h E_-e1, from the key lists of (Xh, Yh, h1, h): their merged keys less
-    the zero key, and each part's coefficients' flat positions in a 6 x
-    offsets array, part by part."""
-    kx, ky, k1, k0 = keys
+    h E_-e1, from the keys of the fields (Xh, Yh, h1, h): their merged keys
+    less the zero key, and each part's coefficients' flat positions in a 6 x
+    offsets array, part by part.  Plain Python: a jet at a small box has a
+    few dozen keys, too few to pay numpy's per-call overhead."""
     e1 = sp.weights[0]
-    shifted = (kx, ky, k1 + e1, k0 + e1, k1 - e1, k0 - e1)
-    merged = np.unique(np.concatenate(shifted))
-    at = np.concatenate([part * len(merged) + np.searchsorted(merged, k)
-                         for part, k in enumerate(shifted)])
-    return merged - sp.zero_key, at
+    kx, ky, k1, k0 = (list(f.packed) for f in parts)
+    shifted = (kx, ky, [k + e1 for k in k1], [k + e1 for k in k0],
+               [k - e1 for k in k1], [k - e1 for k in k0])
+    merged = sorted(set().union(*shifted))
+    index = {k: i for i, k in enumerate(merged)}
+    at = [part * len(merged) + index[k] for part, keys in enumerate(shifted) for k in keys]
+    return np.array(merged, np.int64) - sp.zero_key, np.array(at, np.intp)
 
 
 def _column_modes(cols: CoordLayout):
@@ -602,18 +606,17 @@ def _jacobian(cols: CoordLayout, s: Section, structure: _Structure | None = None
     iterate's jets are the section's own (``Section.jets``).
 
     What depends on key arrays alone comes from ``structure``: the pieces
-    "columns" (``_column_modes``, keyed on the columns' keys), ("jet", block)
-    (``_exponential_columns``), "entries" (``_entry_pattern``, keyed on the
-    columns' keys and both blocks' offsets) and "rows" (the rows' layout,
-    keyed on their keys).  ``prolong`` passes its solve's, so an iteration
-    whose key arrays repeat the last one's rebuilds none of them; without
-    one, all are built.  Every value is computed afresh, in the same order,
-    either way."""
+    "columns" (``_column_modes``: the columns' modes, factors and linear
+    part, keyed on their keys), "entries" (``_entry_pattern``: every
+    triplet's place, keyed on the columns' keys and both jets' offsets) and
+    "rows" (the rows' layout, keyed on their keys).  ``prolong`` passes its
+    solve's, so an iteration whose key arrays repeat the last one's rebuilds
+    none of them; without one, all are built.  The jets' offsets and every
+    value are computed afresh, in the same order, either way."""
     structure = _Structure() if structure is None else structure
     sp, box = s.space, cols.keys
     pkeys, pq, factors, linear = structure.get("columns", (box,), lambda: _column_modes(cols))
-    offsets, values = zip(*(_exponential_columns(jet, factors, structure, block)
-                            for block, jet in enumerate(reversed(s.jets))))
+    offsets, values = zip(*(_exponential_columns(jet, factors) for jet in reversed(s.jets)))
     flats, rotate, row_keys, inv, entries, rank, e0, has_im, col_slot = structure.get(
         "entries", (box, *offsets), lambda: _entry_pattern(cols, pkeys, pq, linear, offsets))
     # per triplet: the quadratic part of the c = 1 and c = i columns, and

@@ -15,8 +15,11 @@ the inverse has trigonometric-polynomial entries, so Hamiltonian derivations
 of spectral sections are again exact spectral data (``hamiltonian_field``).
 The flows are driven by that spectral data, built without truncation
 (``contact_vector_field``) and compiled once per flow into a stacked
-evaluator.  The pointwise linear-solve route (``hamiltonian_derivation``,
-``jacobi_bracket``, ``flat_matrix``) is kept as the independent cross-check.
+evaluator.  The pointwise linear-solve route (``flat_matrix`` and
+``hamiltonian_derivation``) stays here as the independent cross-check that
+``verify`` and the tests compare with the spectral route; the pointwise
+Jacobi bracket built on it is ``verify.jacobi_bracket``.  None of these
+pointwise oracles is exported from the package.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ def standard_contact(trunc_order: int = 8, verify: bool = True) -> ContactData:
             raise NondegeneracyError("varpi is not closed")
         rng = np.random.default_rng(0)
         for p in _sample_points(rng, sp, NONDEG_SAMPLES):
-            det = float(np.linalg.det(omega_flat_matrix(cd, p)))
+            det = float(np.linalg.det(flat_matrix(cd.theta, cd.varpi.alpha, p)))
             if abs(det) <= 1e-8:
                 raise NondegeneracyError(f"varpi-flat degenerate at {p} (det={det:.3e})")
     return cd
@@ -112,11 +115,6 @@ def flat_matrix(theta: Form, dtheta: Form, p) -> np.ndarray:
     return M
 
 
-def omega_flat_matrix(cd: ContactData, p) -> np.ndarray:
-    """8x8 matrix of varpi-flat at p, acting on stacked (xi, a)."""
-    return flat_matrix(cd.theta, cd.varpi.alpha, p)
-
-
 def hamiltonian_derivation(cd: ContactData, lam: Field, p) -> PointDerivation:
     """Solve varpi-flat(Delta) = (d lam, lam) at the point p."""
     p = np.asarray(p, dtype=float)
@@ -125,7 +123,7 @@ def hamiltonian_derivation(cd: ContactData, lam: Field, p) -> PointDerivation:
     for i in range(dim):
         rhs[i] = lam.partial(i).evaluate(p)
     rhs[dim] = lam.evaluate(p)
-    M = omega_flat_matrix(cd, p)
+    M = flat_matrix(cd.theta, cd.varpi.alpha, p)
     try:
         sol = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
@@ -182,17 +180,6 @@ def contact_vector_field(cd: ContactData, lam: Field) -> VectorField:
                          f"expected T^{cd.space.torus_dim} x R^{cd.space.fiber_dim}")
     roomy = Space(sp.torus_dim, sp.fiber_dim, sp.trunc_order + 1, sp.poly_deg + 1)
     return _hamiltonian(lam.promote(roomy)).symbol
-
-
-def jacobi_bracket(cd: ContactData, lam: Field, mu: Field, p) -> float:
-    """{lam, mu}(p) evaluated through the pointwise linear solve."""
-    delta = hamiltonian_derivation(cd, lam, p)
-    p = np.asarray(p, dtype=float)
-    val = delta.a * mu.evaluate(p)
-    for i, comp in enumerate(delta.xi):
-        if comp != 0.0:
-            val += comp * mu.partial(i).evaluate(p)
-    return float(val)
 
 
 def jacobi_bracket_field(cd: ContactData, lam: Field, mu: Field) -> Field:

@@ -558,7 +558,7 @@ def test_sector_assembly_matches_the_whole_box_route(monkeypatch, direction, opt
     rep, sector = recorded_solve(monkeypatch, direction, opts)
     sp = direction().space
     box = box_keys(sp, coisotropy._solver_radii(direction(), opts.solver_radius, sp))
-    monkeypatch.setattr(coisotropy, "_sector_keys", lambda box, *args: box)
+    monkeypatch.setattr(coisotropy, "_sector_keys", lambda sp, box, *args: box)
     want, whole = recorded_solve(monkeypatch, direction, opts)
     assert rep.to_json_dict() == want.to_json_dict()
     assert len(sector) == len(whole) == rep.iterations
@@ -582,9 +582,17 @@ def test_jacobian_assembles_only_the_closure(monkeypatch):
     # the projection couples the support's columns through A u, so the
     # closure holds them even where no residual row reaches them
     support = np.array([SP.pack((0, 1, 0, 0, 0), ()), SP.pack((0, 0, 0, 1, 1), ())])
-    keys = coisotropy._sector_keys(box_keys(SP, (2, 1, 1, 1, 1)), calls[0][1], Field.zero(SP),
-                                   support)
+    keys = coisotropy._sector_keys(SP, box_keys(SP, (2, 1, 1, 1, 1)),
+                                   *closure_keys(calls[0][1], Field.zero(SP)), support)
     assert np.all(np.isin(support, keys))
+
+
+def closure_keys(s, r_field):
+    """The key arrays prolong passes to _sector_keys for the iterate s and
+    its residual: s's unique keys and the residual's sorted canonical rows."""
+    own = np.unique(np.fromiter([*s.f.packed, *s.g.packed], np.int64))
+    rows = np.sort(np.fromiter([k for k in r_field.packed if k >= s.space.zero_key], np.int64))
+    return own, rows
 
 
 def counted_calls(monkeypatch, *targets):
@@ -730,7 +738,13 @@ def test_prolong_rebuilds_structure_when_the_key_set_changes(monkeypatch):
     # start and 12 from the second iteration on, and the residual's rows stay
     # put after that, so 2 closures, column layouts and row layouts serve 7
     # iterations, where rebuilding at every iteration builds 7 of each
-    closures, layouts = [], []
+    closures, layouts, builds = [], [], {}
+
+    def get(structure, piece, keys, build, _orig=coisotropy._Structure.get):
+        def counted():
+            builds[piece] = builds.get(piece, 0) + 1
+            return build()
+        return _orig(structure, piece, keys, counted)
 
     def sector_keys(*args, _orig=coisotropy._sector_keys):
         closures.append(_orig(*args))
@@ -742,6 +756,7 @@ def test_prolong_rebuilds_structure_when_the_key_set_changes(monkeypatch):
     keys = iterate_key_counts(monkeypatch)
     monkeypatch.setattr(coisotropy, "_sector_keys", sector_keys)
     monkeypatch.setattr(coisotropy, "real_coords", layout)
+    monkeypatch.setattr(coisotropy._Structure, "get", get)
     rep = prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=(2, 1, 1, 1, 1)))
     assert (rep.status, rep.iterations) == ("obstructed", 7)
     assert keys == [4] + [12] * 6
@@ -750,6 +765,9 @@ def test_prolong_rebuilds_structure_when_the_key_set_changes(monkeypatch):
     assert len(column_layouts) == 2
     # the rest are the box's layout, built once, and the rows'
     assert len(layouts) - len(column_layouts) == 1 + 2
+    # the structure holds four pieces, and each is reused: both closures
+    # have the same columns, and the entries and rows change with the jets
+    assert builds == {"closure": 2, "columns": 1, "entries": 2, "rows": 2}
 
 
 def same_layout(a, b):
@@ -757,20 +775,23 @@ def same_layout(a, b):
                for f in dataclasses.fields(fields.CoordLayout))
 
 
-def test_reused_structure_equals_a_fresh_build(monkeypatch):
-    # at every iteration of a long solve whose key sets change and repeat,
-    # the closure prolong assembles is _sector_keys of that iteration's
-    # iterate and residual, with its layout, and its Jacobian (the rows'
-    # layout and every triplet) is a build from nothing.  The N = 16 solve
-    # runs as shipped, with STRICT off: one of its rejected trial iterates
-    # has products of size 1e11, whose mates differ by more than STRICT's
-    # absolute 1e-12, with or without reuse
+def obstructed_n16():
+    """obstructed.json at truncation order 16."""
     with open(os.path.join(SECTIONS, "obstructed.json")) as fh:
         data = json.load(fh)
     for h in "fg":
         data[h]["trunc_order"] = 16
+    return Section.from_json_dict(data)
+
+
+def test_reused_structure_equals_a_fresh_build(monkeypatch):
+    # at every iteration of a long solve whose key sets change and repeat,
+    # the closure prolong assembles is _sector_keys of that iteration's
+    # iterate and residual, with its layout, and its Jacobian (the rows'
+    # layout and every triplet) is a build from nothing.  Both solves run
+    # under STRICT
     for direction, radius, max_iters in (
-            (Section.from_json_dict(data), (7, 8, 0, 0, 0), 30),
+            (obstructed_n16(), (7, 8, 0, 0, 0), 30),
             (control_direction(), 2, 200)):
         sp = direction.space
         box = box_keys(sp, coisotropy._solver_radii(direction, radius, sp))
@@ -782,18 +803,56 @@ def test_reused_structure_equals_a_fresh_build(monkeypatch):
             seen.append((cols, s, out))
             return out
         monkeypatch.setattr(coisotropy, "_jacobian", jacobian)
-        monkeypatch.setattr(fields, "STRICT", sp.trunc_order < 16)
+        assert fields.STRICT
         rep = prolong(direction, 0.1, ProlongOptions(solver_radius=radius, max_iters=max_iters))
         monkeypatch.undo()
         assert len(seen) == rep.iterations > 1
         assert len({c.keys.tobytes() for c, *_ in seen}) < len(seen)
         for cols, s, (rows, ri, ci, v) in seen:
-            fresh = real_coords(sp, coisotropy._sector_keys(box, s, residual(s), support))
+            fresh = real_coords(sp, coisotropy._sector_keys(
+                sp, box, *closure_keys(s, residual(s)), support))
             assert same_layout(cols, fresh)
             fresh_rows, *entries = _jacobian(fresh, s)
             assert same_layout(rows, fresh_rows)
             for got, want in zip((ri, ci, v), entries):
                 assert np.array_equal(got, want)
+
+
+def test_a_trial_outside_the_tube_never_reaches_residual(monkeypatch):
+    # in the first 8 iterations of the N = 16 (7, 8, 0, 0, 0) solve, two
+    # undamped trials land 2e6 and 109 times eps max|u| away from eps u.
+    # With the tube, neither reaches residual, every trial that does lies
+    # in the tube, and the solve's history is the same to the last bit:
+    # those trials were rejected on their residual norm before.  Without
+    # it, STRICT must be off: the first one's products break its Hermitian
+    # check
+    direction, eps = obstructed_n16(), 0.1
+    sp = direction.space
+    radius = (7, 8, 0, 0, 0)
+    box = real_coords(sp, box_keys(sp, coisotropy._solver_radii(direction, radius, sp)))
+    u = np.concatenate([direction.f.coords(box), direction.g.coords(box)])
+
+    def solve(tube):
+        distances = []
+
+        def judged(s, _orig=residual):
+            x = np.concatenate([s.f.coords(box), s.g.coords(box)])
+            distances.append(np.abs(x - eps * u).max() / (eps * np.abs(u).max()))
+            return _orig(s)
+        with monkeypatch.context() as patch:
+            patch.setattr(coisotropy, "TUBE", tube)
+            patch.setattr(coisotropy, "residual", judged)
+            patch.setattr(fields, "STRICT", tube < math.inf)
+            rep = prolong(direction, eps, ProlongOptions(solver_radius=radius, max_iters=8))
+        return [float.hex(x) for x in rep.residual_norm_history], distances
+
+    hexes, inside = solve(coisotropy.TUBE)
+    want_hexes, every = solve(math.inf)
+    assert hexes == want_hexes
+    outside = [d for d in every if d > coisotropy.TUBE]
+    assert len(outside) == 2 and min(outside) > 100
+    assert len(inside) == len(every) - 2
+    assert max(inside) <= coisotropy.TUBE
 
 
 def test_prolong_radius1_first_step_is_exactly_zero(monkeypatch):
