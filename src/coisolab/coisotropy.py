@@ -227,7 +227,8 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     from the history's last norm: ``converged`` below tol; else ``obstructed``
     if the loop stopped on the stall window (relative decrease below STALL_REL
     over STALL_WINDOW iterations) or on damping exhaustion (12 rejected
-    attempts) and the norm is above 100*tol; else ``max_iters``.  Inexact boxes
+    attempts, or one when the sector is empty and every lam steps by 0) and
+    the norm is above 100*tol; else ``max_iters``.  Inexact boxes
     (``_solver_radii``), keys beyond int64 and boxes of more than MAX_UNKNOWNS
     real unknowns are refused before any work on the box; a sector closure that
     grows past MAX_SECTOR is refused before its assembly."""
@@ -323,10 +324,14 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
                      for a, b in ((ri, si), (ci, supp[sj]), (v, slab[si, sj])))
         # every attempt of an iteration has the same AP: one factorization
         # serves them all
-        step = _sector_steps(ri, ci, v, r_field.coords(rows) * sw, n)
+        rvec = r_field.coords(rows) * sw
+        step = _sector_steps(ri, ci, v, rvec, n)
+        # an empty sector, no entry in a nonzero residual row, steps by 0 at
+        # every lam: each attempt would repeat the first's trial and verdict
+        attempts = 12 if rvec[ri].any() else 1
 
         rejected = x
-        for _ in range(12):
+        for _ in range(attempts):
             delta = project_complement(step(lam))
             x_new = start + project_complement(x + delta - start)
             # the residual is a function of the iterate, so an iterate already

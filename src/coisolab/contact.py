@@ -208,13 +208,17 @@ def flow_with_frame(cd: ContactData, lam: Field, p, frame, duration: float,
     trajectory, with the Jacobian DXi of the contact vector field assembled
     exactly from its spectral components; the field and its Jacobian are
     compiled into one stacked evaluator.  Returns (end point wrapped,
-    transported frame columns)."""
-    vf = contact_vector_field(cd, lam)
+    transported frame columns).  A frame that is not (dim, k), k tangent
+    vectors as columns, is refused before anything is built or integrated."""
     dim = cd.space.dim
+    frame = np.asarray(frame, dtype=float)
+    if frame.ndim != 2 or frame.shape[0] != dim:
+        raise ShapeError(f"frame of shape {frame.shape}; k tangent vectors "
+                         f"as columns are ({dim}, k)")
+    vf = contact_vector_field(cd, lam)
     field_and_jacobian = stacked_evaluator(
         list(vf.components) + [comp.partial(j) for comp in vf.components
                                for j in range(dim)])
-    frame = np.asarray(frame, dtype=float)
     n_vec = frame.shape[1]
     width = dim + dim * n_vec
 

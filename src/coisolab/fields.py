@@ -676,7 +676,15 @@ def stacked_evaluator(fields):
     A call takes one point (dim,) or a stack of points (..., dim) and returns
     (n_fields,) or (..., n_fields).  A stack goes through batched matmul,
     which calls gemv once per point as one point's product does, so each row
-    of a stack's values has the bits of that point's own call."""
+    of a stack's values has the bits of that point's own call.
+
+    Fields with no mode but the zero key (constants and zeros, such as the
+    characteristic frame of the family (t sin x1, 0)) fold to the
+    coefficients' real parts plus 0.0, the bits the route above and
+    ``Field.evaluate`` give them at every finite point: a call checks the
+    point's length, raises the guard's error for a non-real constant, and
+    returns a fresh array of those values broadcast over the stack.  No
+    point enters them, so a non-finite point gets them too."""
     fields = list(fields)
     if not fields:
         raise ShapeError("nothing to evaluate")
@@ -684,6 +692,9 @@ def stacked_evaluator(fields):
     if any(f.space != sp for f in fields):
         raise ShapeError("fields over different spaces")
     keys = sorted(set().union(*(f.packed for f in fields)))
+    if set(keys) <= {sp.zero_key}:
+        return _constant_evaluator(
+            np.array([f.packed.get(sp.zero_key, 0.0) for f in fields], dtype=complex), sp.dim)
     column = {key: j for j, key in enumerate(keys)}
     modes = [sp.unpack(key) for key in keys]
     freqs = np.array([k for k, _ in modes], dtype=float).reshape(len(keys), sp.torus_dim)
@@ -718,6 +729,28 @@ def stacked_evaluator(fields):
             raise ShapeError(f"non-real evaluation (imag={im.max():.3e}); "
                              "field violates Hermitian symmetry")
         return re
+
+    return evaluate
+
+
+def _constant_evaluator(coeffs: np.ndarray, dim: int):
+    """``stacked_evaluator`` of fields whose one mode is the zero key, with
+    coefficients coeffs: a sum started at 0 gives them real parts + 0.0."""
+    values, im = coeffs.real + 0.0, abs(coeffs.imag)
+    failure = None
+    if (im > np.maximum(EVAL_IMAG_TOL, 1e-14 * abs(values))).any():
+        failure = (f"non-real evaluation (imag={im.max():.3e}); "
+                   "field violates Hermitian symmetry")
+
+    def evaluate(point) -> np.ndarray:
+        p = np.asarray(point, dtype=float)
+        if p.shape[-1:] != (dim,):
+            raise ShapeError(f"point of length {p.shape} for dim {dim}")
+        out = np.empty(p.shape[:-1] + values.shape)
+        out[...] = values
+        if failure and out.size:   # an empty stack has no row to fail
+            raise ShapeError(failure)
+        return out
 
     return evaluate
 

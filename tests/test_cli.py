@@ -428,17 +428,28 @@ def test_default_report_bytes_pinned(capsys, tmp_path):
 def test_radius1_prolong_evaluates_one_residual(capsys, monkeypatch):
     # every attempt of the one iteration lands on the start's iterate, so the
     # CLI solve evaluates the start's residual and factors one sector, and
-    # prints the pinned report
-    calls = {"residual": 0, "factor": 0}
-    for name, attr in (("residual", "residual"), ("factor", "_sector_steps")):
-        def counted(*args, _orig=getattr(coisotropy, attr), _name=name):
-            calls[_name] += 1
-            return _orig(*args)
-        monkeypatch.setattr(coisotropy, attr, counted)
+    # prints the pinned report; the sector is empty, so every lam steps by 0
+    # and one attempt (one step call, not 12) decides the iteration
+    calls = {"residual": 0, "factor": 0, "step": 0}
+
+    def residual(*args, _orig=coisotropy.residual):
+        calls["residual"] += 1
+        return _orig(*args)
+
+    def sector_steps(*args, _orig=coisotropy._sector_steps):
+        calls["factor"] += 1
+        step = _orig(*args)
+
+        def counted(lam):
+            calls["step"] += 1
+            return step(lam)
+        return counted
+    monkeypatch.setattr(coisotropy, "residual", residual)
+    monkeypatch.setattr(coisotropy, "_sector_steps", sector_steps)
     command = "prolong obstructed.json --eps 0.1"
     code, out, _ = run(capsys, "prolong", sect("obstructed.json"), "--eps", "0.1")
     assert (code, sha256(out)) == (REPORT_EXIT_CODES[command], REPORT_DIGESTS[command])
-    assert calls == {"residual": 1, "factor": 1}
+    assert calls == {"residual": 1, "factor": 1, "step": 1}
 
 
 # -- flow ---------------------------------------------------------------------------

@@ -295,6 +295,19 @@ def test_frame_transport_rhs_takes_stacks(cd, monkeypatch):
         rhs(states[:, :-1])
 
 
+@pytest.mark.parametrize("shape", [(7,), (7, 2, 1), (5, 2)], ids=["1-d", "3-d", "short"])
+def test_frame_transport_refuses_a_frame_not_dim_by_k(cd, monkeypatch, shape):
+    # a 1-D frame raised IndexError and a (7, 2, 1) one was flowed: each is
+    # refused before the contact field is built or anything is integrated
+    def never(*args):
+        raise AssertionError("built or integrated before the frame was checked")
+
+    monkeypatch.setattr(ct, "contact_vector_field", never)
+    monkeypatch.setattr(integrate, "rk4_flow", never)
+    with pytest.raises(ShapeError, match="frame of shape"):
+        ct.flow_with_frame(cd, Field.constant(cd.space, 1.0), np.zeros(7), np.zeros(shape), 0.1)
+
+
 def test_flow_field_exact_at_box_edge(cd):
     """Hamiltonians whose contact field leaves cd's box (a |k1| = N mode, a
     y4^2 term): the flow's right-hand side still matches the pointwise

@@ -112,6 +112,71 @@ def test_stacked_evaluator_stack_rows_are_single_calls(space):
         ev(np.zeros((space.dim, 2)))
 
 
+def constant_fields(space):
+    # fields whose one mode is the zero key: the list stacked_evaluator folds
+    return [Field.constant(space, -1.5), Field.zero(space), Field.constant(space, 2.0 ** -40),
+            Field.constant(space, 0.1) + Field.constant(space, 0.2),
+            Field.constant(space, -1e300), Field.constant(space, 1.0) - Field.constant(space, 1.0)]
+
+
+@pytest.mark.parametrize("space", [M, T5])
+def test_stacked_evaluator_folds_constants_to_evaluate_bits(space):
+    # the fold's values are those of Field.evaluate to the float.hex, at
+    # points with negative coordinates (all-negative torus coordinates make
+    # evaluate's phase -0.0) and on stacks of every shape
+    rng = np.random.default_rng(29)
+    stack = constant_fields(space)
+    ev = stacked_evaluator(stack)
+    for shape in [(0,), (1,), (6,), (2, 6)]:
+        points = rng.uniform(-9.0, 3.0, size=(*shape, space.dim))
+        first = points.reshape(-1, space.dim)[:1, :space.torus_dim]   # a view
+        first[...] = -abs(first)
+        values = ev(points)
+        assert values.shape == (*shape, len(stack))
+        for point, row in zip(points.reshape(-1, space.dim), values.reshape(-1, len(stack))):
+            assert hexes(row) == hexes(ev(point)) == hexes([f.evaluate(point) for f in stack])
+    with pytest.raises(ShapeError):
+        ev(np.zeros((2, 3, space.dim + 1)))
+    with pytest.raises(ShapeError):
+        ev(np.zeros((space.dim, 2)))
+
+
+def test_stacked_evaluator_fold_returns_a_new_array_per_call():
+    ev = stacked_evaluator(constant_fields(M))
+    for point in (np.ones(M.dim), np.ones((2, 3, M.dim))):
+        first, second = ev(point), ev(point)
+        assert first.flags.writeable and second.flags.writeable
+        assert not np.shares_memory(first, second)
+        first[...] = 7.0
+        assert hexes(ev(point)) == hexes(second)
+
+
+def test_stacked_evaluator_fold_guards_non_real_constants(monkeypatch):
+    # a constant with an imaginary part compiles, and every call raises the
+    # error of Field.evaluate and of the unfolded route; one below the guard's
+    # tolerance evaluates to its real part
+    monkeypatch.setattr(fields, "STRICT", False)
+    zero_mode = ((0,) * 5, (0, 0))
+    skew = Field(M, {zero_mode: 2.0 + 0.5j})
+    # the sum evaluate takes starts at 0.0, so a real part -0.0 reads 0.0
+    quiet = [Field(M, {zero_mode: c}) for c in (2.0 + 1e-13j, complex(-0.0, 1e-13))]
+    ev = stacked_evaluator([Field.constant(M, 1.0), skew])
+    p = np.array([0.3, -0.1, 1.2, 0.0, -4.0, -0.7, 0.4])
+    with pytest.raises(ShapeError) as pointwise:
+        skew.evaluate(p)
+    with pytest.raises(ShapeError) as unfolded:
+        stacked_evaluator([Field.sin(M, 1), skew])(p)
+    message = "non-real evaluation (imag=5.000e-01); field violates Hermitian symmetry"
+    assert str(pointwise.value) == str(unfolded.value) == message
+    for point in (p, np.tile(p, (2, 3, 1)), p, np.tile(p, (1, 1))):
+        with pytest.raises(ShapeError) as folded:
+            ev(point)
+        assert str(folded.value) == message
+    assert ev(np.zeros((0, M.dim))).shape == (0, 2)   # no row to fail
+    assert hexes(stacked_evaluator(quiet)(p)) == hexes([f.evaluate(p) for f in quiet])
+    assert hexes([f.evaluate(p) for f in quiet]) == [float.hex(2.0), float.hex(0.0)]
+
+
 def test_stacked_evaluator_rejects_bad_input(monkeypatch):
     p = np.array([0.3, 0.1, 1.2, 0.0, 0.0, -0.7, 0.4])
     with pytest.raises(ShapeError):

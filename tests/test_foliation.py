@@ -295,3 +295,25 @@ def test_trace_of_many_starts_is_their_single_traces():
     assert many.lifted.shape == (101, 3, 5)
     for row, start in enumerate(starts):
         assert many.lifted[:, row].tobytes() == trace_leaf(fr, start, 1.0, h=1e-2).lifted.tobytes()
+
+
+@pytest.mark.parametrize("t", [0.5, 1 / 3, math.sqrt(2) - 1], ids=["1/2", "1/3", "sqrt2-1"])
+def test_family_trace_is_the_pointwise_flow(t):
+    # the family's frame is constant, span{d4 - t d2, d5}: its folded
+    # evaluator gives the trace of Field.evaluate, component by component,
+    # bit for bit, for one start and for a stack of three
+    frame = characteristic_frame(family_section(t))
+    v1 = frame.v1
+
+    def pointwise(states):
+        flat = states.reshape(-1, 5)
+        return np.array([[c.evaluate(p) for c in v1.components] for p in flat]).reshape(
+            states.shape)
+
+    assert all(set(c.packed) <= {SP.zero_key} for c in v1.components)
+    starts = np.array([[0.1, -5.9, 0.0, 3.0, 1.0], [-2.0, -1.0, -0.5, -0.25, -4.0],
+                       [6.0, 0.3, -0.7, 2.2, 0.0]])
+    for start in (starts[1], starts):
+        tr = trace_leaf(frame, start, 1.005, h=1e-2)
+        want = integrate.rk4_flow(pointwise, start, 1.005, 1e-2)
+        assert tr.lifted.tobytes() == want.tobytes()
