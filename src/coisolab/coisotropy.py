@@ -207,12 +207,9 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     sector's closure and ``_jacobian``'s column modes, entry pattern and row
     layout, and rebuilds each only when its key arrays change.  Each
     iterate is evaluated once: a section builds its first jets on first use
-    (``Section.jets``), so ``residual`` and the next ``_jacobian`` share them,
-    and an attempt whose iterate equals, bit for bit, the current one or the
-    one the previous attempt rejected is rejected without a section or a
-    residual, since its norm would be one already judged (at radius 1 on
-    ``obstructed.json`` every step is 0, and the solve evaluates one residual),
-    as is a trial x outside the tube max|x - eps u| <= TUBE eps max|u|.
+    (``Section.jets``), so ``residual`` and the next ``_jacobian`` share them.
+    A trial x outside the tube max|x - eps u| <= TUBE eps max|u| is rejected
+    without a section or a residual.
     The Jacobian is assembled in closed form from the jets of single
     exponentials (``_jacobian``), with no Field product per column, as sparse
     triplets; its rows come in sorted key order.  Restricting it to the
@@ -227,14 +224,16 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     from the history's last norm: ``converged`` below tol; else ``obstructed``
     if the loop stopped on the stall window (relative decrease below STALL_REL
     over STALL_WINDOW iterations) or on damping exhaustion (12 rejected
-    attempts, or one when the sector is empty and every lam steps by 0) and
-    the norm is above 100*tol; else ``max_iters``.  Inexact boxes
-    (``_solver_radii``), keys beyond int64 and boxes of more than MAX_UNKNOWNS
-    real unknowns are refused before any work on the box; a sector closure that
-    grows past MAX_SECTOR is refused before its assembly."""
+    attempts, or none when the sector is empty and every lam steps by 0) and
+    the norm is above 100*tol; else ``max_iters``.  A tol outside [0, inf),
+    inexact boxes (``_solver_radii``), keys beyond int64 and boxes of more
+    than MAX_UNKNOWNS real unknowns are refused before any work on the box; a
+    sector closure that grows past MAX_SECTOR is refused before its assembly."""
     opts = opts or ProlongOptions()
     if not 0.0 < eps <= 0.5:
         raise PreconditionError(f"eps={eps} outside (0, 0.5]")
+    if not 0.0 <= opts.tol < math.inf:
+        raise PreconditionError(f"tol={opts.tol} outside [0, inf)")
     if opts.max_iters < 0:
         raise PreconditionError(f"max_iters={opts.max_iters} is negative")
     sp = direction.space
@@ -327,18 +326,12 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
         rvec = r_field.coords(rows) * sw
         step = _sector_steps(ri, ci, v, rvec, n)
         # an empty sector, no entry in a nonzero residual row, steps by 0 at
-        # every lam: each attempt would repeat the first's trial and verdict
-        attempts = 12 if rvec[ri].any() else 1
-
-        rejected = x
-        for _ in range(attempts):
+        # every lam: it takes no trial
+        for _ in range(12 if rvec[ri].any() else 0):
             delta = project_complement(step(lam))
             x_new = start + project_complement(x + delta - start)
-            # the residual is a function of the iterate, so an iterate already
-            # judged, the current one or the last rejected, is rejected again
-            # without a section or a residual, as is a trial outside the tube
-            if (not (np.array_equal(x_new, x) or np.array_equal(x_new, rejected))
-                    and np.abs(x_new - start).max() <= tube):
+            # a trial outside the tube is rejected without a section or a residual
+            if np.abs(x_new - start).max() <= tube:
                 s_new = section_of(x_new)
                 r_new = residual(s_new)
                 norm_new = r_new.l2_norm()
@@ -346,7 +339,6 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
                     x, s, r_field, norm = x_new, s_new, r_new, norm_new
                     lam = lam / 10.0 if lam > 1e-12 else 0.0
                     break
-                rejected = x_new
             lam = max(lam * 10.0, 1e-8)
         else:
             diagnostic = ("no descent direction found (damping exhausted)"

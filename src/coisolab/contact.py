@@ -208,9 +208,13 @@ def flow_with_frame(cd: ContactData, lam: Field, p, frame, duration: float,
     trajectory, with the Jacobian DXi of the contact vector field assembled
     exactly from its spectral components; the field and its Jacobian are
     compiled into one stacked evaluator.  Returns (end point wrapped,
-    transported frame columns).  A frame that is not (dim, k), k tangent
-    vectors as columns, is refused before anything is built or integrated."""
+    transported frame columns).  A point that is not (dim,), or a frame that
+    is not (dim, k), k tangent vectors as columns, is refused before anything
+    is built or integrated."""
     dim = cd.space.dim
+    p = np.asarray(p, dtype=float)
+    if p.shape != (dim,):
+        raise ShapeError(f"point of shape {p.shape}; a point is ({dim},)")
     frame = np.asarray(frame, dtype=float)
     if frame.ndim != 2 or frame.shape[0] != dim:
         raise ShapeError(f"frame of shape {frame.shape}; k tangent vectors "
@@ -232,7 +236,7 @@ def flow_with_frame(cd: ContactData, lam: Field, p, frame, duration: float,
         return np.concatenate([vals[..., :dim], (J @ V).reshape(*stack, dim * n_vec)],
                               axis=-1)
 
-    y0 = np.concatenate([np.asarray(p, dtype=float), frame.ravel()])
+    y0 = np.concatenate([p, frame.ravel()])
     path = integrate.rk4_flow(rhs, y0, duration, h)
     end = path[-1]
     return (wrap_torus(end[:dim], cd.space.torus_dim),

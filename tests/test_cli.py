@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ def test_prolong_inexact_box_exit_two(capsys, tmp_path, monkeypatch, radius, k):
     monkeypatch.setattr(coisotropy, "_jacobian", no_assembly)
     path = sect("obstructed.json")
     if k is not None:
-        data = json.loads(open(path).read())
+        data = json.loads(Path(path).read_text())
         for c in "fg":
             data[c]["terms"][0]["k"] = k
         path = tmp_path / "direction.json"
@@ -186,7 +187,7 @@ def test_prolong_key_overflow_exit_two(capsys, tmp_path, monkeypatch):
     def no_work(*args):
         raise AssertionError("started the solve")
     monkeypatch.setattr(coisotropy, "linearized_residual", no_work)
-    data = json.loads(open(sect("obstructed.json")).read())
+    data = json.loads(Path(sect("obstructed.json")).read_text())
     for c in "fg":
         data[c]["trunc_order"] = 1552
     path = tmp_path / "wide.json"
@@ -426,10 +427,9 @@ def test_default_report_bytes_pinned(capsys, tmp_path):
 
 
 def test_radius1_prolong_evaluates_one_residual(capsys, monkeypatch):
-    # every attempt of the one iteration lands on the start's iterate, so the
-    # CLI solve evaluates the start's residual and factors one sector, and
-    # prints the pinned report; the sector is empty, so every lam steps by 0
-    # and one attempt (one step call, not 12) decides the iteration
+    # the CLI solve evaluates the start's residual and factors one sector,
+    # and prints the pinned report; the sector is empty, so every lam steps
+    # by 0 and the iteration takes no trial and calls no step
     calls = {"residual": 0, "factor": 0, "step": 0}
 
     def residual(*args, _orig=coisotropy.residual):
@@ -449,7 +449,7 @@ def test_radius1_prolong_evaluates_one_residual(capsys, monkeypatch):
     command = "prolong obstructed.json --eps 0.1"
     code, out, _ = run(capsys, "prolong", sect("obstructed.json"), "--eps", "0.1")
     assert (code, sha256(out)) == (REPORT_EXIT_CODES[command], REPORT_DIGESTS[command])
-    assert calls == {"residual": 1, "factor": 1, "step": 1}
+    assert calls == {"residual": 1, "factor": 1, "step": 0}
 
 
 # -- flow ---------------------------------------------------------------------------
@@ -593,13 +593,13 @@ def test_bad_payload_exit_two(capsys, tmp_path):
     bad = tmp_path / "payload.json"
     payloads = [({"f": {"oops": 1}}, "")]
     for term in ({"re": math.nan}, {"re": "0.5"}, {"im": True}, {"re": 10 ** 400}):
-        data = json.loads(open(sect("obstructed.json")).read())
+        data = json.loads(Path(sect("obstructed.json")).read_text())
         data["f"]["terms"][0].update(term)
         payloads.append((data, "must be a finite number"))
     # a component off T^5, and components over different spaces
     for key, value, why in (("torus_dim", 3, "scalar fields on T^5"),
                             ("trunc_order", 6, "live over different spaces")):
-        data = json.loads(open(sect("obstructed.json")).read())
+        data = json.loads(Path(sect("obstructed.json")).read_text())
         data["g"].update({key: value, "terms": []})
         payloads.append((data, why))
     for data, why in payloads:
@@ -621,7 +621,7 @@ def test_mode_outside_box_exit_two(capsys, tmp_path, monkeypatch, command, k, wh
     # alias another mode's packed key, and k2 = 1.5 would be read as 1; a
     # second term at a mode the file already has used to replace the first
     monkeypatch.setattr(fields, "STRICT", False)
-    data = json.loads(open(sect("obstructed.json")).read())
+    data = json.loads(Path(sect("obstructed.json")).read_text())
     data["f"]["terms"].append({"k": k, "m": [], "re": 0.5, "im": 0.0})
     path = tmp_path / "section.json"
     path.write_text(json.dumps(data))

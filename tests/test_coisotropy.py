@@ -356,6 +356,18 @@ def test_prolong_rejects_negative_radius_and_max_iters(monkeypatch):
         prolong(obstructed_direction(), 0.1, ProlongOptions(max_iters=-2))
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+def test_prolong_refuses_a_tol_it_cannot_honour(monkeypatch, tol):
+    # -1 used to call an exact zero obstructed, inf to call the radius-1
+    # stall converged, and NaN to end in max_iters: each is refused before
+    # any work
+    def no_work(*args):
+        raise AssertionError("started the solve")
+    monkeypatch.setattr(coisotropy, "linearized_residual", no_work)
+    with pytest.raises(PreconditionError, match=r"tol=.* outside \[0, inf\)"):
+        prolong(obstructed_direction(), 0.1, ProlongOptions(tol=tol))
+
+
 @pytest.mark.parametrize("radius", [np.int64(1), (np.int64(1),) * 5, np.ones(5, dtype=int)],
                          ids=["int64", "int64-tuple", "int-array"])
 def test_prolong_accepts_numpy_integer_radius(radius):
@@ -611,10 +623,8 @@ def test_prolong_factors_once_per_rejected_iteration(monkeypatch):
     calls = counted_calls(monkeypatch, ("lstsq", np.linalg, "lstsq"), ("svd", np.linalg, "svd"),
                           ("factor", coisotropy, "_sector_steps"),
                           ("residual", coisotropy, "residual"))
-    # radius 1: the first attempt and 11 damped retries are all rejected; no
-    # column reaches the residual, so the sector is empty and takes no SVD,
-    # and every attempt's iterate is the current one, so the start's
-    # residual is the only one
+    # radius 1: no column reaches the residual, so the sector is empty: it
+    # takes no SVD and no trial, and the start's residual is the only one
     rep = prolong(obstructed_direction(), 0.1)
     assert (rep.status, rep.iterations) == ("obstructed", 1)
     assert rep.diagnostic == "no descent direction found (damping exhausted)"
@@ -634,19 +644,41 @@ def shifted_direction():
     return Section(Field.constant(SP, 0.2) + c, c)
 
 
-def test_prolong_rejects_a_judged_iterate_without_its_residual(monkeypatch):
+def test_prolong_takes_no_trial_in_an_empty_sector(monkeypatch):
     # with tol 0 the solve reaches a zero residual after 3 accepted attempts;
-    # the next iteration's steps are 0, and the projection moves the iterate
-    # to one point that is not the current one: its first attempt judges
-    # and rejects that point, and the 11 damped retries, which land on it
-    # again, are rejected without a residual
+    # the next iteration's residual has no nonzero row, so its sector is
+    # empty and every lam steps by 0: it takes no trial, and the damping
+    # diagnostic ends the solve with the start's and 3 accepted residuals
     calls = counted_calls(monkeypatch, ("residual", coisotropy, "residual"),
                           ("section", coisotropy, "Section"))
     rep = prolong(shifted_direction(), 0.1, ProlongOptions(tol=0.0))
     assert (rep.status, rep.iterations) == ("max_iters", 4)
     assert rep.residual_norm_history[-2:] == [0.0, 0.0]
     assert rep.diagnostic == "stalled near the tolerance without a usable Gauss-Newton direction"
-    assert calls == {"residual": 5, "section": 5}
+    assert calls == {"residual": 4, "section": 4}
+
+
+@pytest.mark.parametrize("direction, eps, opts", [
+    (obstructed_direction, 0.1, ProlongOptions()),
+    (obstructed_direction, 0.1, ProlongOptions(solver_radius=(2, 1, 1, 1, 1))),
+    (obstructed_direction, 0.1, ProlongOptions(solver_radius=(3, 4, 4, 0, 0))),
+    (control_direction, 0.1, ProlongOptions()),
+    (control_direction, 0.1, ProlongOptions(solver_radius=(2, 1, 1, 1, 1))),
+    (st_sin_direction, 0.25, ProlongOptions()),
+    (shifted_direction, 0.1, ProlongOptions(tol=0.0))],
+    ids=["radius1", "box", "box344", "control-radius1", "control-box", "st-sin",
+         "shifted-tol0"])
+def test_prolong_judges_no_trial_twice(monkeypatch, direction, eps, opts):
+    # the tube is the only rule that rejects a trial before its residual, so
+    # no solve may reach a trial it has already judged
+    judged = []
+
+    def recorded(s, _orig=residual):
+        judged.append((frozenset(s.f.packed.items()), frozenset(s.g.packed.items())))
+        return _orig(s)
+    monkeypatch.setattr(coisotropy, "residual", recorded)
+    prolong(direction(), eps, opts)
+    assert judged and len(set(judged)) == len(judged)
 
 
 def test_a_section_builds_its_jets_once(monkeypatch):

@@ -308,6 +308,20 @@ def test_frame_transport_refuses_a_frame_not_dim_by_k(cd, monkeypatch, shape):
         ct.flow_with_frame(cd, Field.constant(cd.space, 1.0), np.zeros(7), np.zeros(shape), 0.1)
 
 
+@pytest.mark.parametrize("shape", [(6,), (8,), (2, 7)], ids=["short", "long", "stack"])
+def test_frame_transport_refuses_a_point_not_dim(cd, monkeypatch, shape):
+    # a (6,) point failed at the first rhs call and a (2, 7) stack in
+    # np.concatenate, each after the contact field was built: each is
+    # refused before anything is built or integrated
+    def never(*args):
+        raise AssertionError("built or integrated before the point was checked")
+
+    monkeypatch.setattr(ct, "contact_vector_field", never)
+    monkeypatch.setattr(integrate, "rk4_flow", never)
+    with pytest.raises(ShapeError, match="point of shape"):
+        ct.flow_with_frame(cd, Field.constant(cd.space, 1.0), np.zeros(shape), np.eye(7), 0.1)
+
+
 def test_flow_field_exact_at_box_edge(cd):
     """Hamiltonians whose contact field leaves cd's box (a |k1| = N mode, a
     y4^2 term): the flow's right-hand side still matches the pointwise
