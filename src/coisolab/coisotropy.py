@@ -203,39 +203,44 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     from ``box_keys``.  A solve builds the box's layout
     (``fields.real_coords``) once, and every attempt writes its iterate through
     it.  What an iteration builds from key arrays alone is built once per
-    distinct key set in a solve: the solve's ``_Structure`` keeps the
-    sector's closure and ``_jacobian``'s column modes, entry pattern and row
-    layout, and rebuilds each only when its key arrays change.  Each
-    iterate is evaluated once: a section builds its first jets on first use
+    distinct key set in a solve: the solve's ``_Structure`` keeps the sector's
+    closure (keyed on the iterate's keys) and ``_jacobian``'s column modes and
+    entry pattern, and rebuilds each only when its keys change.  Each iterate
+    is evaluated once: a section builds its first jets on first use
     (``Section.jets``), so ``residual`` and the next ``_jacobian`` share them.
     A trial x outside the tube max|x - eps u| <= TUBE eps max|u| is rejected
-    without a section or a residual.
-    The Jacobian is assembled in closed form from the jets of single
-    exponentials (``_jacobian``), with no Field product per column, as sparse
-    triplets; its rows come in sorted key order.  Restricting it to the
-    complement changes only the direction's columns, so the projected Jacobian
-    stays sparse.  Only the residual's sector, the rows and columns that a
-    chain of entries joins to a nonzero residual row, gets a step.  So each
-    iteration assembles only the columns of a key-space closure that contains
-    the sector (``_sector_keys``), maps them back to the box's real slots, and
-    takes one thin SVD of the sector (``_sector_steps``); that one
-    factorization serves the undamped step and every damped retry.  Every other
-    unknown's step is exactly 0.  The verdict is decided once, after the loop,
-    from the history's last norm: ``converged`` below tol; else ``obstructed``
-    if the loop stopped on the stall window (relative decrease below STALL_REL
-    over STALL_WINDOW iterations) or on damping exhaustion (12 rejected
-    attempts, or none when the sector is empty and every lam steps by 0) and
-    the norm is above 100*tol; else ``max_iters``.  A tol outside [0, inf),
-    inexact boxes (``_solver_radii``), keys beyond int64 and boxes of more
-    than MAX_UNKNOWNS real unknowns are refused before any work on the box; a
-    sector closure that grows past MAX_SECTOR is refused before its assembly."""
+    without a section or a residual.  The Jacobian is assembled in closed form
+    from the jets of single exponentials (``_jacobian``), with no Field product
+    per column, as sparse triplets; its rows come in sorted key order.
+    Restricting it to the complement changes only the direction's columns, so
+    the projected Jacobian stays sparse.  Only the residual's sector, the rows
+    and columns that a chain of entries joins to a nonzero residual row, gets a
+    step.  So each iteration assembles only the columns of a key-space closure
+    that contains the sector (``_sector_keys``), maps them back to the box's
+    real slots, and takes one thin SVD of the sector (``_sector_steps``); that
+    one factorization serves the undamped step (rank cutoff eps_mach n s_max)
+    and every damped retry.  Every other unknown's step is exactly 0.  The
+    verdict is decided once, after the loop, from the history's last norm:
+    ``converged`` below tol; else ``obstructed`` if the loop stopped on the
+    stall window (relative decrease below STALL_REL over STALL_WINDOW
+    iterations) or on damping exhaustion (12 rejected attempts, or none when
+    the sector is empty and every lam steps by 0) and the norm is above
+    100*tol; else ``max_iters``.  A tol outside [0, inf), a max_iters that is
+    no integer >= 0, inexact boxes (``_solver_radii``), keys beyond int64 and
+    boxes of more than MAX_UNKNOWNS real unknowns are refused before any work
+    on the box; a sector closure that grows past MAX_SECTOR is refused before
+    its assembly."""
     opts = opts or ProlongOptions()
     if not 0.0 < eps <= 0.5:
         raise PreconditionError(f"eps={eps} outside (0, 0.5]")
     if not 0.0 <= opts.tol < math.inf:
         raise PreconditionError(f"tol={opts.tol} outside [0, inf)")
-    if opts.max_iters < 0:
-        raise PreconditionError(f"max_iters={opts.max_iters} is negative")
+    try:
+        max_iters = operator.index(opts.max_iters)
+    except TypeError:
+        raise PreconditionError(f"max_iters must be an integer, got {opts.max_iters!r}") from None
+    if max_iters < 0:
+        raise PreconditionError(f"max_iters={max_iters} is negative")
     sp = direction.space
     # 2 zero_key is the key of (2N, ..., 2N), the largest sum of two in-box modes
     if 2 * sp.zero_key > np.iinfo(np.int64).max:
@@ -270,10 +275,10 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
     def project_complement(z):
         return z - (np.dot(w * z, u) / uu) * u
 
-    def sector_columns(own, res_rows):
+    def sector_columns(own):
         """The closure's layout, and the box's real slot of each of its
         columns, f block then g block."""
-        cols = real_coords(sp, _sector_keys(sp, box.keys, own, res_rows, supp_keys))
+        cols = real_coords(sp, _sector_keys(sp, box.keys, own, supp_keys))
         shift = np.repeat(box.slot[np.searchsorted(box.keys, cols.keys)] - cols.slot,
                           cols.held.sum(axis=1))
         to_box = np.arange(len(cols.weight)) + shift
@@ -289,7 +294,7 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
 
     # the loop only iterates; a diagnostic records that it stopped on the stall
     # window or on damping exhaustion
-    for _ in range(opts.max_iters):
+    for _ in range(max_iters):
         if norm < opts.tol:
             break
         if len(history) > STALL_WINDOW and norm > 100.0 * opts.tol:
@@ -300,13 +305,9 @@ def prolong(direction: Section, eps: float, opts: ProlongOptions | None = None) 
                               f"below STALL_REL = {STALL_REL:g}")
                 break
 
-        # the closure is a function of the iterate's key set and of the
-        # residual's canonical nonzero rows
+        # the closure is a function of the iterate's key set alone
         own = np.unique(np.fromiter([*s.f.packed, *s.g.packed], np.int64))
-        res_rows = np.sort(np.fromiter([k for k in r_field.packed if k >= sp.zero_key],
-                                       np.int64))
-        cols, to_box = structure.get("closure", (own, res_rows),
-                                     lambda: sector_columns(own, res_rows))
+        cols, to_box = structure.get("closure", (own,), lambda: sector_columns(own))
         rows, ri, ci, v = _jacobian(cols, s, structure)
         # _jacobian's columns are the real slots of cols; map them to the box's
         ci = to_box[ci]
@@ -377,19 +378,19 @@ def _solver_radii(direction: Section, radius, sp: Space):
     return radii
 
 
-def _sector_keys(sp: Space, box, own, res_rows, support):
+def _sector_keys(sp: Space, box, own, support):
     """The keys of ``box`` whose columns ``prolong`` assembles: a closure in
     key space, found before any assembly, that contains the residual's sector.
 
     A column q can hold entries only on the canonical keys among +-q + o and
     on q itself (its linear part), o an offset of ``_exponential_columns``:
     the keys ``own`` of the iterate shifted by +-e1, a set closed under mates.
-    So a row r can meet only the box's columns among +-r + o, and r.  The
-    closure starts from ``res_rows``, the residual's nonzero canonical rows,
-    and from ``support``, the keys of the direction's support, which the
-    constraint projection couples through A u, and alternates the two
-    reaches until neither grows.  It is refused when its real rows x
-    columns, or the key sums of a reach, pass MAX_SECTOR."""
+    So a row r can meet only the box's columns among +-r + o, and r.  Every
+    residual term lands on some a + o, a in ``own``, so the closure starts
+    from the columns of the iterate's canonical keys and of ``support``, the
+    direction's, which the constraint projection couples through A u, and
+    alternates the two reaches until neither grows.  It is refused when its
+    real rows x columns, or the key sums of a reach, pass MAX_SECTOR."""
     zero, e1 = sp.zero_key, sp.weights[0]
     offsets = np.unique(np.concatenate([own - zero - e1, own - zero + e1]))
 
@@ -400,8 +401,8 @@ def _sector_keys(sp: Space, box, own, res_rows, support):
     def real(keys):
         return 2 * len(keys) - (keys[:1] == zero).sum()
 
-    rows = cols = np.zeros(0, np.int64)
-    new_rows, new_cols = res_rows, support
+    rows = cols = new_rows = np.zeros(0, np.int64)
+    new_cols = np.union1d(own[own >= zero], support)
     while new_rows.size or new_cols.size:
         rows, cols = np.union1d(rows, new_rows), np.union1d(cols, new_cols)
         sums = 2 * (len(new_rows) + len(new_cols)) * len(offsets)
@@ -425,20 +426,17 @@ def _sector_steps(ri, ci, v, rvec, n: int):
     chain of entries joins to a row where rvec is nonzero.  Every other
     column meets only rows where rvec is 0, so its step is exactly 0.
 
-    At lam = 0 the step is the minimum-norm least-squares solution, with
-    ``numpy.linalg.lstsq``'s default cutoff for the m x n system: a singular
-    value at or below eps_mach max(m, n) s_max counts as zero, s_max the
-    sector's largest.  ``prolong`` passes the rows it assembled, so m counts
-    the rows of the sector's closure, not of the whole box; n is the box's
-    unknowns.  At
-    lam > 0 it is argmin ||AP d + rvec||^2 + lam ||d||^2 = -V diag(s / (s^2 +
-    lam)) U^T rvec, and no singular value is cut: near-null ones of order
-    1e-12 ||AP|| still carry weight s / lam at lam = 1e-8."""
-    m = len(rvec)
+    At lam = 0 the step is the minimum-norm least-squares solution with a
+    singular value at or below eps_mach n s_max counted as zero, n the box's
+    unknowns and s_max the sector's largest: a numerical rank threshold of
+    the problem, which no count of assembled rows enters.  At lam > 0 it is
+    argmin ||AP d + rvec||^2 + lam ||d||^2 = -V diag(s / (s^2 + lam)) U^T
+    rvec, and no singular value is cut: near-null ones of order 1e-12 ||AP||
+    still carry weight s / lam at lam = 1e-8."""
     in_row, in_col = rvec != 0, np.zeros(n, bool)
     while True:
         in_col[ci[in_row[ri]]] = True
-        grown = np.zeros(m, bool)
+        grown = np.zeros_like(in_row)
         grown[ri[in_col[ci]]] = True
         if np.array_equal(grown, in_row):
             break
@@ -451,7 +449,7 @@ def _sector_steps(ri, ci, v, rvec, n: int):
     B[np.searchsorted(rows, ri[entries]), np.searchsorted(cols, ci[entries])] = v[entries]
     U, sv, Vt = np.linalg.svd(B, full_matrices=False)
     c = U.T @ rvec[rows]
-    cutoff = np.finfo(float).eps * max(m, n) * sv[0]
+    cutoff = np.finfo(float).eps * n * sv[0]
 
     def step(lam):
         if lam > 0:
@@ -467,13 +465,14 @@ def _sector_steps(ri, ci, v, rvec, n: int):
 class _Structure:
     """What a solve's iterations share while their key sets repeat: per
     piece, the last build and the key arrays it came from.  ``get`` rebuilds
-    a piece only when one of its key arrays differs (``_same_keys``) from
+    a piece only when one of its key arrays differs, entry for entry, from
     the last build's, so each piece holds one key set at a time.  A piece is
     a function of its key arrays alone, so a reused one is the build they
-    would give again.  ``prolong`` keeps four, each a build whose reuse
+    would give again.  ``prolong`` keeps three, each a build whose reuse
     measurably shortens a solve: "closure" (``_sector_keys``' search and the
-    columns' layout), "columns" (``_column_modes``), "entries"
-    (``_entry_pattern``) and "rows" (the rows' layout)."""
+    columns' layout, keyed on the iterate's keys), "columns"
+    (``_column_modes``) and "entries" (``_entry_pattern``, with the rows'
+    layout)."""
 
     def __init__(self):
         self._built = {}
@@ -481,13 +480,9 @@ class _Structure:
     def get(self, piece, keys: tuple, build):
         """build(), or the last build of ``piece`` if it came from ``keys``."""
         last = self._built.get(piece)
-        if last is None or not all(map(_same_keys, keys, last[0])):
+        if last is None or not all(map(np.array_equal, keys, last[0])):
             last = self._built[piece] = keys, build()
         return last[1]
-
-
-# whether two key arrays are equal, entry for entry
-_same_keys = np.array_equal
 
 
 def _exponential_columns(jet, factors):
@@ -558,10 +553,10 @@ def _entry_pattern(cols: CoordLayout, pkeys, pq, linear, offsets):
     """Where ``_jacobian``'s triplets go, from the columns and each block's
     jet offsets: per block the flat indices (p, offset) of its quadratic
     triplets, every one whose row key is canonical, and their c = i
-    factors; then the ascending row keys, each triplet's (row, slot pair)
-    entry, the entry count, and per entry its row rank, whether it is E_0's
-    column, whether its row has an imaginary part, and its real column slot
-    for c = 1."""
+    factors; then the layout (``real_coords``) of every row key a triplet
+    lands on, each triplet's (row, slot pair) entry, the entry count, and
+    per entry whether it is E_0's column, whether its row has an imaginary
+    part, and its real row slot and its real column slot for c = 1."""
     box, zero, nq = cols.keys, cols.space.zero_key, len(cols.keys)
     flats, rotate, row_keys, column = [], [], [], []
     for block, offs in enumerate(offsets):
@@ -577,17 +572,19 @@ def _entry_pattern(cols: CoordLayout, pkeys, pq, linear, offsets):
     row_keys, rank = np.unique(np.concatenate(row_keys), return_inverse=True)
     uniq, inv = np.unique(rank * (2 * nq) + np.concatenate(column), return_inverse=True)
     rank, (block, qi) = uniq // (2 * nq), divmod(uniq % (2 * nq), nq)
-    return (flats, rotate, row_keys, inv, len(uniq), rank, box[qi] == zero,
-            row_keys[rank] != zero, block * len(cols.weight) + cols.slot[qi])
+    rows = real_coords(cols.space, row_keys)
+    return (flats, rotate, rows, inv, len(uniq), box[qi] == zero, row_keys[rank] != zero,
+            rows.slot[rank], block * len(cols.weight) + cols.slot[qi])
 
 
 def _jacobian(cols: CoordLayout, s: Section, structure: _Structure | None = None):
     """Gauss-Newton Jacobian of the residual at s: the layout
-    (``real_coords``) of its rows' ascending canonical keys and its nonzero
-    real entries (row, column, value) on the real slots of the rows and of
-    ``cols``.  Columns are the real unknowns on the keys of the layout
-    ``cols``, a whole solver box or any part of one, the f block then the g
-    block:
+    (``real_coords``) of its rows, every canonical key a triplet lands on in
+    ascending order, and its nonzero real entries (row, column, value) on
+    the real slots of the rows and of ``cols``.  A row may hold no entry:
+    the rows depend on keys alone.  Columns are the real unknowns on the
+    keys of the layout ``cols``, a whole solver box or any part of one, the
+    f block then the g block:
     c E_k + conj(c) E_-k for c = 1, i on the slot pair of a key k != 0, and
     E_0 on the slot of k = 0.
 
@@ -604,17 +601,17 @@ def _jacobian(cols: CoordLayout, s: Section, structure: _Structure | None = None
 
     What depends on key arrays alone comes from ``structure``: the pieces
     "columns" (``_column_modes``: the columns' modes, factors and linear
-    part, keyed on their keys), "entries" (``_entry_pattern``: every
-    triplet's place, keyed on the columns' keys and both jets' offsets) and
-    "rows" (the rows' layout, keyed on their keys).  ``prolong`` passes its
-    solve's, so an iteration whose key arrays repeat the last one's rebuilds
-    none of them; without one, all are built.  The jets' offsets and every
-    value are computed afresh, in the same order, either way."""
+    part, keyed on their keys) and "entries" (``_entry_pattern``: every
+    triplet's place and the rows' layout, keyed on the columns' keys and
+    both jets' offsets).  ``prolong`` passes its solve's, so an iteration
+    whose key arrays repeat the last one's rebuilds neither; without one,
+    both are built.  The jets' offsets and every value are computed afresh,
+    in the same order, either way."""
     structure = _Structure() if structure is None else structure
-    sp, box = s.space, cols.keys
+    box = cols.keys
     pkeys, pq, factors, linear = structure.get("columns", (box,), lambda: _column_modes(cols))
     offsets, values = zip(*(_exponential_columns(jet, factors) for jet in reversed(s.jets)))
-    flats, rotate, row_keys, inv, entries, rank, e0, has_im, col_slot = structure.get(
+    flats, rotate, rows, inv, entries, e0, has_im, row_slot, col_slot = structure.get(
         "entries", (box, *offsets), lambda: _entry_pattern(cols, pkeys, pq, linear, offsets))
     # per triplet: the quadratic part of the c = 1 and c = i columns, and
     # the linear part of the c = 1 column
@@ -629,13 +626,9 @@ def _jacobian(cols: CoordLayout, s: Section, structure: _Structure | None = None
         total += c * lin
     quad = np.stack(quad)
     quad[1, e0] = 0.0   # E_0 has no c = i column
-    kept = np.unique(rank[quad.any(axis=0)])
-    rows = structure.get("rows", (row_keys[kept],), lambda: real_coords(sp, row_keys[kept]))
-    row_slot = np.zeros(len(row_keys), np.int64)
-    row_slot[kept] = rows.slot
     # v[part, c, j]: the real (part 0) or imaginary (part 1) part of entry j
     # of the c = 1 (c = 0) or c = i (c = 1) column, on real row slot + part
     # and real column slot + c; the row of k = 0 has no imaginary part
     v = np.stack([quad.real, np.where(has_im, quad.imag, 0.0)])
     part, c, j = np.nonzero(v)
-    return rows, row_slot[rank[j]] + part, col_slot[j] + c, v[part, c, j]
+    return rows, row_slot[j] + part, col_slot[j] + c, v[part, c, j]

@@ -132,9 +132,11 @@ def classify_leaf_linear(t: float, tol: float = 1e-9,
     rational when a continued-fraction convergent approximates it to within
     tol/q^2 (closeness measured on the natural q^2 scale, so that doubles of
     small rationals are accepted while the convergents every irrational has
-    below the denominator cap are not)."""
+    below the denominator cap are not).  A tol outside (0, inf) is refused:
+    0 would call a rational a cylinder, inf an irrational a torus."""
     if not math.isfinite(t):
         raise ValueError(f"non-finite parameter {t}")
+    _require_tol(tol)
     quotients, convergents = continued_fraction_convergents(t, max_denominator)
     best = None
     for p, q in convergents:
@@ -154,11 +156,18 @@ def classify_leaf_linear(t: float, tol: float = 1e-9,
     return LeafClass("cylinder", evidence=evidence)
 
 
+def _require_tol(tol: float):
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol={tol} outside (0, inf)")
+
+
 def integrality_scan(t_values, tol: float = 1e-9,
                      max_denominator: int = 10 ** 6) -> dict:
     """Classify the family over a parameter list and flag the instability:
     the undeformed t = 0 leaf space is a torus fibration while parameters
-    arbitrarily close to 0 produce cylinder (non-torus) leaves."""
+    arbitrarily close to 0 produce cylinder (non-torus) leaves.  A tol
+    outside (0, inf) is refused before any parameter is classified."""
+    _require_tol(tol)
     results = []
     for t in t_values:
         verdict = classify_leaf_linear(float(t), tol, max_denominator)

@@ -274,15 +274,15 @@ def test_prolong_rejects_bad_eps():
 
 def test_prolong_refuses_oversized_system_before_assembly(monkeypatch):
     # radius 2 has 6250 unknowns; the first closure starts from the 2 real
-    # rows of eps^2 sin x1 and the 2 real columns of the direction's key, and
-    # its second round reaches 8 x 8.  Either bound, set below these, refuses
-    # before any Jacobian is assembled
+    # columns of the direction's key, the iterate's one canonical key, its
+    # second round reaches 8 rows and its third 8 x 12.  Either bound, set
+    # below these, refuses before any Jacobian is assembled
     def no_assembly(*args):
         raise AssertionError("assembled a Jacobian")
     monkeypatch.setattr(coisotropy, "_jacobian", no_assembly)
     for bound, value, match in (
             ("MAX_UNKNOWNS", 6249, "solver box of 6250 unknowns exceeds MAX_UNKNOWNS = 6249"),
-            ("MAX_SECTOR", 40, "solver sector grows past MAX_SECTOR = 40: 8x8 real rows x columns")):
+            ("MAX_SECTOR", 40, "solver sector grows past MAX_SECTOR = 40: 8x12 real rows x columns")):
         with monkeypatch.context() as patch:
             patch.setattr(coisotropy, bound, value)
             with pytest.raises(PreconditionError, match=match):
@@ -368,6 +368,19 @@ def test_prolong_refuses_a_tol_it_cannot_honour(monkeypatch, tol):
         prolong(obstructed_direction(), 0.1, ProlongOptions(tol=tol))
 
 
+@pytest.mark.parametrize("max_iters", [2.5, math.nan, "3", None],
+                         ids=["half", "nan", "string", "none"])
+def test_prolong_refuses_a_non_integer_max_iters(monkeypatch, max_iters):
+    # 2.5 and NaN used to build the box, the start section and its residual
+    # and then fail with a bare TypeError from range, "3" with one from <:
+    # each is refused before any work
+    def no_work(*args):
+        raise AssertionError("started the solve")
+    monkeypatch.setattr(coisotropy, "linearized_residual", no_work)
+    with pytest.raises(PreconditionError, match="max_iters must be an integer"):
+        prolong(obstructed_direction(), 0.1, ProlongOptions(max_iters=max_iters))
+
+
 @pytest.mark.parametrize("radius", [np.int64(1), (np.int64(1),) * 5, np.ones(5, dtype=int)],
                          ids=["int64", "int64-tuple", "int-array"])
 def test_prolong_accepts_numpy_integer_radius(radius):
@@ -420,8 +433,8 @@ def blocks_of(ri, ci, m, n):
 def block_steps(ri, ci, v, rvec, n):
     """The steps of ``_sector_steps`` by the per-block route it replaced: one
     thin SVD per block of ``blocks_of``, touched by the residual or not, and
-    at lam = 0 the cutoff eps_mach max(m, n) s_max with s_max the largest
-    singular value over every block."""
+    at lam = 0 the cutoff eps_mach n s_max with s_max the largest singular
+    value over every block."""
     m = len(rvec)
     factors = []
     for rows, cols, entries in blocks_of(ri, ci, m, n):
@@ -430,7 +443,7 @@ def block_steps(ri, ci, v, rvec, n):
         U, sv, Vt = np.linalg.svd(B, full_matrices=False)
         factors.append((cols, sv, U.T @ rvec[rows], Vt))
     s_max = max((sv[0] for _, sv, _, _ in factors), default=0.0)
-    cutoff = np.finfo(float).eps * max(m, n) * s_max
+    cutoff = np.finfo(float).eps * n * s_max
 
     def step(lam):
         delta = np.zeros(n)
@@ -478,8 +491,9 @@ def test_block_steps_solve_a_planted_system(shapes):
     r_off_chain[chain_rows] = 0.0
     for rhs in (r, r_off_chain):
         step = _sector_steps(ri, ci, AP[ri, ci], rhs, n)
-        # lam = 0: lstsq's minimum-norm solution with its default cutoff; the
-        # zero column gets a step of exactly 0
+        # lam = 0: lstsq's minimum-norm solution (no singular value lies
+        # between its default cutoff and eps_mach n s_max); the zero column
+        # gets a step of exactly 0
         want, *_ = np.linalg.lstsq(AP, -rhs, rcond=None)
         assert np.linalg.norm(step(0.0) - want) < 1e-10 * np.linalg.norm(want)
         assert step(0.0)[col_perm[-1]] == 0.0
@@ -500,6 +514,23 @@ def test_block_steps_solve_a_planted_system(shapes):
     none = np.zeros(0, np.int64)
     assert blocks_of(none, none, m, n) == []
     assert not np.any(_sector_steps(none, none, np.zeros(0), r, n)(0.0))
+
+
+def test_sector_steps_cutoff_counts_the_unknowns_not_the_rows():
+    # m = 1000 rows for n = 4 unknowns: two rows hold one entry each, the
+    # rest are zero-residual padding.  The sector's singular values are 1
+    # and 1e-14, which lies between eps_mach n s_max (8.9e-16) and
+    # eps_mach max(m, n) s_max (2.2e-13): the undamped step keeps it, so
+    # the padding does not change the step
+    m, n, small = 1000, 4, 1e-14
+    assert np.finfo(float).eps * n < small < np.finfo(float).eps * max(m, n)
+    ri, ci, v = np.array([3, 700]), np.array([0, 2]), np.array([small, 1.0])
+    rvec = np.zeros(m)
+    rvec[[3, 700]] = 2 * small, 0.5
+    for steps in (_sector_steps, block_steps):
+        got = steps(ri, ci, v, rvec, n)(0.0)
+        assert np.allclose(got, [-2.0, 0.0, -0.5, 0.0], rtol=1e-12, atol=0.0)
+        assert got[1] == got[3] == 0.0
 
 
 def control_direction():
@@ -595,16 +626,14 @@ def test_jacobian_assembles_only_the_closure(monkeypatch):
     # closure holds them even where no residual row reaches them
     support = np.array([SP.pack((0, 1, 0, 0, 0), ()), SP.pack((0, 0, 0, 1, 1), ())])
     keys = coisotropy._sector_keys(SP, box_keys(SP, (2, 1, 1, 1, 1)),
-                                   *closure_keys(calls[0][1], Field.zero(SP)), support)
+                                   closure_keys(calls[0][1]), support)
     assert np.all(np.isin(support, keys))
 
 
-def closure_keys(s, r_field):
-    """The key arrays prolong passes to _sector_keys for the iterate s and
-    its residual: s's unique keys and the residual's sorted canonical rows."""
-    own = np.unique(np.fromiter([*s.f.packed, *s.g.packed], np.int64))
-    rows = np.sort(np.fromiter([k for k in r_field.packed if k >= s.space.zero_key], np.int64))
-    return own, rows
+def closure_keys(s):
+    """The key array prolong passes to _sector_keys for the iterate s: its
+    unique keys."""
+    return np.unique(np.fromiter([*s.f.packed, *s.g.packed], np.int64))
 
 
 def counted_calls(monkeypatch, *targets):
@@ -719,22 +748,28 @@ def test_a_section_builds_its_jets_once(monkeypatch):
     assert rep.final_section is evaluated[-1]
 
 
-def iterate_key_counts(monkeypatch):
-    """A list that a wrapper over _jacobian fills with the number of keys of
-    each assembled iterate, f's and g's."""
-    counts = []
+def iterate_keys(monkeypatch):
+    """A list that a wrapper over _jacobian fills with the unique keys of
+    each assembled iterate, f's and g's (``closure_keys``), as lists."""
+    keys = []
 
     def jacobian(cols, s, *structure, _orig=_jacobian):
-        counts.append(len(s.f.packed) + len(s.g.packed))
+        keys.append(closure_keys(s).tolist())
         return _orig(cols, s, *structure)
     monkeypatch.setattr(coisotropy, "_jacobian", jacobian)
-    return counts
+    return keys
+
+
+def key_set_changes(keys):
+    """How many distinct key sets a solve's iterates run through, counting
+    a set again each time it returns."""
+    return 1 + sum(a != b for a, b in zip(keys, keys[1:]))
 
 
 # tol 0 makes st_sin.json, exactly coisotropic at eps u, build one system;
 # the shifted direction's lam = 0 cutoff sits next to a singular value.
 # closures: how many the solve builds, one per change of the iterate's key
-# set or of its residual's rows
+# set
 @pytest.mark.parametrize("direction, opts, closures", [
     (obstructed_direction, ProlongOptions(), 1),
     (obstructed_direction, ProlongOptions(solver_radius=(2, 1, 1, 1, 1)), 2),
@@ -751,9 +786,10 @@ def test_structure_reuse_is_bit_exact(monkeypatch, direction, opts, closures):
     def solve(defeated):
         with monkeypatch.context() as patch:
             if defeated:
-                patch.setattr(coisotropy, "_same_keys", lambda a, b: False)
+                patch.setattr(coisotropy._Structure, "get",
+                              lambda structure, piece, keys, build: build())
             calls = counted_calls(patch, ("closures", coisotropy, "_sector_keys"))
-            keys = iterate_key_counts(patch)
+            keys = iterate_keys(patch)
             rep = prolong(direction(), 0.1, opts)
         text = json.dumps(rep.to_json_dict())
         return rep, text, [float.hex(x) for x in rep.residual_norm_history], calls, keys
@@ -762,14 +798,14 @@ def test_structure_reuse_is_bit_exact(monkeypatch, direction, opts, closures):
     want, want_text, want_hexes, rebuilt, want_keys = solve(defeated=True)
     assert text == want_text and hexes == want_hexes and keys == want_keys
     assert rebuilt["closures"] == want.iterations == len(keys)
-    assert reused["closures"] == closures
+    assert reused["closures"] == key_set_changes(keys) == closures
 
 
 def test_prolong_rebuilds_structure_when_the_key_set_changes(monkeypatch):
-    # obstructed.json at (2, 1, 1, 1, 1): the iterate has 4 keys at the
-    # start and 12 from the second iteration on, and the residual's rows stay
-    # put after that, so 2 closures, column layouts and row layouts serve 7
-    # iterations, where rebuilding at every iteration builds 7 of each
+    # obstructed.json at (2, 1, 1, 1, 1): the iterate has 2 unique keys at
+    # the start and 6 from the second iteration on, so 2 closures, column
+    # layouts and row layouts serve 7 iterations, where rebuilding at every
+    # iteration builds 7 of each
     closures, layouts, builds = [], [], {}
 
     def get(structure, piece, keys, build, _orig=coisotropy._Structure.get):
@@ -785,21 +821,22 @@ def test_prolong_rebuilds_structure_when_the_key_set_changes(monkeypatch):
     def layout(sp, keys, _orig=real_coords):
         layouts.append(keys)
         return _orig(sp, keys)
-    keys = iterate_key_counts(monkeypatch)
+    keys = iterate_keys(monkeypatch)
     monkeypatch.setattr(coisotropy, "_sector_keys", sector_keys)
     monkeypatch.setattr(coisotropy, "real_coords", layout)
     monkeypatch.setattr(coisotropy._Structure, "get", get)
     rep = prolong(obstructed_direction(), 0.1, ProlongOptions(solver_radius=(2, 1, 1, 1, 1)))
     assert (rep.status, rep.iterations) == ("obstructed", 7)
-    assert keys == [4] + [12] * 6
+    assert [len(k) for k in keys] == [2] + [6] * 6
     assert len(closures) == 2
     column_layouts = [k for k in layouts if any(k is c for c in closures)]
     assert len(column_layouts) == 2
-    # the rest are the box's layout, built once, and the rows'
+    # the rest are the box's layout, built once, and the rows', built with
+    # the entries
     assert len(layouts) - len(column_layouts) == 1 + 2
-    # the structure holds four pieces, and each is reused: both closures
-    # have the same columns, and the entries and rows change with the jets
-    assert builds == {"closure": 2, "columns": 1, "entries": 2, "rows": 2}
+    # the structure holds three pieces, and each is reused: both closures
+    # have the same columns, and the entries change with the jets
+    assert builds == {"closure": 2, "columns": 1, "entries": 2}
 
 
 def same_layout(a, b):
@@ -819,9 +856,9 @@ def obstructed_n16():
 def test_reused_structure_equals_a_fresh_build(monkeypatch):
     # at every iteration of a long solve whose key sets change and repeat,
     # the closure prolong assembles is _sector_keys of that iteration's
-    # iterate and residual, with its layout, and its Jacobian (the rows'
-    # layout and every triplet) is a build from nothing.  Both solves run
-    # under STRICT
+    # iterate, with its layout, and its Jacobian (the rows' layout and every
+    # triplet) is a build from nothing.  The closure is rebuilt exactly when
+    # the iterate's key set changes.  Both solves run under STRICT
     for direction, radius, max_iters in (
             (obstructed_n16(), (7, 8, 0, 0, 0), 30),
             (control_direction(), 2, 200)):
@@ -835,14 +872,15 @@ def test_reused_structure_equals_a_fresh_build(monkeypatch):
             seen.append((cols, s, out))
             return out
         monkeypatch.setattr(coisotropy, "_jacobian", jacobian)
+        calls = counted_calls(monkeypatch, ("closures", coisotropy, "_sector_keys"))
         assert fields.STRICT
         rep = prolong(direction, 0.1, ProlongOptions(solver_radius=radius, max_iters=max_iters))
         monkeypatch.undo()
         assert len(seen) == rep.iterations > 1
         assert len({c.keys.tobytes() for c, *_ in seen}) < len(seen)
+        assert calls["closures"] == key_set_changes([closure_keys(s).tolist() for _, s, _ in seen])
         for cols, s, (rows, ri, ci, v) in seen:
-            fresh = real_coords(sp, coisotropy._sector_keys(
-                sp, box, *closure_keys(s, residual(s)), support))
+            fresh = real_coords(sp, coisotropy._sector_keys(sp, box, closure_keys(s), support))
             assert same_layout(cols, fresh)
             fresh_rows, *entries = _jacobian(fresh, s)
             assert same_layout(rows, fresh_rows)
@@ -1128,14 +1166,18 @@ def test_jacobian_closed_form_matches_field_products(trunc, radii, iterations):
     X, Y = xy_frame(sp)
     rows, ri, ci, v = _jacobian(real_coords(sp, box_keys(sp, radii)), s)
     want, want_rows = jacobian_by_field_products(dict_box(sp, radii), s, X, Y)
-    # the same rows, in sorted key order, so the same real row slots
-    assert list(zip(rows.keys.tolist(), rows.slot.tolist())) == list(want_rows.slots.items())
+    # the layout's rows are every key a triplet lands on, the oracle's those
+    # that hold an entry: compared by key, each oracle row is a layout row
+    # with the same entries, and every other layout row holds none
+    assert np.all(np.diff(rows.keys) > 0)
+    at = real_slots(DictCoords(sp, rows.keys.tolist()), want_rows.slots)
     # each entry once, none of them 0
     assert len(set(zip(ri.tolist(), ci.tolist()))) == len(v) and np.all(v != 0)
-    A = np.zeros(want.shape)
+    A = np.zeros((len(rows.weight), want.shape[1]))
     A[ri, ci] = v
-    assert np.array_equal(A != 0, want != 0)
-    assert np.max(np.abs(A - want)) <= 1e-15
+    assert not np.any(np.delete(A, at, axis=0))
+    assert np.array_equal(A[at] != 0, want != 0)
+    assert np.max(np.abs(A[at] - want)) <= 1e-15
 
 
 def real_slots(coords, keys):

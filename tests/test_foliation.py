@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coisolab import integrate
+from coisolab import foliation, integrate
 from coisolab.coisotropy import Section, base_space, family_section, residual
 from coisolab.fields import Field, ShapeError
 from coisolab.foliation import (characteristic_frame, classify_leaf_linear,
@@ -220,6 +220,23 @@ def test_classify_rejects_non_finite():
         classify_leaf_linear(float("nan"))
     with pytest.raises(ValueError):
         classify_leaf_linear(float("inf"))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_classify_refuses_a_tol_outside_the_positive_reals(monkeypatch, tol):
+    # 0 used to call the exact 1/2 a cylinder, inf to call sqrt 2 a torus,
+    # and NaN to call everything a cylinder: both entry points refuse before
+    # any continued fraction is expanded, the scan also on an empty list
+    def no_expansion(*args):
+        raise AssertionError("expanded a continued fraction")
+    monkeypatch.setattr(foliation, "continued_fraction_convergents", no_expansion)
+    for classify in (lambda: classify_leaf_linear(0.5, tol=tol),
+                     lambda: classify_leaf_linear(math.sqrt(2), tol=tol),
+                     lambda: integrality_scan([0.5, math.sqrt(2)], tol=tol),
+                     lambda: integrality_scan([], tol=tol)):
+        with pytest.raises(ValueError, match=r"tol=.* outside \(0, inf\)"):
+            classify()
 
 
 def test_classification_verified_by_trace():
