@@ -684,7 +684,9 @@ def stacked_evaluator(fields):
     ``Field.evaluate`` give them at every finite point: a call checks the
     point's length, raises the guard's error for a non-real constant, and
     returns a fresh array of those values broadcast over the stack.  No
-    point enters them, so a non-finite point gets them too."""
+    point enters them, so a non-finite point gets them too.  The folded
+    function says so with a true ``constant`` attribute, which
+    ``integrate.rk4_flow`` reads to sum its path instead of stepping it."""
     fields = list(fields)
     if not fields:
         raise ShapeError("nothing to evaluate")
@@ -752,6 +754,7 @@ def _constant_evaluator(coeffs: np.ndarray, dim: int):
             raise ShapeError(failure)
         return out
 
+    evaluate.constant = True
     return evaluate
 
 

@@ -17,6 +17,7 @@ dichotomy is decided at floating-point resolution by continued fractions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -99,8 +100,7 @@ def trace_leaf(frame: CharFrame, start, duration: float, h: float = 1e-3) -> Lea
 def continued_fraction_convergents(t: float, max_denominator: int = 10 ** 6):
     """Partial quotients and convergents p/q of t, stopped once q exceeds
     max_denominator (or the expansion terminates at float resolution)."""
-    if max_denominator < 1:
-        raise ValueError(f"max_denominator={max_denominator} is below 1")
+    _require_cap(max_denominator)
     quotients, convergents = [], []
     p_m2, p_m1 = 0, 1
     q_m2, q_m1 = 1, 0
@@ -133,10 +133,12 @@ def classify_leaf_linear(t: float, tol: float = 1e-9,
     tol/q^2 (closeness measured on the natural q^2 scale, so that doubles of
     small rationals are accepted while the convergents every irrational has
     below the denominator cap are not).  A tol outside (0, inf) is refused:
-    0 would call a rational a cylinder, inf an irrational a torus."""
+    0 would call a rational a cylinder, inf an irrational a torus.  So is a
+    max_denominator that is not an integer >= 1 (a bool included)."""
     if not math.isfinite(t):
         raise ValueError(f"non-finite parameter {t}")
     _require_tol(tol)
+    _require_cap(max_denominator)
     quotients, convergents = continued_fraction_convergents(t, max_denominator)
     best = None
     for p, q in convergents:
@@ -161,13 +163,22 @@ def _require_tol(tol: float):
         raise ValueError(f"tol={tol} outside (0, inf)")
 
 
+# a cap of 0 admits no convergent and 2.5 is no denominator; True is not a number
+def _require_cap(max_denominator: int):
+    if (isinstance(max_denominator, bool) or not isinstance(max_denominator, numbers.Integral)
+            or max_denominator < 1):
+        raise ValueError(f"max_denominator={max_denominator!r} is not an integer >= 1")
+
+
 def integrality_scan(t_values, tol: float = 1e-9,
                      max_denominator: int = 10 ** 6) -> dict:
     """Classify the family over a parameter list and flag the instability:
     the undeformed t = 0 leaf space is a torus fibration while parameters
     arbitrarily close to 0 produce cylinder (non-torus) leaves.  A tol
-    outside (0, inf) is refused before any parameter is classified."""
+    outside (0, inf) or a max_denominator that is not an integer >= 1 is
+    refused before any parameter is classified."""
     _require_tol(tol)
+    _require_cap(max_denominator)
     results = []
     for t in t_values:
         verdict = classify_leaf_linear(float(t), tol, max_denominator)

@@ -17,9 +17,16 @@ A start ``y0`` may itself be a stack, such as ``(k, dim)`` for k start
 points.  Each row then follows its own path, with the bits of its path
 started alone wherever rhs gives each row the bits of its own call
 (``fields.stacked_evaluator`` does); a step is rejected when any row's
-estimate exceeds the bound.  A frame of constant fields, such as the
-family (t sin x1, 0)'s span{d4 - t d2, d5}, costs its stages no exp or
-matmul: ``stacked_evaluator`` folds it to its values.
+estimate exceeds the bound.
+
+A right-hand side that returns one vector v at every state, such as the
+folded frame of the family (t sin x1, 0), span{d4 - t d2, d5}, is not
+stepped: every stage of every step is v, so every step adds one increment
+twice, and the path is a running sum (``np.add.accumulate`` adds in order,
+with the loop's rounding).  ``fields.stacked_evaluator`` marks such a
+function with a true ``constant`` attribute; rk4_flow calls it once, on the
+start, and sums at most CHUNK coordinates of the path at a time.  Every
+other right-hand side takes the stepping loop above.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import sys
 import numpy as np
 
 ERR_TOL = 1e-6   # largest accepted step-doubling error estimate
+CHUNK = 1 << 12  # path coordinates a constant right-hand side's sum holds at once
 
 
 class StepSizeError(RuntimeError):
@@ -47,6 +55,11 @@ def _rk4_step(rhs, y, k1, h, half, sixth):
     k3 = rhs(y + half * k2)
     k4 = rhs(y + h * k3)
     return y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _check_error(err, h: float):
+    if not err <= ERR_TOL:   # NaN fails this test too
+        raise StepSizeError(f"local error {err:.3e} exceeds {ERR_TOL:.1e}; reduce h={h:g}")
 
 
 def split_duration(duration: float, h: float) -> tuple[int, float]:
@@ -77,11 +90,17 @@ def rk4_flow(rhs, y0, duration: float, h: float) -> np.ndarray:
 
     The span is checked (``check_span``) and the path allocated before the
     first step: one too large to hold raises MemoryError or ValueError before
-    rhs is called."""
+    rhs is called.  An rhs with a true ``constant`` attribute is called once,
+    on the start, when there is a step at all: its path is a running sum
+    (``_sum_path``) with the loop's bits and errors."""
     check_span(duration, h)
     n_full, tail = split_duration(duration, h)
     path = np.empty((n_full + (tail > 0) + 1, *np.shape(y0)))
     y = path[0] = np.array(y0, dtype=float)
+    if getattr(rhs, "constant", False):
+        if len(path) > 1:
+            _sum_path(path, rhs(y), duration, h, n_full, tail)
+        return path
     column = (2,) + (1,) * y.ndim   # the shape of a step per stack row
     i = 0
     # the coefficients are built once per step size: the full steps', the tail's
@@ -95,9 +114,38 @@ def rk4_flow(rhs, y0, duration: float, h: float) -> np.ndarray:
             half = _rk4_step(rhs, mid, rhs(mid), *second)
             # 0.0 for a stack of no starts
             err = np.maximum.reduce(abs(full - half), axis=None, initial=0.0)
-            if not err <= ERR_TOL:   # NaN fails this test too
-                raise StepSizeError(
-                    f"local error {err:.3e} exceeds {ERR_TOL:.1e}; reduce h={h:g}")
+            _check_error(err, h)
             i += 1
             y = path[i] = half
     return path
+
+
+def _sum_path(path, v, duration: float, h: float, n_full: int, tail: float):
+    """Fill path[1:] from path[0] for an rhs that returns v at every state.
+
+    Every stage of the loop is v, so with S = ((v + 2 v) + 2 v) + v, summed
+    in the loop's order, a full step adds (hs/6) S and each half step adds
+    dh = ((hs/2)/6) S: y[n+1] = (y[n] + dh) + dh.  A chunk of m steps is the
+    running sum of y[n] and 2m copies of dh, every other row kept.  The
+    chunk's step-doubling estimates are formed at once, and the first one
+    that fails raises the loop's error."""
+    s = v + 2.0 * v + 2.0 * v + v
+    steps = max(1, CHUNK // max(1, path[0].size))   # steps a chunk sums
+    run = np.empty((2 * min(steps, len(path) - 1) + 1, *path.shape[1:]))
+    coords = tuple(range(1, path.ndim))   # a step's coordinates
+    end = 0
+    for size, count in ((h, n_full), (tail, int(tail > 0))):
+        hs = math.copysign(size, duration)
+        full, dh = (hs / 6.0) * s, ((hs / 2.0) / 6.0) * s
+        first, end = end, end + count
+        for i in range(first, end, steps):
+            m = min(steps, end - i)
+            chunk = run[:2 * m + 1]
+            chunk[0] = path[i]
+            chunk[1:] = dh
+            np.add.accumulate(chunk, axis=0, out=chunk)
+            path[i + 1:i + m + 1] = chunk[2::2]
+            err = np.maximum.reduce(abs(path[i:i + m] + full - path[i + 1:i + m + 1]),
+                                    axis=coords, initial=0.0)
+            # the first estimate that fails, or err[0] when none does
+            _check_error(err[np.argmin(err <= ERR_TOL)], h)

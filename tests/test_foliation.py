@@ -150,15 +150,13 @@ def test_trace_wrapped_is_lift_mod_2pi():
     assert np.max(np.abs(np.mod(tr.lifted, TWO_PI) - tr.points)) < 1e-12
 
 
-def test_held_trace_is_one_copy_of_its_path(monkeypatch):
+def test_held_trace_is_one_copy_of_its_path():
     # a trace holds its lifted path alone, 40 bytes a step; a wrapped copy
-    # beside it made 80.  The integrator returns a path of the shape it would
-    # allocate (its loop would take seconds under tracemalloc): what is
-    # measured is what trace_leaf keeps of it
+    # beside it made 80.  The family's frame is constant, so its path is a
+    # running sum, quick under tracemalloc: what is measured is what
+    # trace_leaf keeps of it
     steps = 20_000
     fr = characteristic_frame(family_section(0.5))
-    monkeypatch.setattr(integrate, "rk4_flow",
-                        lambda rhs, y0, duration, h: np.tile(y0, (steps + 1, 1)))
     tracemalloc.start()
     try:
         tr = trace_leaf(fr, np.zeros(5), steps * 0.05, h=0.05)
@@ -237,6 +235,27 @@ def test_classify_refuses_a_tol_outside_the_positive_reals(monkeypatch, tol):
                      lambda: integrality_scan([], tol=tol)):
         with pytest.raises(ValueError, match=r"tol=.* outside \(0, inf\)"):
             classify()
+
+
+@pytest.mark.parametrize("cap", [0, -3, 2.5, 1.0, True, np.True_, "10"],
+                         ids=["zero", "negative", "fraction", "float", "true", "numpy-true", "str"])
+def test_classify_refuses_a_cap_that_is_no_denominator(monkeypatch, cap):
+    # a cap of 0 admits no convergent (1/2 read as a cylinder), 2.5 was taken
+    # as it is and True as 1: both entry points refuse before any continued
+    # fraction is expanded, the scan also on an empty list
+    def no_expansion(*args):
+        raise AssertionError("expanded a continued fraction")
+    monkeypatch.setattr(foliation, "continued_fraction_convergents", no_expansion)
+    for classify in (lambda: classify_leaf_linear(0.5, max_denominator=cap),
+                     lambda: integrality_scan([0.5], max_denominator=cap),
+                     lambda: integrality_scan([], max_denominator=cap)):
+        with pytest.raises(ValueError, match=r"max_denominator=.* is not an integer >= 1"):
+            classify()
+
+
+def test_numpy_integer_cap_is_a_cap():
+    assert classify_leaf_linear(0.5, max_denominator=np.int64(2)).kind == "torus"
+    assert classify_leaf_linear(0.5, max_denominator=np.int64(1)).kind == "cylinder"
 
 
 def test_classification_verified_by_trace():

@@ -1,9 +1,17 @@
 """RK4 with step doubling: right-hand side evaluations per step and the
-path against the textbook form of the scheme."""
+path against the textbook form of the scheme; a constant right-hand side's
+running sum against the stepping loop."""
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from coisolab import fields, integrate
+from coisolab.coisotropy import base_space, family_section
+from coisolab.fields import Field, ShapeError, stacked_evaluator
+from coisolab.foliation import characteristic_frame
 from coisolab.integrate import StepSizeError, rk4_flow, split_duration
 
 
@@ -81,3 +89,99 @@ def test_refused_before_any_step(duration, h):
 def test_nan_error_estimate_is_rejected():
     with pytest.raises(StepSizeError):
         rk4_flow(lambda y: np.full(2, np.nan), [0.3, 0.2], 0.3, 0.1)
+
+
+# -- a constant right-hand side: the running sum ---------------------------------
+
+def family_rhs(t):
+    # the folded evaluator of the family's frame span{d4 - t d2, d5}
+    return stacked_evaluator(characteristic_frame(family_section(t)).v1.components)
+
+
+def stepped(ev):
+    # the same evaluator behind a plain function: no constant attribute, so
+    # rk4_flow steps it
+    return lambda y: ev(y)
+
+
+STARTS = np.array([[0.1, -5.9, 0.0, 3.0, 1.0], [-2.0, -1.0, -0.5, -0.25, -4.0],
+                   [6.0, 0.3, -0.7, 2.2, 0.0]])
+
+
+@pytest.mark.parametrize("chunk", [integrate.CHUNK, 1, 16, 35], ids=["default", "1", "16", "35"])
+@pytest.mark.parametrize("start", [STARTS[0], STARTS, STARTS[:0]], ids=["one", "k", "none"])
+@pytest.mark.parametrize("duration", [10.005, -10.005, 10.0, 0.004],
+                         ids=["tail", "backward-tail", "no-tail", "tail-only"])
+def test_constant_path_is_the_stepping_loop(monkeypatch, chunk, start, duration):
+    # bit for bit the loop's path, for one start, a (3, 5) stack and a (0, 5)
+    # stack, with and without a tail step, in chunks of every size: 35
+    # coordinates are 7 steps of one start, 2 of three, and 1000 steps are
+    # no multiple of either
+    ev = family_rhs(math.sqrt(2) - 1)
+    assert ev.constant and not hasattr(stepped(ev), "constant")
+    want = rk4_flow(stepped(ev), start, duration, 1e-2)
+    monkeypatch.setattr(integrate, "CHUNK", chunk)
+    got = rk4_flow(ev, start, duration, 1e-2)
+    assert got.shape == want.shape == (len(want), *np.shape(start))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_constant_rhs_is_called_once_on_the_start():
+    ev = family_rhs(0.5)
+    calls = []
+
+    def counted(y):
+        calls.append(np.array(y))
+        return ev(y)
+
+    counted.constant = True
+    path = rk4_flow(counted, STARTS[1], 0.35, 0.1)
+    assert len(path) == 5 and len(calls) == 1
+    assert calls[0].tobytes() == STARTS[1].tobytes()
+    calls.clear()
+    assert rk4_flow(counted, STARTS[1], 0.0, 0.1).tobytes() == STARTS[1].tobytes()
+    assert calls == []
+    # an unfolded evaluator carries no mark and is stepped, 8 calls a step
+    assert not hasattr(stacked_evaluator([Field.sin(base_space(8), 0)] * 5), "constant")
+
+
+def test_constant_path_refuses_the_loops_step():
+    # at x2 = 1e12 an ulp is 1.2e-4: the full step and the two half steps
+    # round apart, and both routes raise the same first failure
+    start = np.array([0.0, 1e12, 0.0, 0.0, 0.0])
+    ev = family_rhs(0.5)
+    message = "local error 1.221e-04 exceeds 1.0e-06; reduce h=0.01"
+    for rhs in (ev, stepped(ev)):
+        with pytest.raises(StepSizeError) as err:
+            rk4_flow(rhs, start, 1.0, 1e-2)
+        assert str(err.value) == message
+
+
+def test_constant_path_guards_a_non_real_constant(monkeypatch):
+    # the guard's error, raised by the one call on the start, as by the loop's first
+    monkeypatch.setattr(fields, "STRICT", False)
+    sp = base_space(8)
+    skew = Field(sp, {sp.unpack(sp.zero_key): 2.0 + 0.5j})
+    ev = stacked_evaluator([Field.constant(sp, 1.0)] * 4 + [skew])
+    message = "non-real evaluation (imag=5.000e-01); field violates Hermitian symmetry"
+    for rhs in (ev, stepped(ev)):
+        with pytest.raises(ShapeError) as err:
+            rk4_flow(rhs, STARTS[0], 1.0, 0.1)
+        assert str(err.value) == message
+        assert rk4_flow(rhs, STARTS[:0], 1.0, 0.1).shape == (11, 0, 5)   # no row to fail
+
+
+def test_constant_path_costs_its_path_and_a_chunk():
+    # 200,000 steps of one start: the path's 40 bytes a step, and beside it
+    # the sum's working arrays, whatever the length: a sum of 2 m + 1 rows
+    # and the estimates' two m-row temporaries, m rows at most CHUNK floats
+    steps = 200_000
+    ev = family_rhs(0.5)
+    tracemalloc.start()
+    try:
+        path = rk4_flow(ev, STARTS[0], steps * 1e-2, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.shape == (steps + 1, 5)
+    assert peak <= path.nbytes + 5 * 8 * integrate.CHUNK
