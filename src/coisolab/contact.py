@@ -193,8 +193,11 @@ def flow_contact(cd: ContactData, lam: Field, p, duration: float,
     """RK4 trajectory of the contact vector field of lam from p.
 
     The exact spectral field is compiled once into a stacked evaluator.
-    Returns the sampled path with torus coordinates wrapped to [0, 2*pi);
-    a stack of start points (k, dim) gives a path (n_steps+1, k, dim)."""
+    The field of a Hamiltonian of x1 alone, a constant one included, moves
+    neither x1 nor any other axis it reads, so its path is summed, not
+    stepped (``fields.stacked_evaluator`` marks it constant).  Returns the
+    sampled path with torus coordinates wrapped to [0, 2*pi); a stack of
+    start points (k, dim) gives a path (n_steps+1, k, dim)."""
     rhs = stacked_evaluator(contact_vector_field(cd, lam).components)
     path = integrate.rk4_flow(rhs, np.asarray(p, dtype=float), duration, h)
     return wrap_torus(path, cd.space.torus_dim)

@@ -684,9 +684,21 @@ def stacked_evaluator(fields):
     ``Field.evaluate`` give them at every finite point: a call checks the
     point's length, raises the guard's error for a non-real constant, and
     returns a fresh array of those values broadcast over the stack.  No
-    point enters them, so a non-finite point gets them too.  The folded
-    function says so with a true ``constant`` attribute, which
-    ``integrate.rk4_flow`` reads to sum its path instead of stepping it."""
+    point enters them, so a non-finite point gets them too.
+
+    A function carries a true ``constant`` attribute when its values are the
+    same at every point of every path they drive, which ``integrate.rk4_flow``
+    reads to sum its path instead of stepping it.  The folded function always
+    does.  So does the route above when the list has ``dim`` fields, a vector
+    field on its own space, and every axis a mode reads (a nonzero frequency
+    on a torus axis, a nonzero exponent on a fiber axis) has a field with no
+    key: such as the contact field of a Hamiltonian of x1 alone, minus the
+    Reeb field (0, sin x1, cos x1, 0, 0, 0, 0) for a constant one, and the
+    frames of constant sections.  Its paths move only unread axes (a read
+    axis may only turn -0.0 into 0.0, which no value sees), where a zero
+    frequency adds a signed zero to the phase and y ** 0 is 1, so every
+    finite point of a path has the start's values bit for bit.  The rule is
+    read off the keys once, here."""
     fields = list(fields)
     if not fields:
         raise ShapeError("nothing to evaluate")
@@ -710,6 +722,9 @@ def stacked_evaluator(fields):
             coeffs[row, column[key]] = c
     torus_dim, dim = sp.torus_dim, sp.dim
     polynomial = bool(powers.any())
+    # the axes some mode reads: a nonzero frequency or a nonzero exponent
+    read = np.flatnonzero(np.concatenate([freqs.any(axis=0), powers.any(axis=0)]))
+    constant = len(fields) == dim and not any(fields[j].packed for j in read)
 
     def evaluate(point) -> np.ndarray:
         p = np.asarray(point, dtype=float)
@@ -732,6 +747,8 @@ def stacked_evaluator(fields):
                              "field violates Hermitian symmetry")
         return re
 
+    if constant:
+        evaluate.constant = True
     return evaluate
 
 

@@ -19,12 +19,15 @@ started alone wherever rhs gives each row the bits of its own call
 (``fields.stacked_evaluator`` does); a step is rejected when any row's
 estimate exceeds the bound.
 
-A right-hand side that returns one vector v at every state, such as the
-folded frame of the family (t sin x1, 0), span{d4 - t d2, d5}, is not
-stepped: every stage of every step is v, so every step adds one increment
-twice, and the path is a running sum (``np.add.accumulate`` adds in order,
-with the loop's rounding).  ``fields.stacked_evaluator`` marks such a
-function with a true ``constant`` attribute; rk4_flow calls it once, on the
+A right-hand side that returns one vector v at every state of its path is
+not stepped: every stage of every step is v, so every step adds one
+increment twice, and the path is a running sum (``np.add.accumulate`` adds
+in order, with the loop's rounding).  ``fields.stacked_evaluator`` marks
+such a function with a true ``constant`` attribute: a list of constants,
+such as the folded frame of the family (t sin x1, 0), span{d4 - t d2, d5},
+and a vector field whose modes read only axes its own components leave
+still, such as minus the Reeb field (0, sin x1, cos x1, 0, 0, 0, 0), the
+contact field of a constant Hamiltonian.  rk4_flow calls it once, on the
 start, and sums at most CHUNK coordinates of the path at a time.  Every
 other right-hand side takes the stepping loop above.
 """
@@ -90,7 +93,8 @@ def rk4_flow(rhs, y0, duration: float, h: float) -> np.ndarray:
 
     The span is checked (``check_span``) and the path allocated before the
     first step: one too large to hold raises MemoryError or ValueError before
-    rhs is called.  An rhs with a true ``constant`` attribute is called once,
+    rhs is called.  An rhs with a true ``constant`` attribute, one that
+    returns the start's vector at every state of its path, is called once,
     on the start, when there is a step at all: its path is a running sum
     (``_sum_path``) with the loop's bits and errors."""
     check_span(duration, h)

@@ -1,15 +1,20 @@
 """RK4 with step doubling: right-hand side evaluations per step and the
-path against the textbook form of the scheme; a constant right-hand side's
-running sum against the stepping loop."""
+path against the textbook form of the scheme; the running sum of a constant
+right-hand side, and of a field its own flow leaves unchanged, against the
+stepping loop."""
 
+import functools
+import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from coisolab import contact as ct
 from coisolab import fields, integrate
-from coisolab.coisotropy import base_space, family_section
+from coisolab.coisotropy import Section, base_space, family_section
 from coisolab.fields import Field, ShapeError, stacked_evaluator
 from coisolab.foliation import characteristic_frame
 from coisolab.integrate import StepSizeError, rk4_flow, split_duration
@@ -185,3 +190,149 @@ def test_constant_path_costs_its_path_and_a_chunk():
         tracemalloc.stop()
     assert path.shape == (steps + 1, 5)
     assert peak <= path.nbytes + 5 * 8 * integrate.CHUNK
+
+
+# -- a field its own flow leaves unchanged: the same running sum ---------------
+#
+# a field whose modes read only axes that its own components leave still is
+# the same vector at every point of its path, so stacked_evaluator marks it
+# constant too
+
+SECTIONS = os.path.join(os.path.dirname(__file__), os.pardir, "sections")
+
+
+@functools.cache
+def contact_data():
+    return ct.standard_contact(trunc_order=8)
+
+
+def contact_rhs(hamiltonian):
+    # the contact field of a Hamiltonian built on the contact space
+    cd = contact_data()
+    return stacked_evaluator(ct.contact_vector_field(cd, hamiltonian(cd.space)).components)
+
+
+def frame_rhs(section):
+    return stacked_evaluator(characteristic_frame(section).v1.components)
+
+
+def section_file(name):
+    with open(os.path.join(SECTIONS, name)) as fh:
+        return Section.from_json_dict(json.load(fh))
+
+
+def x1_harmonics(sp):   # 0.3 sin x1 - 0.7 cos 2x1 + 0.2 sin^3 x1 - 1.5
+    s, c = Field.sin(sp, 0), Field.cos(sp, 0)
+    return 0.3 * s - 0.7 * (c * c - s * s) + 0.2 * (s * s * s) - 1.5 * Field.constant(sp, 1.0)
+
+
+def y4_squared(sp):
+    y4 = Field.fiber_coordinate(sp, 0)
+    return y4 * y4
+
+
+def x1_section():   # (0.7 sin x1 - 1.3 cos 2x1, 0)
+    sp = base_space(8)
+    s, c = Field.sin(sp, 0), Field.cos(sp, 0)
+    return Section(0.7 * s - 1.3 * (c * c - s * s), Field.zero(sp))
+
+
+UNCHANGED = {
+    # the unit Hamiltonian's field is minus the Reeb field (0, sin x1, cos x1, 0, ...)
+    "reeb": lambda: contact_rhs(lambda sp: Field.constant(sp, 1.0)),
+    "x1-harmonics": lambda: contact_rhs(x1_harmonics),
+    "y4": lambda: contact_rhs(lambda sp: Field.fiber_coordinate(sp, 0)),
+    # reads y4, a fiber axis, and moves x2, x3 and x4
+    "y4-squared": lambda: contact_rhs(y4_squared),
+    "constants.json": lambda: frame_rhs(section_file("constants.json")),
+    "x1-section": lambda: frame_rhs(x1_section()),
+}
+
+
+@functools.cache
+def unchanged_rhs(case):
+    return UNCHANGED[case]()
+
+
+# zeros of both signs and negative coordinates on T^5 x R^2
+SIGNED = np.array([[0.3, -0.0, 0.1, 0.0, -2.5, 0.5, -0.5],
+                   [-0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0],
+                   [-2.0, -6.1, 4.4, -0.0, 3.0, -1.5, 0.0],
+                   [6.2, 0.0, -0.0, 1.0, -0.0, 0.0, -0.0]])
+
+
+def signed_starts(case):
+    # a frame lives on T^5: its starts are the first five coordinates
+    return SIGNED[:, :5] if case in ("constants.json", "x1-section") else SIGNED
+
+
+@pytest.mark.parametrize("case", list(UNCHANGED))
+@pytest.mark.parametrize("which", ["one", "negative-zero", "k", "none"])
+@pytest.mark.parametrize("duration", [1.005, -1.005, 1.0, -1.0],
+                         ids=["tail", "backward-tail", "no-tail", "backward-no-tail"])
+def test_unchanged_field_path_is_the_stepping_loop(monkeypatch, case, which, duration):
+    # bit for bit the loop's path, in chunks of 1, 16 and 35 coordinates and
+    # the default: the mark changes the route, never a bit
+    ev = unchanged_rhs(case)
+    assert ev.constant
+    starts = signed_starts(case)
+    start = {"one": starts[0], "negative-zero": starts[1], "k": starts, "none": starts[:0]}[which]
+    want = rk4_flow(stepped(ev), start, duration, 1e-2)
+    for chunk in (integrate.CHUNK, 1, 16, 35):
+        monkeypatch.setattr(integrate, "CHUNK", chunk)
+        got = rk4_flow(ev, start, duration, 1e-2)
+        assert got.shape == want.shape == (len(want), *np.shape(start))
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", list(UNCHANGED))
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_unchanged_field_refuses_a_non_finite_start_as_the_loop(case, value):
+    # on any axis, read or moved, both routes meet NaN and raise the same error
+    ev = unchanged_rhs(case)
+    for axis in range(signed_starts(case).shape[1]):
+        start = signed_starts(case)[0].copy()
+        start[axis] = value
+        messages = []
+        for rhs in (ev, stepped(ev)):
+            # numpy warns of 0 * inf in a phase and inf - inf in an estimate: expected here
+            with np.errstate(invalid="ignore", over="ignore"), \
+                    pytest.raises(StepSizeError) as err:
+                rk4_flow(rhs, start, 0.05, 1e-2)
+            messages.append(str(err.value))
+        assert messages == ["local error nan exceeds 1.0e-06; reduce h=0.01"] * 2
+
+
+def test_fields_that_read_what_they_move_are_stepped():
+    cd = contact_data()
+    sp = cd.space
+    # the contact field of cos x2 moves x1 and reads it
+    assert not hasattr(contact_rhs(lambda sp: Field.cos(sp, 1)), "constant")
+    # y4' = y4 moves the fiber axis it reads
+    assert not hasattr(stacked_evaluator(
+        [Field.zero(sp)] * 5 + [Field.fiber_coordinate(sp, 0), Field.zero(sp)]), "constant")
+    # the obstructed section's frame moves x1 and reads it
+    assert not hasattr(frame_rhs(section_file("obstructed.json")), "constant")
+    # flow_with_frame's list, the field and its Jacobian, is no vector field on
+    # its space, even where the field alone is marked
+    vf = ct.contact_vector_field(cd, Field.constant(sp, 1.0))
+    assert stacked_evaluator(vf.components).constant
+    assert not hasattr(stacked_evaluator(list(vf.components) + [
+        comp.partial(j) for comp in vf.components for j in range(sp.dim)]), "constant")
+
+
+def test_reeb_flow_calls_its_rhs_once():
+    ev = unchanged_rhs("reeb")
+    calls = []
+
+    def counted(y):
+        calls.append(np.array(y))
+        return ev(y)
+
+    counted.constant = ev.constant
+    path = rk4_flow(counted, SIGNED[0], 0.35, 0.1)
+    assert len(path) == 5 and len(calls) == 1
+    assert calls[0].tobytes() == SIGNED[0].tobytes()
+    calls.clear()
+    assert rk4_flow(counted, SIGNED[0], 0.0, 0.1).tobytes() == SIGNED[0].tobytes()
+    assert calls == []
