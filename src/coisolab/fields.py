@@ -678,23 +678,20 @@ def stacked_evaluator(fields):
     which calls gemv once per point as one point's product does, so each row
     of a stack's values has the bits of that point's own call.
 
-    Fields with no mode but the zero key (constants and zeros, such as the
-    characteristic frame of the family (t sin x1, 0)) fold to the
-    coefficients' real parts plus 0.0, the bits the route above and
-    ``Field.evaluate`` give them at every finite point: a call checks the
-    point's length, raises the guard's error for a non-real constant, and
-    returns a fresh array of those values broadcast over the stack.  No
-    point enters them, so a non-finite point gets them too.
+    Every row of a list with a mode is summed over the point's phases, so a
+    non-finite torus coordinate gives NaN rows, also for constants and zeros:
+    the zero key's phase 0 * x is then NaN.
 
     A function carries a true ``constant`` attribute when its values are the
     same at every point of every path they drive, which ``integrate.rk4_flow``
-    reads to sum its path instead of stepping it.  The folded function always
-    does.  So does the route above when the list has ``dim`` fields, a vector
-    field on its own space, and every axis a mode reads (a nonzero frequency
-    on a torus axis, a nonzero exponent on a fiber axis) has a field with no
-    key: such as the contact field of a Hamiltonian of x1 alone, minus the
-    Reeb field (0, sin x1, cos x1, 0, 0, 0, 0) for a constant one, and the
-    frames of constant sections.  Its paths move only unread axes (a read
+    reads to sum its path instead of stepping it.  It does when the list has
+    ``dim`` fields, a vector field on its own space, and every axis a mode
+    reads (a nonzero frequency on a torus axis, a nonzero exponent on a fiber
+    axis) has a field with no key: such as the contact field of a Hamiltonian
+    of x1 alone, minus the Reeb field (0, sin x1, cos x1, 0, 0, 0, 0) for a
+    constant one, the frames of constant sections, and a list of ``dim``
+    constants, such as the characteristic frame of the family (t sin x1, 0),
+    which reads no axis.  Its paths move only unread axes (a read
     axis may only turn -0.0 into 0.0, which no value sees), where a zero
     frequency adds a signed zero to the phase and y ** 0 is 1, so every
     finite point of a path has the start's values bit for bit.  The rule is
@@ -706,9 +703,6 @@ def stacked_evaluator(fields):
     if any(f.space != sp for f in fields):
         raise ShapeError("fields over different spaces")
     keys = sorted(set().union(*(f.packed for f in fields)))
-    if set(keys) <= {sp.zero_key}:
-        return _constant_evaluator(
-            np.array([f.packed.get(sp.zero_key, 0.0) for f in fields], dtype=complex), sp.dim)
     column = {key: j for j, key in enumerate(keys)}
     modes = [sp.unpack(key) for key in keys]
     freqs = np.array([k for k, _ in modes], dtype=float).reshape(len(keys), sp.torus_dim)
@@ -749,29 +743,6 @@ def stacked_evaluator(fields):
 
     if constant:
         evaluate.constant = True
-    return evaluate
-
-
-def _constant_evaluator(coeffs: np.ndarray, dim: int):
-    """``stacked_evaluator`` of fields whose one mode is the zero key, with
-    coefficients coeffs: a sum started at 0 gives them real parts + 0.0."""
-    values, im = coeffs.real + 0.0, abs(coeffs.imag)
-    failure = None
-    if (im > np.maximum(EVAL_IMAG_TOL, 1e-14 * abs(values))).any():
-        failure = (f"non-real evaluation (imag={im.max():.3e}); "
-                   "field violates Hermitian symmetry")
-
-    def evaluate(point) -> np.ndarray:
-        p = np.asarray(point, dtype=float)
-        if p.shape[-1:] != (dim,):
-            raise ShapeError(f"point of length {p.shape} for dim {dim}")
-        out = np.empty(p.shape[:-1] + values.shape)
-        out[...] = values
-        if failure and out.size:   # an empty stack has no row to fail
-            raise ShapeError(failure)
-        return out
-
-    evaluate.constant = True
     return evaluate
 
 

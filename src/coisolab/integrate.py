@@ -23,10 +23,10 @@ A right-hand side that returns one vector v at every state of its path is
 not stepped: every stage of every step is v, so every step adds one
 increment twice, and the path is a running sum (``np.add.accumulate`` adds
 in order, with the loop's rounding).  ``fields.stacked_evaluator`` marks
-such a function with a true ``constant`` attribute: a list of constants,
-such as the folded frame of the family (t sin x1, 0), span{d4 - t d2, d5},
-and a vector field whose modes read only axes its own components leave
-still, such as minus the Reeb field (0, sin x1, cos x1, 0, 0, 0, 0), the
+such a function with a true ``constant`` attribute: a vector field whose
+modes read only axes its own components leave still, such as the frame of
+the family (t sin x1, 0), span{d4 - t d2, d5}, whose constants read no
+axis, and minus the Reeb field (0, sin x1, cos x1, 0, 0, 0, 0), the
 contact field of a constant Hamiltonian.  rk4_flow calls it once, on the
 start, and sums at most CHUNK coordinates of the path at a time.  Every
 other right-hand side takes the stepping loop above.

@@ -30,10 +30,9 @@ CARTAN_TORUS_DIM = 3      # the Cartan suite draws its random forms on T^3
 
 def rand_field(rng, space: Space, n_modes: int = 2, max_freq: int = 1,
                fiber_deg: int = 0) -> Field:
-    mf = min(max_freq, space.trunc_order)
     modes = {}
     for _ in range(n_modes):
-        k = tuple(int(a) for a in rng.integers(-mf, mf + 1, size=space.torus_dim))
+        k = tuple(int(a) for a in rng.integers(-max_freq, max_freq + 1, size=space.torus_dim))
         m = (0,) * space.fiber_dim
         if fiber_deg and space.fiber_dim:
             deg = int(rng.integers(0, fiber_deg + 1))

@@ -359,6 +359,14 @@ def test_verify_truncated_hamiltonian_exit_two(capsys):
         assert code == 2 and out == ""
         assert err.startswith(prefix) and err.count("\n") == 1
         assert "to truncation" in err
+    # at --trunc 0 the Cartan suite's first draw leaves the box, as every
+    # other suite's does, and no seed reports defects of constants
+    for seed in range(4):
+        code, out, err = run(capsys, "--trunc", "0", "verify", "cartan", "--n", "1",
+                             "--seed", str(seed))
+        assert code == 2 and out == ""
+        assert err.startswith("error: frequency (") and err.count("\n") == 1
+        assert err.endswith(") outside truncation box\n")
 
 
 def test_verify_deterministic_bytes(capsys):

@@ -113,15 +113,15 @@ def test_stacked_evaluator_stack_rows_are_single_calls(space):
 
 
 def constant_fields(space):
-    # fields whose one mode is the zero key: the list stacked_evaluator folds
+    # fields whose one mode is the zero key, such as the family's frame
     return [Field.constant(space, -1.5), Field.zero(space), Field.constant(space, 2.0 ** -40),
             Field.constant(space, 0.1) + Field.constant(space, 0.2),
             Field.constant(space, -1e300), Field.constant(space, 1.0) - Field.constant(space, 1.0)]
 
 
 @pytest.mark.parametrize("space", [M, T5])
-def test_stacked_evaluator_folds_constants_to_evaluate_bits(space):
-    # the fold's values are those of Field.evaluate to the float.hex, at
+def test_stacked_evaluator_constant_list_has_evaluate_bits(space):
+    # a constant list's values are those of Field.evaluate to the float.hex, at
     # points with negative coordinates (all-negative torus coordinates make
     # evaluate's phase -0.0) and on stacks of every shape
     rng = np.random.default_rng(29)
@@ -141,7 +141,7 @@ def test_stacked_evaluator_folds_constants_to_evaluate_bits(space):
         ev(np.zeros((space.dim, 2)))
 
 
-def test_stacked_evaluator_fold_returns_a_new_array_per_call():
+def test_stacked_evaluator_constant_list_returns_a_new_array_per_call():
     ev = stacked_evaluator(constant_fields(M))
     for point in (np.ones(M.dim), np.ones((2, 3, M.dim))):
         first, second = ev(point), ev(point)
@@ -151,9 +151,9 @@ def test_stacked_evaluator_fold_returns_a_new_array_per_call():
         assert hexes(ev(point)) == hexes(second)
 
 
-def test_stacked_evaluator_fold_guards_non_real_constants(monkeypatch):
+def test_stacked_evaluator_constant_list_guards_non_real_constants(monkeypatch):
     # a constant with an imaginary part compiles, and every call raises the
-    # error of Field.evaluate and of the unfolded route; one below the guard's
+    # error of Field.evaluate and of a list with a mode; one below the guard's
     # tolerance evaluates to its real part
     monkeypatch.setattr(fields, "STRICT", False)
     zero_mode = ((0,) * 5, (0, 0))
@@ -164,17 +164,34 @@ def test_stacked_evaluator_fold_guards_non_real_constants(monkeypatch):
     p = np.array([0.3, -0.1, 1.2, 0.0, -4.0, -0.7, 0.4])
     with pytest.raises(ShapeError) as pointwise:
         skew.evaluate(p)
-    with pytest.raises(ShapeError) as unfolded:
+    with pytest.raises(ShapeError) as moded:
         stacked_evaluator([Field.sin(M, 1), skew])(p)
     message = "non-real evaluation (imag=5.000e-01); field violates Hermitian symmetry"
-    assert str(pointwise.value) == str(unfolded.value) == message
+    assert str(pointwise.value) == str(moded.value) == message
     for point in (p, np.tile(p, (2, 3, 1)), p, np.tile(p, (1, 1))):
-        with pytest.raises(ShapeError) as folded:
+        with pytest.raises(ShapeError) as constant:
             ev(point)
-        assert str(folded.value) == message
+        assert str(constant.value) == message
     assert ev(np.zeros((0, M.dim))).shape == (0, 2)   # no row to fail
     assert hexes(stacked_evaluator(quiet)(p)) == hexes([f.evaluate(p) for f in quiet])
     assert hexes([f.evaluate(p) for f in quiet]) == [float.hex(2.0), float.hex(0.0)]
+
+
+@pytest.mark.parametrize("space", [M, T5])
+def test_stacked_evaluator_constant_list_is_nan_at_a_non_finite_torus_point(space):
+    # a constant list is summed over the point's phases like any list with a
+    # mode: at a non-finite torus coordinate the zero key's phase 0 * x is
+    # NaN, so every row is NaN, on one point and on a stack
+    ev = stacked_evaluator(constant_fields(space))
+    for value in (math.nan, math.inf, -math.inf):
+        for axis in range(space.torus_dim):
+            point = np.linspace(-1.0, 1.0, space.dim)
+            point[axis] = value
+            # numpy warns of 0 * inf in the phase: expected here
+            with np.errstate(invalid="ignore"):
+                one, stack = ev(point), ev(np.tile(point, (2, 3, 1)))
+            assert one.shape == (6,) and stack.shape == (2, 3, 6)
+            assert np.isnan(one).all() and np.isnan(stack).all()
 
 
 def test_stacked_evaluator_rejects_bad_input(monkeypatch):

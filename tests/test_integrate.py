@@ -99,7 +99,7 @@ def test_nan_error_estimate_is_rejected():
 # -- a constant right-hand side: the running sum ---------------------------------
 
 def family_rhs(t):
-    # the folded evaluator of the family's frame span{d4 - t d2, d5}
+    # the family's frame span{d4 - t d2, d5}: dim constants, marked constant
     return stacked_evaluator(characteristic_frame(family_section(t)).v1.components)
 
 
@@ -146,7 +146,7 @@ def test_constant_rhs_is_called_once_on_the_start():
     calls.clear()
     assert rk4_flow(counted, STARTS[1], 0.0, 0.1).tobytes() == STARTS[1].tobytes()
     assert calls == []
-    # an unfolded evaluator carries no mark and is stepped, 8 calls a step
+    # a list that reads an axis it moves is unmarked and stepped, 8 calls a step
     assert not hasattr(stacked_evaluator([Field.sin(base_space(8), 0)] * 5), "constant")
 
 
@@ -246,6 +246,8 @@ UNCHANGED = {
     "y4-squared": lambda: contact_rhs(y4_squared),
     "constants.json": lambda: frame_rhs(section_file("constants.json")),
     "x1-section": lambda: frame_rhs(x1_section()),
+    # dim constants, which read no axis
+    "family": lambda: family_rhs(math.sqrt(2) - 1),
 }
 
 
@@ -263,7 +265,7 @@ SIGNED = np.array([[0.3, -0.0, 0.1, 0.0, -2.5, 0.5, -0.5],
 
 def signed_starts(case):
     # a frame lives on T^5: its starts are the first five coordinates
-    return SIGNED[:, :5] if case in ("constants.json", "x1-section") else SIGNED
+    return SIGNED[:, :5] if case in ("constants.json", "x1-section", "family") else SIGNED
 
 
 @pytest.mark.parametrize("case", list(UNCHANGED))
