@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Structured results are JSON (sorted keys, so identical seed and config give
+Structured results are JSON (sorted keys, so the same flags and inputs give
 byte-identical reports); trajectories are CSV.  Exit codes: 0 success or
 converged, 1 solver gave up without a verdict, 2 input error (a mistyped or
 non-finite number, an output path that cannot be opened, found before any
@@ -20,7 +20,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from . import contact as ct
 from . import foliation, integrate, verify
 from .coisotropy import (ProlongOptions, Section, family_section, kuranishi,
                          prolong, residual)
-from .fields import Field, json_float, json_int, require_exact
+from .fields import Field, json_float, require_exact
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -37,38 +36,8 @@ EXIT_OBSTRUCTED = 3
 EXIT_VERIFY = 4
 EXIT_PIPE = 141     # 128 + SIGPIPE, as a shell reports a writer killed by it
 
-CONFIG_ENV = "COISOLAB_CONFIG"
-
-
-@dataclass
-class RunConfig:
-    trunc_order: int = 8
-    tol: float = 1e-9
-    seed: int = 0
-    out: str | None = None
-
-
-def _cfg(args) -> RunConfig:
-    cfg = RunConfig()
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
-    if path:
-        with open(path) as fh:
-            data = json.load(fh)
-        for key, value in data.items():
-            if not hasattr(cfg, key):
-                raise ValueError(f"unknown config key '{key}'")
-            name = f"config key '{key}'"
-            if key == "out" and not isinstance(value, str):
-                raise ValueError(f"{name} must be a string, got {value!r}")
-            setattr(cfg, key, json_float(value, name) if key == "tol"
-                    else value if key == "out" else json_int(value, name))
-    for key, flag in (("seed", "seed"), ("trunc_order", "trunc"),
-                      ("tol", "tol"), ("out", "out")):
-        if getattr(args, flag, None) is not None:
-            setattr(cfg, key, getattr(args, flag))
-    if not 0 < cfg.tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {cfg.tol!r}")
-    return cfg
+# the global flags' defaults: the namespace each parse starts from
+DEFAULTS = {"seed": 0, "trunc": 8, "tol": 1e-9, "out": None}
 
 
 def _emit(text: str, stream):
@@ -132,7 +101,7 @@ def _emit_csv(header: str, table, stream):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_residual(args, cfg: RunConfig, out) -> int:
+def cmd_residual(args, out) -> int:
     s = _load_json(args.section, Section)
     r = residual(s)
     _emit_json({"check": "residual",
@@ -142,11 +111,11 @@ def cmd_residual(args, cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def cmd_kuranishi(args, cfg: RunConfig, out) -> int:
+def cmd_kuranishi(args, out) -> int:
     s = _load_json(args.section, Section)
     obstruction = kuranishi(s)
     require_exact("Kuranishi obstruction", obstruction)
-    nonzero = obstruction.max_abs() > cfg.tol
+    nonzero = obstruction.max_abs() > args.tol
     _emit_json({"check": "kuranishi",
                 "norm": obstruction.l2_norm(),
                 "max_abs": obstruction.max_abs(),
@@ -155,20 +124,20 @@ def cmd_kuranishi(args, cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def cmd_prolong(args, cfg: RunConfig, out) -> int:
+def cmd_prolong(args, out) -> int:
     direction = _load_json(args.section, Section)
-    opts = ProlongOptions(tol=cfg.tol, max_iters=args.max_iters,
+    opts = ProlongOptions(tol=args.tol, max_iters=args.max_iters,
                           solver_radius=_parse_radius(args.radius))
     report = prolong(direction, args.eps, opts)
     _emit_json(report.to_json_dict(), out)
     return {"converged": EXIT_OK, "obstructed": EXIT_OBSTRUCTED}.get(report.status, EXIT_FAIL)
 
 
-def cmd_leaves(args, cfg: RunConfig, out) -> int:
+def cmd_leaves(args, out) -> int:
     if (args.t is None) == (args.section is None):
         raise ValueError("choose exactly one of --t or --section")
     if args.t is not None:
-        verdict = foliation.classify_leaf_linear(args.t, tol=cfg.tol,
+        verdict = foliation.classify_leaf_linear(args.t, tol=args.tol,
                                                  max_denominator=args.max_denominator)
         payload = {"t": args.t, **verdict.to_json_dict()}
         start, duration = _parse_point(args.start, 5), args.duration
@@ -177,9 +146,9 @@ def cmd_leaves(args, cfg: RunConfig, out) -> int:
         # the verdict is closed-form: a trace is only written, but the trace
         # flags are refused on either route as the integrator refuses them
         integrate.check_span(duration, args.step)
-        if args.csv:
+        if args.csv is not None:
             frame = foliation.characteristic_frame(
-                family_section(args.t, cfg.trunc_order))
+                family_section(args.t, args.trunc))
             trace = foliation.trace_leaf(frame, start, duration, h=args.step)
     else:
         s = _load_json(args.section, Section)
@@ -189,22 +158,22 @@ def cmd_leaves(args, cfg: RunConfig, out) -> int:
             h=args.step)
         payload = verdict.to_json_dict()
     _emit_json(payload, out)
-    if args.csv:
+    if args.csv is not None:
         _emit_csv("step,x1,x2,x3,x4,x5,u1,u2,u3,u4,u5",
                   np.hstack([trace.points, trace.lifted]), args.csv)
     return EXIT_OK
 
 
-def cmd_verify(args, cfg: RunConfig, out) -> int:
-    report = verify.run_suites(args.suite, seed=cfg.seed, n=args.n,
-                               trunc_order=cfg.trunc_order)
+def cmd_verify(args, out) -> int:
+    report = verify.run_suites(args.suite, seed=args.seed, n=args.n,
+                               trunc_order=args.trunc)
     if args.n == 0:
         sys.stderr.write("warning: --n 0 requested, suites pass vacuously\n")
     _emit_json(report, out)
     return EXIT_OK if report["pass"] else EXIT_VERIFY
 
 
-def cmd_flow(args, cfg: RunConfig, out) -> int:
+def cmd_flow(args, out) -> int:
     lam = _load_json(args.hamiltonian, Field)
     cd = ct.standard_contact(verify=False)
     p = _parse_point(args.point, cd.space.dim)
@@ -217,9 +186,9 @@ def cmd_flow(args, cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def cmd_scan(args, cfg: RunConfig, out) -> int:
+def cmd_scan(args, out) -> int:
     values = [float(v) for v in args.values]
-    report = foliation.integrality_scan(values, tol=cfg.tol,
+    report = foliation.integrality_scan(values, tol=args.tol,
                                         max_denominator=args.max_denominator)
     _emit_json(report, out)
     return EXIT_OK
@@ -236,10 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     and shared: each ``parse_args`` call fills a fresh namespace."""
     # global flags live on a parent so they are accepted before or after the
     # subcommand; SUPPRESS defaults keep subparsers from clobbering values
-    # parsed at the top level
+    # parsed at the top level, and main starts each parse from DEFAULTS (a
+    # default set on the shared actions would clobber them too)
     common = argparse.ArgumentParser(add_help=False)
     for args, kw in (
-        (("--config",), {"help": f"JSON config path (or ${CONFIG_ENV})"}),
         (("--seed",), {"type": int, "help": "PRNG seed"}),
         (("--trunc",), {"type": int, "help": "frequency truncation order of "
                                              "verify and leaves --t"}),
@@ -304,15 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        cfg = _cfg(args)
+        args = build_parser().parse_args(argv, argparse.Namespace(**DEFAULTS))
+        if not 0 < args.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {args.tol!r}")
+        if args.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {args.seed!r}")
         with contextlib.ExitStack() as stack:
             # each destination is opened once, before the work: a path that
-            # cannot be opened is refused before it costs anything
-            out = stack.enter_context(open(cfg.out, "w")) if cfg.out else sys.stdout
-            if getattr(args, "csv", None):
+            # cannot be opened ("" included) is refused before it costs anything
+            out = sys.stdout if args.out is None else stack.enter_context(open(args.out, "w"))
+            if getattr(args, "csv", None) is not None:
                 args.csv = stack.enter_context(open(args.csv, "w"))
-            return args.func(args, cfg, out)
+            return args.func(args, out)
     except BrokenPipeError:
         # nothing to report; stdout goes to devnull so the flush at exit is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
